@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import (
     ConfigError,
@@ -38,8 +39,6 @@ from .training import (
     write_diagnostics_csv,
 )
 from .world import SCENARIOS, GenerationError
-
-VERSION = "0.1.0"
 
 log = logging.getLogger("htnav")
 
@@ -101,7 +100,7 @@ def _write_manifest(out_dir: Path, command: str, cfg: TrainConfig | None, files)
     manifest = {
         "format": MANIFEST_FORMAT,
         "command": command,
-        "version": VERSION,
+        "version": __version__,
         "created_unix": time.time(),
         "config": config_to_dict(cfg) if cfg is not None else None,
         "seeds": list(cfg.seeds) if cfg is not None else None,

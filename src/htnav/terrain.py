@@ -56,24 +56,25 @@ def flat_heightmap(size: float, cell_size: float = 1.0, origin=(0.0, 0.0)) -> He
 
 def elevation_at(hm: Heightmap, x: float, y: float) -> float:
     """Bilinear interpolation over the four surrounding nodes, border-clamped."""
+    height, width = hm.elevations.shape
     gx = (x - hm.origin[0]) / hm.cell_size
     gy = (y - hm.origin[1]) / hm.cell_size
-    gx = min(max(gx, 0.0), hm.width - 1.0)
-    gy = min(max(gy, 0.0), hm.height - 1.0)
-    ix = min(int(gx), hm.width - 2) if hm.width > 1 else 0
-    iy = min(int(gy), hm.height - 2) if hm.height > 1 else 0
+    gx = min(max(gx, 0.0), width - 1.0)
+    gy = min(max(gy, 0.0), height - 1.0)
+    ix = min(int(gx), width - 2) if width > 1 else 0
+    iy = min(int(gy), height - 2) if height > 1 else 0
     fx = gx - ix
     fy = gy - iy
-    e = hm.elevations
-    if hm.width == 1 and hm.height == 1:
-        return float(e[0, 0])
-    if hm.width == 1:
-        return float(e[iy, 0] * (1 - fy) + e[iy + 1, 0] * fy)
-    if hm.height == 1:
-        return float(e[0, ix] * (1 - fx) + e[0, ix + 1] * fx)
-    top = e[iy, ix] * (1 - fx) + e[iy, ix + 1] * fx
-    bot = e[iy + 1, ix] * (1 - fx) + e[iy + 1, ix + 1] * fx
-    return float(top * (1 - fy) + bot * fy)
+    e = hm.elevations.item  # nodes as Python floats: no numpy-scalar arithmetic
+    if width == 1 and height == 1:
+        return e(0, 0)
+    if width == 1:
+        return e(iy, 0) * (1 - fy) + e(iy + 1, 0) * fy
+    if height == 1:
+        return e(0, ix) * (1 - fx) + e(0, ix + 1) * fx
+    top = e(iy, ix) * (1 - fx) + e(iy, ix + 1) * fx
+    bot = e(iy + 1, ix) * (1 - fx) + e(iy + 1, ix + 1) * fx
+    return top * (1 - fy) + bot * fy
 
 
 def terrain_gradient(hm: Heightmap, x: float, y: float) -> tuple[float, float]:

@@ -18,7 +18,7 @@ from .net import ApproximatorSpec
 from .optimizer import OptimizerState, ascent_step
 from .policy import PolicyParameters, init_policy, sample_action
 from .trajectory import Trajectory
-from .world import World, generate_world, world_hash
+from .world import World, generate_world
 
 # substream salts: worlds must not depend on the family or the episode
 # outcomes, so each purpose gets its own SeedSequence branch
@@ -115,7 +115,6 @@ class SeedRun:
     horizon_sampled: np.ndarray
     horizon_used: np.ndarray
     max_abs_action: np.ndarray
-    world_hashes: list[str]
     params: PolicyParameters
     opt_state: OptimizerState
 
@@ -162,7 +161,6 @@ def train_seed(cfg: TrainConfig, seed: int) -> SeedRun:
     returns, steps, causes = [], [], []
     raw_infs, clip_infs = [], []
     h_sampled, h_used, max_acts = [], [], []
-    hashes = []
     best = -np.inf
     best_at = 0
     for k in range(cfg.episodes):
@@ -185,7 +183,6 @@ def train_seed(cfg: TrainConfig, seed: int) -> SeedRun:
         h_sampled.append(est.horizon_sampled)
         h_used.append(est.horizon_used)
         max_acts.append(float(np.abs(traj.projected_actions).max()))
-        hashes.append(world_hash(world))
 
         if cfg.plateau_patience is not None:
             window_mean = float(np.mean(returns[-PLATEAU_WINDOW:]))
@@ -205,7 +202,6 @@ def train_seed(cfg: TrainConfig, seed: int) -> SeedRun:
         horizon_sampled=np.asarray(h_sampled, dtype=int),
         horizon_used=np.asarray(h_used, dtype=int),
         max_abs_action=np.asarray(max_acts, dtype=float),
-        world_hashes=hashes,
         params=params,
         opt_state=state,
     )

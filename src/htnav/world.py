@@ -199,7 +199,8 @@ def generate_world(scenario: str, seed, cfg: WorldGenConfig | None = None) -> Wo
     )
 
 
-def world_to_dict(world: World) -> dict:
+def _world_header(world: World) -> dict:
+    """Everything in the canonical serialization except the elevation values."""
     obstacles = []
     for ob in world.obstacles:
         if isinstance(ob, Circle):
@@ -226,10 +227,15 @@ def world_to_dict(world: World) -> dict:
             "origin": list(hm.origin),
             "width": hm.width,
             "height": hm.height,
-            "elevations": [float(v) for v in hm.elevations.ravel()],
         },
         "obstacles": obstacles,
     }
+
+
+def world_to_dict(world: World) -> dict:
+    doc = _world_header(world)
+    doc["heightmap"]["elevations"] = world.heightmap.elevations.ravel().tolist()
+    return doc
 
 
 def world_from_dict(data: dict) -> World:
@@ -276,9 +282,10 @@ def load_world(path) -> World:
 
 
 def world_hash(world: World) -> str:
-    """Content hash of the canonical serialization (world identity check)."""
-    payload = json.dumps(world_to_dict(world), sort_keys=True).encode()
-    return hashlib.sha256(payload).hexdigest()
+    """Content hash (world identity check): canonical JSON header, then raw ``<f8`` elevations."""
+    digest = hashlib.sha256(json.dumps(_world_header(world), sort_keys=True).encode())
+    digest.update(np.ascontiguousarray(world.heightmap.elevations, dtype="<f8").tobytes())
+    return digest.hexdigest()
 
 
 def initial_distance(world: World) -> float:

@@ -101,3 +101,71 @@ def test_pose_angles_bounded(x, y, psi):
     assert -math.pi / 2 < pose.roll < math.pi / 2
     assert -math.pi / 2 < pose.pitch < math.pi / 2
     assert pose.z == pytest.approx(elevation_at(hm, x, y))
+
+
+def _oracle_elevation_at(hm: Heightmap, x: float, y: float) -> float:
+    """The numpy-scalar lookup that ``elevation_at`` replaced, kept as its bit-exact reference."""
+    gx = (x - hm.origin[0]) / hm.cell_size
+    gy = (y - hm.origin[1]) / hm.cell_size
+    gx = min(max(gx, 0.0), hm.width - 1.0)
+    gy = min(max(gy, 0.0), hm.height - 1.0)
+    ix = min(int(gx), hm.width - 2) if hm.width > 1 else 0
+    iy = min(int(gy), hm.height - 2) if hm.height > 1 else 0
+    fx = gx - ix
+    fy = gy - iy
+    e = hm.elevations
+    if hm.width == 1 and hm.height == 1:
+        return float(e[0, 0])
+    if hm.width == 1:
+        return float(e[iy, 0] * (1 - fy) + e[iy + 1, 0] * fy)
+    if hm.height == 1:
+        return float(e[0, ix] * (1 - fx) + e[0, ix + 1] * fx)
+    top = e[iy, ix] * (1 - fx) + e[iy, ix + 1] * fx
+    bot = e[iy + 1, ix] * (1 - fx) + e[iy + 1, ix + 1] * fx
+    return float(top * (1 - fy) + bot * fy)
+
+
+@st.composite
+def _small_heightmaps(draw):
+    """Grids from 1x1 up to 5x5, so the 1-wide and 1-tall branches get drawn too."""
+    h = draw(st.integers(1, 5))
+    w = draw(st.integers(1, 5))
+    z = draw(st.lists(st.floats(-1e6, 1e6), min_size=h * w, max_size=h * w))
+    cell = draw(st.floats(1e-3, 1e3))
+    origin = (draw(st.floats(-1e3, 1e3)), draw(st.floats(-1e3, 1e3)))
+    return Heightmap(cell_size=cell, elevations=np.array(z).reshape(h, w), origin=origin)
+
+
+# grid units around the grid (border clamping included), or anywhere at all
+_grid_units = st.floats(-3.0, 8.0)
+_anywhere = st.floats(-1e300, 1e300)
+
+
+def _same_bits(a: float, b: float) -> bool:
+    # float.hex tells -0.0 from 0.0, which == does not
+    return float.hex(a) == float.hex(b)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_small_heightmaps(), _grid_units, _grid_units, _anywhere, _anywhere, st.booleans())
+def test_elevation_at_matches_oracle_bits(hm, ux, uy, ax, ay, far):
+    if far:
+        x, y = ax, ay
+    else:
+        x = hm.origin[0] + ux * hm.cell_size
+        y = hm.origin[1] + uy * hm.cell_size
+    assert _same_bits(elevation_at(hm, x, y), _oracle_elevation_at(hm, x, y))
+
+
+def test_elevation_at_matches_oracle_on_generated_hills():
+    from htnav.world import generate_world
+
+    hm = generate_world("uneven_terrain", 3).heightmap
+    rng = np.random.default_rng(0)
+    for x, y in rng.uniform(-5.0, 105.0, size=(2000, 2)).tolist():
+        assert _same_bits(elevation_at(hm, x, y), _oracle_elevation_at(hm, x, y))
+
+
+def test_elevation_at_keeps_negative_zero():
+    hm = Heightmap(cell_size=1.0, elevations=np.array([[-0.0]]))
+    assert _same_bits(elevation_at(hm, 0.3, 0.7), -0.0)

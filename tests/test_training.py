@@ -18,8 +18,24 @@ from htnav.training import (
     write_curves_csv,
     write_diagnostics_csv,
 )
+from htnav.world import world_hash
 
 TINY = TrainConfig(episodes=4, max_steps=40, seeds=(0, 1))
+
+
+@pytest.fixture
+def world_requests(monkeypatch):
+    """Every world training asks for, as (family, seed, episode, world_hash)."""
+    calls = []
+    real = world_for_episode
+
+    def recording(cfg, seed, episode):
+        world = real(cfg, seed, episode)
+        calls.append((cfg.family, seed, episode, world_hash(world)))
+        return world
+
+    monkeypatch.setattr("htnav.training.world_for_episode", recording)
+    return calls
 
 
 class _FixedHorizonRng:
@@ -112,16 +128,18 @@ def test_rollout_terminal_cause_sticks():
     assert all(c == "running" for c in traj.causes[:-1])
 
 
-def test_train_seed_reproducible():
+def test_train_seed_reproducible(world_requests):
     a = train_seed(TINY, 0)
+    first_worlds = list(world_requests)
+    world_requests.clear()
     b = train_seed(TINY, 0)
     np.testing.assert_array_equal(a.returns, b.returns)
     np.testing.assert_array_equal(a.params.weights, b.params.weights)
-    assert a.world_hashes == b.world_hashes
+    assert world_requests == first_worlds
     assert a.causes == b.causes
 
 
-def test_train_seed_lengths_and_logs():
+def test_train_seed_lengths_and_logs(world_requests):
     run = train_seed(TINY, 1)
     assert len(run) == TINY.episodes
     for arr in (
@@ -135,7 +153,7 @@ def test_train_seed_lengths_and_logs():
     ):
         assert arr.shape == (TINY.episodes,)
     assert len(run.causes) == TINY.episodes
-    assert len(run.world_hashes) == TINY.episodes
+    assert [(seed, k) for _, seed, k, _ in world_requests] == [(1, k) for k in range(TINY.episodes)]
     assert np.all(run.grad_clipped_inf <= TINY.phi + 1e-12)
     assert np.all(run.horizon_used <= run.horizon_sampled)
     assert np.all(run.max_abs_action <= TINY.delta + 1e-12)
@@ -162,15 +180,11 @@ def test_zero_episodes_gives_empty_run():
 def test_worlds_do_not_depend_on_family():
     cauchy = world_for_episode(TINY, 3, 5)
     gaussian = world_for_episode(with_family(TINY, "gaussian"), 3, 5)
-    from htnav.world import world_hash
-
     assert world_hash(cauchy) == world_hash(gaussian)
 
 
 def test_fixed_world_reuses_episode_zero():
     cfg = replace_config(TINY, fixed_world=True)
-    from htnav.world import world_hash
-
     assert world_hash(world_for_episode(cfg, 0, 7)) == world_hash(world_for_episode(cfg, 0, 0))
     assert world_hash(world_for_episode(TINY, 0, 7)) != world_hash(world_for_episode(TINY, 0, 0))
 
@@ -191,10 +205,15 @@ def test_train_stacks_all_seeds():
     assert record.std_curve().shape == (TINY.episodes,)
 
 
-def test_run_comparison_pairs_worlds():
+def test_run_comparison_pairs_worlds(world_requests):
     cauchy = replace_config(TINY, episodes=2, seeds=(0,))
     result = run_comparison(cauchy, with_family(cauchy, "gaussian"))
-    assert result.cauchy.seed_runs[0].world_hashes == result.gaussian.seed_runs[0].world_hashes
+    by_family = {
+        family: [call[1:] for call in world_requests if call[0] == family]
+        for family in ("cauchy", "gaussian")
+    }
+    assert [(seed, k) for seed, k, _ in by_family["cauchy"]] == [(0, 0), (0, 1)]
+    assert by_family["cauchy"] == by_family["gaussian"]
     table = result.aligned_curves()
     assert table.shape == (2, 5)
     np.testing.assert_array_equal(table[:, 0], [0.0, 1.0])
