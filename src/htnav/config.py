@@ -185,9 +185,5 @@ def apply_overrides(cfg: TrainConfig, overrides: dict) -> TrainConfig:
     return config_from_dict(data)
 
 
-def replace_config(cfg: TrainConfig, **changes) -> TrainConfig:
-    return dataclasses.replace(cfg, **changes)
-
-
 def with_family(cfg: TrainConfig, family: str) -> TrainConfig:
-    return replace_config(cfg, family=family)
+    return dataclasses.replace(cfg, family=family)

@@ -44,50 +44,12 @@ class EnvConfig:
             raise ValueError("n_scan_rays must be >= 1")
 
 
-@dataclass(frozen=True)
-class Observation:
-    """Physical-unit state snapshot; ``scan`` is populated only when scanned."""
-
-    d_goal: float
-    alpha_goal: float
-    prev_action: np.ndarray
-    roll: float
-    pitch: float
-    scan: np.ndarray | None = None
-
-    def features(self, scenario: str) -> np.ndarray:
-        """Scaled feature vector consumed by the policy (4 / 4+scan / 6 dims)."""
-        base = [
-            self.d_goal / D_GOAL_SCALE,
-            self.alpha_goal / math.pi,
-            float(self.prev_action[0]),
-            float(self.prev_action[1]),
-        ]
-        if scenario == "goal_reaching":
-            return np.asarray(base)
-        if scenario == "obstacle_avoidance":
-            if self.scan is None:
-                raise ValueError("obstacle_avoidance observations need a scan")
-            return np.concatenate([base, self.scan / 10.0])
-        if scenario == "uneven_terrain":
-            return np.asarray(base + [self.roll / TILT_SCALE, self.pitch / TILT_SCALE])
-        raise ValueError(f"unknown scenario {scenario!r}")
-
-
 class RewardBreakdown(NamedTuple):
     heading: float
     dist: float
     obs: float
     stable: float
     total: float
-
-
-@dataclass(frozen=True)
-class StepOutcome:
-    observation: Observation
-    reward_components: RewardBreakdown
-    done: bool
-    cause: str
 
 
 def observation_dim(scenario: str, n_scan_rays: int = 720) -> int:
@@ -117,9 +79,11 @@ def kinematic_step(
 class NavEnv:
     """One rollout's worth of simulation state.
 
-    Owns the pose, the step counter, and the per-episode reward latches.
-    The world boundary acts as a wall: positions clamp to the bounds and
-    the scanner sees the four boundary segments.
+    Owns the pose, the step counter, and the per-episode reward latches,
+    plus the goal distance, heading offset and (obstacle scenario only)
+    scan of the latest observation.  The world boundary acts as a wall:
+    positions clamp to the bounds and the scanner sees the four boundary
+    segments.
     """
 
     def __init__(
@@ -140,7 +104,9 @@ class NavEnv:
         self.pose: RobotPose | None = None
         self.steps = 0
         self.reward_state: rw.EpisodeRewardState | None = None
-        self._prev_action = np.zeros(2)
+        self.d_goal = math.nan
+        self.alpha_goal = math.nan
+        self.scan: np.ndarray | None = None
 
     def _scan(self, pose: RobotPose) -> np.ndarray:
         return scan_ranges(
@@ -151,29 +117,41 @@ class NavEnv:
             max_range=self.cfg.scan_max_range,
         )
 
-    def _observe(self, pose: RobotPose) -> Observation:
-        d, alpha = goal_geometry(pose.x, pose.y, pose.psi, self.world.goal)
-        scan = self._scan(pose) if self.scenario == "obstacle_avoidance" else None
-        return Observation(
-            d_goal=d,
-            alpha_goal=alpha,
-            prev_action=self._prev_action.copy(),
-            roll=pose.roll,
-            pitch=pose.pitch,
-            scan=scan,
-        )
+    def _observe(self, pose: RobotPose, prev_action) -> np.ndarray:
+        """Refresh d_goal, alpha_goal (and scan) at ``pose``; return the scaled features.
 
-    def reset(self) -> Observation:
-        sx, sy, psi = self.world.start_pose
-        self.pose = pose_from_terrain(self.world.heightmap, sx, sy, psi)
+        Features are d/20, alpha/pi and the previous action, followed by
+        the scan over 10 (obstacle_avoidance) or roll and pitch over pi/2
+        (uneven_terrain).
+        """
+        self.d_goal, self.alpha_goal = goal_geometry(pose.x, pose.y, pose.psi, self.world.goal)
+        base = [
+            self.d_goal / D_GOAL_SCALE,
+            self.alpha_goal / math.pi,
+            float(prev_action[0]),
+            float(prev_action[1]),
+        ]
+        if self.scenario == "obstacle_avoidance":
+            self.scan = self._scan(pose)
+            return np.concatenate([base, self.scan / 10.0])
+        if self.scenario == "uneven_terrain":
+            return np.asarray(base + [pose.roll / TILT_SCALE, pose.pitch / TILT_SCALE])
+        return np.asarray(base)
+
+    def reset(self) -> np.ndarray:
+        """Place the robot at the start pose; returns the first feature vector."""
+        self.pose = pose_from_terrain(self.world.heightmap, *self.world.start_pose)
         self.steps = 0
-        self._prev_action = np.zeros(2)
-        d0, _ = goal_geometry(sx, sy, psi, self.world.goal)
-        self.reward_state = rw.EpisodeRewardState(initial_distance=d0)
-        return self._observe(self.pose)
+        features = self._observe(self.pose, (0.0, 0.0))
+        self.reward_state = rw.EpisodeRewardState(initial_distance=self.d_goal)
+        return features
 
-    def step(self, projected_action) -> StepOutcome:
-        """Advance one tick with an already-projected action in [-delta, delta]^2."""
+    def step(self, projected_action) -> tuple[np.ndarray, RewardBreakdown, str]:
+        """Advance one tick with an already-projected action in [-delta, delta]^2.
+
+        Returns the next feature vector, the reward terms and the cause,
+        which is "running" until the episode ends.
+        """
         if self.pose is None:
             raise RuntimeError("call reset() before step()")
         action = np.asarray(projected_action, dtype=float)
@@ -184,25 +162,24 @@ class NavEnv:
         pose = pose_from_terrain(self.world.heightmap, x, y, psi)
         self.pose = pose
         self.steps += 1
-        self._prev_action = action.copy()
 
-        obs = self._observe(pose)
-        heading = rw.r_heading(obs.alpha_goal, self.reward_cfg)
+        features = self._observe(pose, action)
+        heading = rw.r_heading(self.alpha_goal, self.reward_cfg)
         dist, self.reward_state = rw.r_dist(
-            obs.d_goal, self.reward_state, self.reward_cfg, self.cfg.goal_radius
+            self.d_goal, self.reward_state, self.reward_cfg, self.cfg.goal_radius
         )
         obs_pen = 0.0
         if self.scenario == "obstacle_avoidance":
-            obs_pen = rw.r_obs(obs.scan, self.cfg.d_collision, self.reward_cfg)
+            obs_pen = rw.r_obs(self.scan, self.cfg.d_collision, self.reward_cfg)
         stable_pen = 0.0
         if self.scenario == "uneven_terrain":
             stable_pen = rw.r_stable(pose.roll, pose.pitch, self.reward_cfg)
         total = rw.total_reward(self.scenario, heading, dist, obs_pen, stable_pen)
 
         cause = "running"
-        if obs.d_goal <= self.cfg.goal_radius:
+        if self.d_goal <= self.cfg.goal_radius:
             cause = "goal"
-        elif self.scenario == "obstacle_avoidance" and float(obs.scan.min()) <= self.cfg.d_collision:
+        elif self.scenario == "obstacle_avoidance" and float(self.scan.min()) <= self.cfg.d_collision:
             cause = "collision"
         elif self.scenario == "uneven_terrain" and (
             abs(pose.roll) >= self.cfg.flip_threshold or abs(pose.pitch) >= self.cfg.flip_threshold
@@ -211,9 +188,4 @@ class NavEnv:
         elif self.steps >= self.max_steps:
             cause = "timeout"
 
-        return StepOutcome(
-            observation=obs,
-            reward_components=RewardBreakdown(heading, dist, obs_pen, stable_pen, total),
-            done=cause != "running",
-            cause=cause,
-        )
+        return features, RewardBreakdown(heading, dist, obs_pen, stable_pen, total), cause

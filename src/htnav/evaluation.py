@@ -8,9 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TrainConfig
-from .env import NavEnv
-from .policy import PolicyParameters, forward_mean, project_action, sample_action
-from .training import EVAL_SALT
+from .policy import PolicyParameters
+from .training import EVAL_SALT, rollout
 from .world import generate_world
 
 EVAL_MODES = ("deterministic", "stochastic")
@@ -64,37 +63,6 @@ class EvalReport:
             raise ValueError(f"success_rate must be in [0, 100], got {self.success_rate}")
 
 
-def _episode(world, params: PolicyParameters, cfg: TrainConfig, mode: str, rng, index: int) -> EpisodeResult:
-    env = NavEnv(world, cfg.env, cfg.rewards, max_steps=cfg.max_steps)
-    obs = env.reset()
-    zs = [env.pose.z]
-    total = 0.0
-    steps = 0
-    cause = "timeout"
-    for _ in range(cfg.max_steps):
-        x = obs.features(cfg.scenario)
-        if mode == "deterministic":
-            action = project_action(forward_mean(params, x), cfg.delta)
-        else:
-            action = sample_action(params, x, rng, cfg.delta).projected
-        out = env.step(action)
-        total += out.reward_components.total
-        zs.append(env.pose.z)
-        steps += 1
-        obs = out.observation
-        if out.done:
-            cause = out.cause
-            break
-    return EpisodeResult(
-        episode=index,
-        cause=cause,
-        steps=steps,
-        episode_return=total,
-        elevation=elevation_cost(zs),
-        final_distance=obs.d_goal,
-    )
-
-
 def evaluate(
     params: PolicyParameters,
     cfg: TrainConfig,
@@ -105,19 +73,36 @@ def evaluate(
     """Run n_episodes on worlds drawn from the evaluation stream of ``seed``.
 
     Deterministic mode executes the projected location parameter mu(s);
-    stochastic mode samples exactly as during training.
+    stochastic mode samples exactly as during training.  Either way an
+    episode runs until it ends or reaches ``cfg.max_steps``: no horizon is
+    drawn.
     """
     if n_episodes < 1:
         raise ValueError(f"n_episodes must be >= 1, got {n_episodes}")
     if mode not in EVAL_MODES:
         raise ValueError(f"mode must be one of {EVAL_MODES}, got {mode!r}")
+    act = "mean" if mode == "deterministic" else "sample"
     rows = []
     for i in range(n_episodes):
         world = generate_world(
             cfg.scenario, np.random.SeedSequence((seed, EVAL_SALT, i)), cfg.worldgen
         )
         rng = np.random.default_rng(np.random.SeedSequence((seed, EVAL_SALT, i, 1)))
-        rows.append(_episode(world, params, cfg, mode, rng, i))
+        traj = rollout(world, params, cfg, rng, cfg.max_steps, act=act)
+        # summed step by step, left to right, unlike the training return
+        total = 0.0
+        for r in traj.rewards.tolist():
+            total += r
+        rows.append(
+            EpisodeResult(
+                episode=i,
+                cause=traj.final_cause,
+                steps=len(traj),
+                episode_return=total,
+                elevation=elevation_cost(traj.poses[:, 3]),
+                final_distance=traj.final_distance,
+            )
+        )
     successes = [r for r in rows if r.success]
     n_success = len(successes)
     success_rate = 100.0 * n_success / n_episodes

@@ -16,7 +16,7 @@ from .env import NavEnv, observation_dim
 from .estimator import estimate, sample_horizon
 from .net import ApproximatorSpec
 from .optimizer import OptimizerState, ascent_step
-from .policy import PolicyParameters, init_policy, sample_action
+from .policy import PolicyParameters, forward_mean, init_policy, project_action, sample_action
 from .trajectory import Trajectory
 from .world import World, generate_world
 
@@ -62,42 +62,48 @@ def rollout(
     params: PolicyParameters,
     cfg: TrainConfig,
     rng: np.random.Generator,
+    horizon: int,
+    act: str = "sample",
 ) -> Trajectory:
-    """Collect one episode: sample the horizon, then act until done or budget."""
+    """Run one episode for at most ``min(horizon + 1, cfg.max_steps)`` steps.
+
+    ``act="sample"`` draws every action from the policy with ``rng``;
+    ``act="mean"`` executes the projected location mu(s) and leaves ``rng``
+    untouched.  Training and evaluation both step episodes through here.
+    """
+    if act not in ("sample", "mean"):
+        raise ValueError(f"act must be 'sample' or 'mean', got {act!r}")
     env = NavEnv(world, cfg.env, cfg.rewards, max_steps=cfg.max_steps)
-    obs = env.reset()
-    horizon = sample_horizon(cfg.gamma, rng)
-    budget = min(horizon + 1, cfg.max_steps)
-    feats, raws, projs, logds = [], [], [], []
-    rewards, comps, poses, causes = [], [], [], []
-    for _ in range(budget):
-        x = obs.features(cfg.scenario)
-        s = sample_action(params, x, rng, cfg.delta)
-        out = env.step(s.projected)
+    x = env.reset()
+    p = env.pose
+    poses = [(p.x, p.y, p.psi, p.z, p.roll, p.pitch)]
+    feats, raws, projs, rewards = [], [], [], []
+    cause = "running"
+    for _ in range(min(horizon + 1, cfg.max_steps)):
+        if act == "mean":
+            raw = forward_mean(params, x)
+            projected = project_action(raw, cfg.delta)
+        else:
+            s = sample_action(params, x, rng, cfg.delta)
+            raw, projected = s.raw, s.projected
         feats.append(x)
-        raws.append(s.raw)
-        projs.append(s.projected)
-        logds.append(s.log_density)
-        rc = out.reward_components
-        rewards.append(rc.total)
-        comps.append([rc.heading, rc.dist, rc.obs, rc.stable, rc.total])
+        raws.append(raw)
+        projs.append(projected)
+        x, reward, cause = env.step(projected)
+        rewards.append(reward.total)
         p = env.pose
-        poses.append([p.x, p.y, p.psi, p.z, p.roll, p.pitch])
-        causes.append(out.cause)
-        obs = out.observation
-        if out.done:
+        poses.append((p.x, p.y, p.psi, p.z, p.roll, p.pitch))
+        if cause != "running":
             break
     return Trajectory(
         features=np.asarray(feats),
         raw_actions=np.asarray(raws),
         projected_actions=np.asarray(projs),
         rewards=np.asarray(rewards),
-        components=np.asarray(comps),
         poses=np.asarray(poses),
-        causes=causes,
-        log_densities=np.asarray(logds),
+        final_cause=cause,
+        final_distance=env.d_goal,
         horizon_sampled=horizon,
-        initial_distance=env.reward_state.initial_distance,
     )
 
 
@@ -165,7 +171,8 @@ def train_seed(cfg: TrainConfig, seed: int) -> SeedRun:
     best_at = 0
     for k in range(cfg.episodes):
         world = world_for_episode(cfg, seed, k)
-        traj = rollout(world, params, cfg, episode_rng(seed, k))
+        rng = episode_rng(seed, k)
+        traj = rollout(world, params, cfg, rng, sample_horizon(cfg.gamma, rng))
         est = estimate(params, traj, cfg.gamma, cfg.phi)
         if not np.all(np.isfinite(est.raw)):
             raise TrainingAbort(

@@ -1,7 +1,7 @@
 """Episode trajectory record shared by the rollout collector and the estimator."""
 
-import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -10,50 +10,23 @@ import numpy as np
 class Trajectory:
     """Ordered step data for one episode.
 
-    ``features`` are the policy inputs actually consumed at each step;
-    ``rewards`` are the per-step totals; ``components`` stores the
-    breakdown (heading, dist, obs, stable, total) per step.
+    ``features`` are the policy inputs actually consumed at each step and
+    ``rewards`` are the per-step totals.  ``poses`` has one row more than
+    there are steps: the pose after reset comes first.
     """
 
     features: np.ndarray          # (T, obs_dim)
     raw_actions: np.ndarray       # (T, 2)
     projected_actions: np.ndarray  # (T, 2)
     rewards: np.ndarray           # (T,)
-    components: np.ndarray        # (T, 5)
-    poses: np.ndarray             # (T, 6): x, y, psi, z, roll, pitch
-    causes: list[str] = field(default_factory=list)
-    log_densities: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    poses: np.ndarray             # (T + 1, 6): x, y, psi, z, roll, pitch
+    final_cause: str = "running"
+    final_distance: float = math.nan
     horizon_sampled: int = 0
-    initial_distance: float = 0.0
 
     def __len__(self) -> int:
         return int(self.rewards.shape[0])
 
     @property
-    def final_cause(self) -> str:
-        return self.causes[-1] if self.causes else "running"
-
-    @property
     def episode_return(self) -> float:
         return float(self.rewards.sum())
-
-
-def write_trajectory_jsonl(path, traj: Trajectory) -> None:
-    """One JSON record per step: pose, raw/projected action, reward parts, cause."""
-    with open(path, "w") as fh:
-        for t in range(len(traj)):
-            rec = {
-                "step": t,
-                "pose": [float(v) for v in traj.poses[t]],
-                "raw_action": [float(v) for v in traj.raw_actions[t]],
-                "projected_action": [float(v) for v in traj.projected_actions[t]],
-                "reward_components": {
-                    "heading": float(traj.components[t, 0]),
-                    "dist": float(traj.components[t, 1]),
-                    "obs": float(traj.components[t, 2]),
-                    "stable": float(traj.components[t, 3]),
-                    "total": float(traj.components[t, 4]),
-                },
-                "cause": traj.causes[t],
-            }
-            fh.write(json.dumps(rec) + "\n")

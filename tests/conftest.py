@@ -4,6 +4,17 @@ import pytest
 from htnav.net import ApproximatorSpec
 from htnav.policy import PolicyParameters
 
+# A wide heading cone, long steps, a big collision radius and a low tilt
+# threshold make the heading, collision and tilt terms fire within 40
+# steps.  At the defaults, runs that short earn 0 reward in every
+# scenario, so their gradients are 0 and the weights never move.
+LIVELY = {
+    "rewards.angle_threshold": 1.5,
+    "rewards.tilt_threshold": 0.03,
+    "env.d_collision": 2.0,
+    "env.dt": 0.5,
+}
+
 
 @pytest.fixture
 def rng():

@@ -141,12 +141,8 @@ def test_criterion_02_estimator_unbiased_on_bandit(capsys):
             raw_actions=s.raw[None, :],
             projected_actions=s.projected[None, :],
             rewards=np.array([r]),
-            components=np.array([[0.0, 0.0, 0.0, 0.0, r]]),
-            poses=np.zeros((1, 6)),
-            causes=["running"],
-            log_densities=np.array([s.log_density]),
+            poses=np.zeros((2, 6)),
             horizon_sampled=0,
-            initial_distance=10.0,
         )
         estimates[i] = estimate_gradient(params, traj, 0.99)
     mean = estimates.mean(axis=0)

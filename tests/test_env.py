@@ -70,15 +70,17 @@ def test_observation_dims(scenario, expected):
     assert observation_dim(scenario) == expected
     world = generate_world(scenario, 0)
     env = NavEnv(world)
-    obs = env.reset()
-    assert obs.features(scenario).shape == (expected,)
+    assert env.reset().shape == (expected,)
+    features, _, _ = env.step((0.0, 0.0))
+    assert features.shape == (expected,)
 
 
 def test_feature_scaling():
     world = flat_world(start=(5.0, 5.0, 0.0), goal=(15.0, 5.0))
     env = NavEnv(world)
-    obs = env.reset()
-    feats = obs.features("goal_reaching")
+    feats = env.reset()
+    assert env.d_goal == pytest.approx(10.0)
+    assert env.alpha_goal == pytest.approx(0.0)
     assert feats[0] == pytest.approx(10.0 / 20.0)
     assert feats[1] == pytest.approx(0.0)
     np.testing.assert_array_equal(feats[2:], [0.0, 0.0])
@@ -87,8 +89,10 @@ def test_feature_scaling():
 def test_prev_action_appears_in_next_observation():
     env = NavEnv(flat_world())
     env.reset()
-    out = env.step((0.25, -0.5))
-    np.testing.assert_allclose(out.observation.prev_action, [0.25, -0.5])
+    features, _, _ = env.step((0.25, -0.5))
+    np.testing.assert_array_equal(features[2:4], [0.25, -0.5])
+    features, _, _ = env.step((-1.0, 0.75))
+    np.testing.assert_array_equal(features[2:4], [-1.0, 0.75])
 
 
 def test_step_before_reset_raises():
@@ -102,21 +106,18 @@ def test_goal_termination():
     world = flat_world(start=(13.95, 5.0, 0.0), goal=(15.0, 5.0))
     env = NavEnv(world)
     env.reset()
-    out = env.step((1.0, 0.0))
-    assert out.cause == "goal"
-    assert out.done
+    _, _, cause = env.step((1.0, 0.0))
+    assert cause == "goal"
 
 
 def test_timeout_termination():
     env = NavEnv(flat_world(), max_steps=3)
     env.reset()
     for _ in range(2):
-        out = env.step((0.0, 0.0))
-        assert out.cause == "running"
-        assert not out.done
-    out = env.step((0.0, 0.0))
-    assert out.cause == "timeout"
-    assert out.done
+        _, _, cause = env.step((0.0, 0.0))
+        assert cause == "running"
+    _, _, cause = env.step((0.0, 0.0))
+    assert cause == "timeout"
 
 
 def test_collision_termination():
@@ -124,10 +125,12 @@ def test_collision_termination():
     world = flat_world(scenario="obstacle_avoidance", obstacles=[wall])
     env = NavEnv(world)
     env.reset()
-    out = env.step((1.0, 0.0))
+    _, reward, cause = env.step((1.0, 0.0))
     # scan from x=5.1 sees the circle face at 0.3 <= d_collision
-    assert out.cause == "collision"
-    assert out.reward_components.obs == -100.0
+    assert float(env.scan.min()) == pytest.approx(0.3)
+    assert cause == "collision"
+    assert reward.obs == -100.0
+    assert reward.total == reward.heading + reward.dist - 100.0
 
 
 def test_goal_beats_collision():
@@ -138,33 +141,35 @@ def test_goal_beats_collision():
     )
     env = NavEnv(world)
     env.reset()
-    out = env.step((1.0, 0.0))
-    assert out.observation.d_goal <= 1.0
-    assert float(out.observation.scan.min()) <= 0.5
-    assert out.cause == "goal"
+    _, _, cause = env.step((1.0, 0.0))
+    assert env.d_goal <= 1.0
+    assert float(env.scan.min()) <= 0.5
+    assert cause == "goal"
 
 
 def test_bounds_clamp():
     world = flat_world(start=(0.05, 5.0, math.pi), goal=(30.0, 30.0))
     env = NavEnv(world)
     env.reset()
-    out = env.step((1.0, 0.0))
+    _, _, cause = env.step((1.0, 0.0))
     # driving into the west wall parks the robot on the boundary
     assert env.pose.x == 0.0
-    assert out.cause == "running"
+    assert cause == "running"
 
 
 def test_heading_reward_tracks_cone():
     world = flat_world(start=(5.0, 5.0, 0.0), goal=(15.0, 5.0))
     env = NavEnv(world)
     env.reset()
-    out = env.step((0.0, 0.0))
-    assert out.reward_components.heading == 1.0
+    _, reward, _ = env.step((0.0, 0.0))
+    assert reward.heading == 1.0
+    assert reward.total == 1.0
     aimed_away = flat_world(start=(5.0, 5.0, math.pi), goal=(15.0, 5.0))
     env = NavEnv(aimed_away)
     env.reset()
-    out = env.step((0.0, 0.0))
-    assert out.reward_components.heading == 0.0
+    _, reward, _ = env.step((0.0, 0.0))
+    assert reward.heading == 0.0
+    assert reward.total == 0.0
 
 
 def test_distance_milestones_latch_once():
@@ -174,22 +179,23 @@ def test_distance_milestones_latch_once():
     env.reset()
     paid = []
     for _ in range(120):
-        out = env.step((1.0, 0.0))
-        if out.reward_components.dist:
-            paid.append(out.reward_components.dist)
-        if out.done:
+        _, reward, cause = env.step((1.0, 0.0))
+        if reward.dist:
+            paid.append(reward.dist)
+        if cause != "running":
             break
     assert paid == [50.0, 100.0]
-    assert out.cause == "goal"
+    assert cause == "goal"
 
 
 def test_flat_world_never_flips():
     world = flat_world(scenario="uneven_terrain")
     env = NavEnv(world, max_steps=50)
     env.reset()
-    out = env.step((1.0, 0.5))
-    assert out.reward_components.stable == 0.0
-    assert out.cause == "running"
+    features, reward, cause = env.step((1.0, 0.5))
+    np.testing.assert_array_equal(features[4:], [0.0, 0.0])
+    assert reward.stable == 0.0
+    assert cause == "running"
 
 
 def test_env_rejects_bad_max_steps():

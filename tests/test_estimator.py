@@ -19,9 +19,7 @@ def _traj(params, rng, n):
         raw_actions=raws,
         projected_actions=np.clip(raws, -1, 1),
         rewards=rewards,
-        components=np.zeros((n, 5)),
-        poses=np.zeros((n, 6)),
-        causes=["running"] * n,
+        poses=np.zeros((n + 1, 6)),
         horizon_sampled=n + 3,
     )
 

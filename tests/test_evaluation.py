@@ -1,13 +1,14 @@
 import csv
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from htnav.config import TrainConfig, replace_config
+from htnav.config import TrainConfig
 from htnav.evaluation import (
     elevation_cost,
     evaluate,
@@ -72,18 +73,12 @@ def test_stationary_policy_times_out():
 
 def test_navigator_reaches_every_goal():
     cfg = TrainConfig(episodes=1, max_steps=300)
-    cfg = replace_config(cfg, env=replace_config_env(cfg, v_max=2.0))
+    cfg = replace(cfg, env=replace(cfg.env, v_max=2.0))
     report = evaluate(_navigator(cfg), cfg, n_episodes=5, mode="deterministic")
     assert report.success_rate == 100.0
     assert all(r.cause == "goal" for r in report.rows)
     assert report.avg_traj_length == report.avg_traj_length_all
     assert report.avg_traj_length < 300
-
-
-def replace_config_env(cfg, **changes):
-    import dataclasses
-
-    return dataclasses.replace(cfg.env, **changes)
 
 
 def test_deterministic_eval_is_reproducible():
@@ -103,6 +98,31 @@ def test_stochastic_eval_is_reproducible_and_differs_from_deterministic():
     assert a.rows == b.rows
     det = evaluate(params, cfg, n_episodes=4, mode="deterministic", seed=9)
     assert any(x != y for x, y in zip(a.rows, det.rows))
+
+
+def test_stochastic_eval_draws_no_horizon(monkeypatch):
+    # every generator evaluate makes would end a sampled-horizon episode
+    # after one step; stochastic eval must run to max_steps instead
+    geometric_calls = []
+
+    class _OneStepHorizon:
+        def __init__(self, rng):
+            self._rng = rng
+
+        def geometric(self, p):
+            geometric_calls.append(p)
+            return 1
+
+        def __getattr__(self, name):
+            return getattr(self._rng, name)
+
+    real = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: _OneStepHorizon(real(*a)))
+    cfg = TrainConfig(episodes=1, max_steps=15)
+    report = evaluate(_zero_policy(cfg), cfg, n_episodes=3, mode="stochastic")
+    assert geometric_calls == []
+    assert [r.steps for r in report.rows] == [15, 15, 15]
+    assert all(r.cause == "timeout" for r in report.rows)
 
 
 def test_eval_seed_changes_worlds():
@@ -151,7 +171,7 @@ def test_eval_summary_json_nan_becomes_null(tmp_path):
 
 def test_elevation_cost_counts_terrain(tmp_path):
     cfg = TrainConfig(scenario="uneven_terrain", episodes=1, max_steps=60)
-    cfg = replace_config(cfg, env=replace_config_env(cfg, v_max=2.0))
+    cfg = replace(cfg, env=replace(cfg.env, v_max=2.0))
     report = evaluate(_navigator(cfg), cfg, n_episodes=3, mode="deterministic")
     # driving across hills must accumulate strictly positive elevation cost
     assert report.elevation_cost > 0.0

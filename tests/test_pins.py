@@ -3,9 +3,11 @@
 Criterion 10 proves that two runs of the same code agree; these pins
 prove that a refactor kept behaviour.  Each (scenario, family) trains
 2 seeds x 8 episodes through the CLI, and one deterministic eval runs
-on ``uneven_terrain`` from the pinned cauchy checkpoint.  A pin may only
-be re-recorded by a change that means to alter trajectories, and that
-change says why in CHANGES.md.
+on ``uneven_terrain`` from the pinned cauchy checkpoint, as do a
+stochastic ``uneven_terrain`` eval and two ``obstacle_avoidance`` evals
+(one sampled on an eval seed where an episode ends in a collision).  A
+pin may only be re-recorded by a change that means to alter
+trajectories, and that change says why in CHANGES.md.
 """
 
 import hashlib
@@ -15,18 +17,13 @@ import pytest
 from htnav.cli import main
 from htnav.world import SCENARIOS
 
-# A wide heading cone, long steps, a big collision radius and a low tilt
-# threshold make the heading, collision and tilt terms fire within 40
-# steps, so the pinned returns, gradients and weights are non-zero in
-# every scenario.
-LIVELY = [
-    "--set", "rewards.angle_threshold=1.5",
-    "--set", "rewards.tilt_threshold=0.03",
-    "--set", "env.d_collision=2.0",
-    "--set", "env.dt=0.5",
-]
-TRAIN_ARGS = ["--episodes", "8", "--seeds", "0,1", "--set", "max_steps=40", *LIVELY]
-EVAL_ARGS = ["-n", "6", "--mode", "deterministic", "--set", "max_steps=60", *LIVELY]
+from conftest import LIVELY
+
+# the LIVELY overrides make the pinned returns, gradients and weights
+# non-zero in every scenario
+LIVELY_ARGS = [arg for key, value in LIVELY.items() for arg in ("--set", f"{key}={value}")]
+TRAIN_ARGS = ["--episodes", "8", "--seeds", "0,1", "--set", "max_steps=40", *LIVELY_ARGS]
+EVAL_ARGS = ["-n", "6", "--set", "max_steps=60", *LIVELY_ARGS]
 
 TRAIN_FILES = ("curve.csv", "diagnostics.csv", "checkpoint_seed0.json", "checkpoint_seed1.json")
 
@@ -75,6 +72,24 @@ EVAL_PINS = {
 }
 
 
+# (scenario, mode, eval seed) -> digests, each evaluating the scenario's
+# pinned cauchy seed-0 checkpoint with EVAL_ARGS' episode count and budget
+EVAL_VARIANT_PINS = {
+    ("uneven_terrain", "stochastic", 0): {
+        "eval_rows.csv": "a54d43408627104caa8ae9b258c93eb7791bf7f444a6cfebd578f7c44156ee3a",
+        "eval_summary.json": "5368a61606a44e75d158467a3f1d25b11a9e6942cec2a7d2dee44f5aa26e83b5",
+    },
+    ("obstacle_avoidance", "deterministic", 0): {
+        "eval_rows.csv": "d01ee9dfa004b564d3fafead81257d7e758791e8f7710d822812d7a6262e28bd",
+        "eval_summary.json": "ef8c1a07e4e1c93cba67d60c8d7b76c9d3ce80ec3b75661f8993e6d72485d921",
+    },
+    ("obstacle_avoidance", "stochastic", 1): {
+        "eval_rows.csv": "417189f9bb01b22eabaf826026ddf8fab402092bef88305257d4744543a2e683",
+        "eval_summary.json": "bbf15a9cd0ab79c42ebb5ad4c06482c290c427e9b18d3f36226d87080f99a702",
+    },
+}
+
+
 def _digests(out, names) -> dict:
     return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
 
@@ -107,5 +122,18 @@ def test_eval_outputs_pinned(trained, tmp_path):
     checkpoint = trained("uneven_terrain", "cauchy") / "checkpoint_seed0.json"
     out = tmp_path / "eval"
     argv = ["eval", str(checkpoint), "--scenario", "uneven_terrain", "--family", "cauchy"]
-    assert main([*argv, *EVAL_ARGS, "--out", str(out)]) == 0
+    assert main([*argv, *EVAL_ARGS, "--mode", "deterministic", "--out", str(out)]) == 0
     assert _digests(out, ("eval_rows.csv", "eval_summary.json")) == EVAL_PINS
+
+
+@pytest.mark.parametrize(
+    "variant", sorted(EVAL_VARIANT_PINS), ids=lambda v: f"{v[0]}-{v[1]}-seed{v[2]}"
+)
+def test_eval_variant_outputs_pinned(trained, tmp_path, variant):
+    scenario, mode, eval_seed = variant
+    checkpoint = trained(scenario, "cauchy") / "checkpoint_seed0.json"
+    out = tmp_path / "eval"
+    argv = ["eval", str(checkpoint), "--scenario", scenario, "--family", "cauchy"]
+    args = [*EVAL_ARGS, "--mode", mode, "--eval-seed", str(eval_seed)]
+    assert main([*argv, *args, "--out", str(out)]) == 0
+    assert _digests(out, ("eval_rows.csv", "eval_summary.json")) == EVAL_VARIANT_PINS[variant]

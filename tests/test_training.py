@@ -1,10 +1,12 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from htnav.config import ConfigError, TrainConfig, replace_config, with_family
-from htnav.trajectory import write_trajectory_jsonl
+from htnav.config import ConfigError, TrainConfig, apply_overrides, with_family
+from htnav.env import NavEnv
+from htnav.policy import forward_mean
 from htnav.training import (
     TrainingAbort,
     episode_rng,
@@ -20,7 +22,12 @@ from htnav.training import (
 )
 from htnav.world import world_hash
 
+from conftest import LIVELY
+
 TINY = TrainConfig(episodes=4, max_steps=40, seeds=(0, 1))
+# TINY earns 0 reward, so its weights never leave initial_params; on
+# LIVELY_TINY reward fires and the weights move every run
+LIVELY_TINY = apply_overrides(TINY, LIVELY)
 
 
 @pytest.fixture
@@ -38,38 +45,30 @@ def world_requests(monkeypatch):
     return calls
 
 
-class _FixedHorizonRng:
-    """Wraps a real generator but pins the geometric draw used for horizons."""
-
-    def __init__(self, rng, horizon):
-        self._rng = rng
-        self._geom = horizon + 1
-
-    def geometric(self, p):
-        return self._geom
+class _NoRng:
+    """Stands in for a generator that must not be used at all."""
 
     def __getattr__(self, name):
-        return getattr(self._rng, name)
+        raise AssertionError(f"rng.{name} was accessed")
 
 
 def test_rollout_respects_horizon_budget():
     world = world_for_episode(TINY, 0, 0)
     params = initial_params(TINY, 0)
-    rng = _FixedHorizonRng(np.random.default_rng(0), horizon=0)
-    traj = rollout(world, params, TINY, rng)
+    traj = rollout(world, params, TINY, np.random.default_rng(0), horizon=0)
     assert len(traj) == 1
     assert traj.horizon_sampled == 0
-    rng = _FixedHorizonRng(np.random.default_rng(0), horizon=6)
-    traj = rollout(world, params, TINY, rng)
+    assert traj.final_cause == "running"
+    traj = rollout(world, params, TINY, np.random.default_rng(0), horizon=6)
     assert len(traj) == 7
+    assert traj.horizon_sampled == 6
 
 
 def test_rollout_caps_at_max_steps():
-    cfg = replace_config(TINY, max_steps=5)
+    cfg = replace(TINY, max_steps=5)
     world = world_for_episode(cfg, 0, 0)
     params = initial_params(cfg, 0)
-    rng = _FixedHorizonRng(np.random.default_rng(0), horizon=10_000)
-    traj = rollout(world, params, cfg, rng)
+    traj = rollout(world, params, cfg, np.random.default_rng(0), horizon=10_000)
     assert len(traj) == 5
     assert traj.final_cause == "timeout"
 
@@ -77,17 +76,54 @@ def test_rollout_caps_at_max_steps():
 def test_rollout_shapes_consistent():
     world = world_for_episode(TINY, 1, 2)
     params = initial_params(TINY, 1)
-    traj = rollout(world, params, TINY, episode_rng(1, 2))
+    traj = rollout(world, params, TINY, episode_rng(1, 2), horizon=30)
     n = len(traj)
     assert traj.features.shape == (n, 4)
     assert traj.raw_actions.shape == (n, 2)
     assert traj.projected_actions.shape == (n, 2)
-    assert traj.log_densities.shape == (n,)
     assert traj.rewards.shape == (n,)
-    assert traj.components.shape == (n, 5)
-    assert traj.poses.shape == (n, 6)
-    assert len(traj.causes) == n
+    assert traj.poses.shape == (n + 1, 6)
     assert np.all(np.abs(traj.projected_actions) <= TINY.delta)
+
+
+@pytest.mark.parametrize("scenario", ("goal_reaching", "uneven_terrain"))
+def test_rollout_poses_start_at_reset(scenario):
+    cfg = replace(LIVELY_TINY, scenario=scenario)
+    world = world_for_episode(cfg, 0, 1)
+    traj = rollout(world, initial_params(cfg, 0), cfg, episode_rng(0, 1), horizon=12)
+    assert traj.poses.shape == (len(traj) + 1, 6)
+    env = NavEnv(world, cfg.env, cfg.rewards, max_steps=cfg.max_steps)
+    np.testing.assert_array_equal(traj.features[0], env.reset())
+    p = env.pose
+    np.testing.assert_array_equal(traj.poses[0], [p.x, p.y, p.psi, p.z, p.roll, p.pitch])
+    # replaying the executed actions retraces every later pose
+    for t, action in enumerate(traj.projected_actions):
+        features, reward, _ = env.step(action)
+        p = env.pose
+        np.testing.assert_array_equal(traj.poses[t + 1], [p.x, p.y, p.psi, p.z, p.roll, p.pitch])
+        assert reward.total == traj.rewards[t]
+    assert traj.final_distance == env.d_goal
+
+
+def test_rollout_mean_never_touches_rng():
+    cfg = LIVELY_TINY
+    world = world_for_episode(cfg, 0, 0)
+    params = initial_params(cfg, 0)
+    params = params.with_weights(np.random.default_rng(3).normal(0.0, 0.5, params.weights.shape))
+    traj = rollout(world, params, cfg, _NoRng(), horizon=cfg.max_steps, act="mean")
+    assert len(traj) == cfg.max_steps or traj.final_cause != "running"
+    # the executed action is the projected location parameter, step by step
+    mu = np.stack([forward_mean(params, x) for x in traj.features])
+    np.testing.assert_array_equal(traj.raw_actions, mu)
+    np.testing.assert_array_equal(traj.projected_actions, np.clip(mu, -cfg.delta, cfg.delta))
+    again = rollout(world, params, cfg, _NoRng(), horizon=cfg.max_steps, act="mean")
+    np.testing.assert_array_equal(again.poses, traj.poses)
+
+
+def test_rollout_rejects_unknown_act():
+    world = world_for_episode(TINY, 0, 0)
+    with pytest.raises(ValueError, match="act must be"):
+        rollout(world, initial_params(TINY, 0), TINY, _NoRng(), horizon=3, act="greedy")
 
 
 def test_rollout_terminal_cause_sticks():
@@ -104,12 +140,9 @@ def test_rollout_terminal_cause_sticks():
         bounds=(0.0, 0.0, 40.0, 40.0),
         seed_label="adjacent",
     )
-    cfg = replace_config(TINY, max_steps=300)
+    cfg = replace(TINY, max_steps=300)
 
     class _Forward:
-        def geometric(self, p):
-            return 300
-
         def random(self, n):
             return np.full(n, 0.5)
 
@@ -122,19 +155,27 @@ def test_rollout_terminal_cause_sticks():
     w[:] = 0.0
     w[0] = 20.0  # v responds to d/20: full speed ahead
     params = params.with_weights(w)
-    traj = rollout(world, params, cfg, _Forward())
+    traj = rollout(world, params, cfg, _Forward(), horizon=299)
     assert traj.final_cause == "goal"
-    assert traj.causes[-1] == "goal"
-    assert all(c == "running" for c in traj.causes[:-1])
+    assert len(traj) < cfg.max_steps
+    assert traj.final_distance <= cfg.env.goal_radius
+
+
+def _assert_learned(run, cfg):
+    """Reward fired and the weights moved, so equalities below mean something."""
+    assert np.any(run.returns != 0.0)
+    assert np.any(run.params.weights != initial_params(cfg, run.seed).weights)
 
 
 def test_train_seed_reproducible(world_requests):
-    a = train_seed(TINY, 0)
+    a = train_seed(LIVELY_TINY, 0)
     first_worlds = list(world_requests)
     world_requests.clear()
-    b = train_seed(TINY, 0)
+    b = train_seed(LIVELY_TINY, 0)
+    _assert_learned(a, LIVELY_TINY)
     np.testing.assert_array_equal(a.returns, b.returns)
     np.testing.assert_array_equal(a.params.weights, b.params.weights)
+    np.testing.assert_array_equal(a.opt_state.m, b.opt_state.m)
     assert world_requests == first_worlds
     assert a.causes == b.causes
 
@@ -161,15 +202,15 @@ def test_train_seed_lengths_and_logs(world_requests):
 
 def test_zero_learning_rate_freezes_params():
     with pytest.raises(ConfigError):
-        replace_config(TINY, eta=0.0, episodes=3)
+        replace(TINY, eta=0.0, episodes=3)
     # eta must be positive by config contract; emulate a frozen run instead
-    cfg = replace_config(TINY, eta=1e-300, episodes=3)
+    cfg = replace(LIVELY_TINY, eta=1e-300, episodes=3)
     run = train_seed(cfg, 0)
     np.testing.assert_allclose(run.params.weights, initial_params(cfg, 0).weights, atol=1e-290)
 
 
 def test_zero_episodes_gives_empty_run():
-    cfg = replace_config(TINY, episodes=0)
+    cfg = replace(TINY, episodes=0)
     run = train_seed(cfg, 0)
     assert len(run) == 0
     np.testing.assert_array_equal(run.params.weights, initial_params(cfg, 0).weights)
@@ -184,7 +225,7 @@ def test_worlds_do_not_depend_on_family():
 
 
 def test_fixed_world_reuses_episode_zero():
-    cfg = replace_config(TINY, fixed_world=True)
+    cfg = replace(TINY, fixed_world=True)
     assert world_hash(world_for_episode(cfg, 0, 7)) == world_hash(world_for_episode(cfg, 0, 0))
     assert world_hash(world_for_episode(TINY, 0, 7)) != world_hash(world_for_episode(TINY, 0, 0))
 
@@ -192,7 +233,7 @@ def test_fixed_world_reuses_episode_zero():
 def test_plateau_stop_truncates_run():
     # patience 1 with a 30-episode window keeps only a couple episodes
     # beyond the first non-improving one
-    cfg = replace_config(TINY, episodes=60, plateau_patience=3, seeds=(0,))
+    cfg = replace(TINY, episodes=60, plateau_patience=3, seeds=(0,))
     run = train_seed(cfg, 0)
     assert len(run) <= 60
 
@@ -206,13 +247,16 @@ def test_train_stacks_all_seeds():
 
 
 def test_run_comparison_pairs_worlds(world_requests):
-    cauchy = replace_config(TINY, episodes=2, seeds=(0,))
+    # seed 1 is one where both families earn reward within two episodes
+    cauchy = replace(LIVELY_TINY, episodes=2, seeds=(1,))
     result = run_comparison(cauchy, with_family(cauchy, "gaussian"))
+    for record in (result.cauchy, result.gaussian):
+        _assert_learned(record.seed_runs[0], with_family(cauchy, record.family))
     by_family = {
         family: [call[1:] for call in world_requests if call[0] == family]
         for family in ("cauchy", "gaussian")
     }
-    assert [(seed, k) for seed, k, _ in by_family["cauchy"]] == [(0, 0), (0, 1)]
+    assert [(seed, k) for seed, k, _ in by_family["cauchy"]] == [(1, 0), (1, 1)]
     assert by_family["cauchy"] == by_family["gaussian"]
     table = result.aligned_curves()
     assert table.shape == (2, 5)
@@ -223,10 +267,10 @@ def test_run_comparison_validates_inputs():
     cauchy = TINY
     with pytest.raises(ConfigError, match="cauchy config and a gaussian config"):
         run_comparison(cauchy, cauchy)
-    gauss = with_family(replace_config(TINY, seeds=(0,)), "gaussian")
+    gauss = with_family(replace(TINY, seeds=(0,)), "gaussian")
     with pytest.raises(ConfigError, match="seed lists differ"):
         run_comparison(cauchy, gauss)
-    gauss = with_family(replace_config(TINY, eta=0.5), "gaussian")
+    gauss = with_family(replace(TINY, eta=0.5), "gaussian")
     with pytest.raises(ConfigError, match="identical except for family"):
         run_comparison(cauchy, gauss)
 
@@ -245,7 +289,7 @@ def test_curves_csv_layout(tmp_path):
 
 
 def test_diagnostics_csv_layout(tmp_path):
-    record = train(replace_config(TINY, seeds=(0,)))
+    record = train(replace(TINY, seeds=(0,)))
     path = tmp_path / "diag.csv"
     write_diagnostics_csv(record, path)
     with open(path) as fh:
@@ -264,7 +308,7 @@ def test_diagnostics_csv_layout(tmp_path):
 
 
 def test_comparison_csv_layout(tmp_path):
-    cauchy = replace_config(TINY, episodes=3, seeds=(0,))
+    cauchy = replace(TINY, episodes=3, seeds=(0,))
     result = run_comparison(cauchy, with_family(cauchy, "gaussian"))
     path = tmp_path / "comparison.csv"
     write_comparison_csv(result, path)
@@ -273,23 +317,6 @@ def test_comparison_csv_layout(tmp_path):
     assert rows[0] == ["episode", "cauchy_mean", "cauchy_std", "gaussian_mean", "gaussian_std"]
     assert len(rows) == 4
     assert [r[0] for r in rows[1:]] == ["0", "1", "2"]
-
-
-def test_trajectory_jsonl(tmp_path):
-    import json
-
-    world = world_for_episode(TINY, 0, 0)
-    traj = rollout(world, initial_params(TINY, 0), TINY, episode_rng(0, 0))
-    path = tmp_path / "traj.jsonl"
-    write_trajectory_jsonl(path, traj)
-    lines = path.read_text().strip().split("\n")
-    assert len(lines) == len(traj)
-    first = json.loads(lines[0])
-    assert first["step"] == 0
-    assert len(first["pose"]) == 6
-    assert len(first["projected_action"]) == 2
-    assert set(first["reward_components"]) == {"heading", "dist", "obs", "stable", "total"}
-    assert first["cause"] in ("running", "goal", "collision", "flip_over", "timeout")
 
 
 def test_training_abort_on_nonfinite(monkeypatch):
@@ -303,4 +330,4 @@ def test_training_abort_on_nonfinite(monkeypatch):
 
     monkeypatch.setattr(tr, "estimate", lambda *a, **k: _BadEstimate())
     with pytest.raises(TrainingAbort, match="non-finite gradient"):
-        train_seed(replace_config(TINY, episodes=1, seeds=(0,)), 0)
+        train_seed(replace(TINY, episodes=1, seeds=(0,)), 0)
