@@ -7,7 +7,6 @@ Requires matplotlib (install the package with the [plot] extra).
 import argparse
 import csv
 import sys
-from pathlib import Path
 
 
 def main() -> int:

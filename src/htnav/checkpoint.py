@@ -3,7 +3,8 @@
 A checkpoint captures everything needed to resume or evaluate a policy:
 the approximator shape, the family, sigma, the flat weight vector, and
 (optionally) the optimizer moments.  Floats are written via repr so a
-save/load round-trip is bit-exact.
+save/load round-trip is bit-exact.  ``activation`` and ``bias_correction``
+are written as their only supported values ("tanh", false); others are rejected.
 """
 
 import json
@@ -31,7 +32,7 @@ def checkpoint_to_dict(params: PolicyParameters, opt_state: OptimizerState | Non
         "spec": {
             "input_dim": params.spec.input_dim,
             "hidden_layers": list(params.spec.hidden_layers),
-            "activation": params.spec.activation,
+            "activation": "tanh",
             "output_dim": params.spec.output_dim,
         },
         "family": params.family,
@@ -47,7 +48,7 @@ def checkpoint_to_dict(params: PolicyParameters, opt_state: OptimizerState | Non
             "beta1": opt_state.beta1,
             "beta2": opt_state.beta2,
             "epsilon": opt_state.epsilon,
-            "bias_correction": opt_state.bias_correction,
+            "bias_correction": False,
         }
     return doc
 
@@ -75,11 +76,13 @@ def checkpoint_from_dict(doc: dict) -> tuple[PolicyParameters, OptimizerState | 
         spec = ApproximatorSpec(
             input_dim=int(spec_doc["input_dim"]),
             hidden_layers=tuple(int(h) for h in spec_doc["hidden_layers"]),
-            activation=spec_doc.get("activation", "tanh"),
             output_dim=int(spec_doc.get("output_dim", 2)),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"bad spec block: {exc}") from exc
+    activation = spec_doc.get("activation", "tanh")
+    if activation != "tanh":
+        raise CheckpointError(f"unsupported activation {activation!r}; only 'tanh' exists")
     family = _require(doc, "family")
     if family not in FAMILIES:
         raise CheckpointError(f"unknown family {family!r}")
@@ -106,10 +109,14 @@ def checkpoint_from_dict(doc: dict) -> tuple[PolicyParameters, OptimizerState | 
                 beta1=float(o["beta1"]),
                 beta2=float(o["beta2"]),
                 epsilon=float(o["epsilon"]),
-                bias_correction=bool(o["bias_correction"]),
             )
+            bias_correction = o["bias_correction"]
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"bad optimizer block: {exc}") from exc
+        if bias_correction is not False:
+            raise CheckpointError(
+                f"unsupported bias_correction {bias_correction!r}; the ascent step has none"
+            )
         if opt_state.m.shape != (spec.num_weights,):
             raise CheckpointError("optimizer moment size does not match the weight count")
     return params, opt_state

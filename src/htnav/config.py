@@ -33,15 +33,10 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
-    bias_correction: bool = False
     episodes: int = 120
     max_steps: int = 300
     seeds: tuple = DEFAULT_SEEDS
     hidden_layers: tuple = ()
-    # stop early when the 30-episode mean return stops improving; None disables
-    plateau_patience: int | None = None
-    # reuse the seed's first world for every episode (debugging aid)
-    fixed_world: bool = False
     rewards: RewardConfig = field(default_factory=RewardConfig)
     env: EnvConfig = field(default_factory=EnvConfig)
     worldgen: WorldGenConfig = field(default_factory=WorldGenConfig)
@@ -71,8 +66,6 @@ class TrainConfig:
         self.hidden_layers = tuple(int(h) for h in self.hidden_layers)
         if any(h < 1 for h in self.hidden_layers):
             raise ConfigError(f"hidden layer widths must be >= 1, got {self.hidden_layers}")
-        if self.plateau_patience is not None and self.plateau_patience < 1:
-            raise ConfigError(f"plateau_patience must be >= 1 or None, got {self.plateau_patience}")
 
 
 _NESTED = {"rewards": RewardConfig, "env": EnvConfig, "worldgen": WorldGenConfig}

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ACTIVATIONS = ("tanh",)
-
 
 @dataclass(frozen=True)
 class ApproximatorSpec:
@@ -25,7 +23,6 @@ class ApproximatorSpec:
 
     input_dim: int
     hidden_layers: tuple[int, ...] = ()
-    activation: str = "tanh"
     output_dim: int = 2
 
     def __post_init__(self):
@@ -35,8 +32,6 @@ class ApproximatorSpec:
             raise ValueError(f"output_dim must be >= 1, got {self.output_dim}")
         if any(h < 1 for h in self.hidden_layers):
             raise ValueError(f"hidden sizes must be >= 1, got {self.hidden_layers}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
         # Tolerate lists from config files; canonical form is a tuple.
         object.__setattr__(self, "hidden_layers", tuple(int(h) for h in self.hidden_layers))
 

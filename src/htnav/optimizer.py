@@ -6,9 +6,7 @@ The printed update this mirrors has no bias correction:
     v <- beta2 * v + (1 - beta2) * g^2
     theta <- theta + eta * m / (sqrt(v) + eps)
 
-Note the plus sign: the objective is maximized.  The standard bias
-correction (dividing the moments by 1 - beta^k) is available behind a
-flag but off by default.
+Note the plus sign: the objective is maximized.
 """
 
 from dataclasses import dataclass, replace
@@ -25,7 +23,6 @@ class OptimizerState:
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
-    bias_correction: bool = False
 
     def __post_init__(self):
         self.m = np.asarray(self.m, dtype=float)
@@ -47,7 +44,6 @@ class OptimizerState:
         beta1: float = 0.9,
         beta2: float = 0.999,
         epsilon: float = 1e-8,
-        bias_correction: bool = False,
     ) -> "OptimizerState":
         return cls(
             m=np.zeros(dim),
@@ -56,7 +52,6 @@ class OptimizerState:
             beta1=beta1,
             beta2=beta2,
             epsilon=epsilon,
-            bias_correction=bias_correction,
         )
 
 
@@ -74,11 +69,5 @@ def ascent_step(
         )
     m = state.beta1 * state.m + (1.0 - state.beta1) * g
     v = state.beta2 * state.v + (1.0 - state.beta2) * g**2
-    k = state.step_count + 1
-    if state.bias_correction:
-        m_hat = m / (1.0 - state.beta1**k)
-        v_hat = v / (1.0 - state.beta2**k)
-    else:
-        m_hat, v_hat = m, v
-    theta_next = theta + state.eta * m_hat / (np.sqrt(v_hat) + state.epsilon)
-    return replace(state, m=m, v=v, step_count=k), theta_next
+    theta_next = theta + state.eta * m / (np.sqrt(v) + state.epsilon)
+    return replace(state, m=m, v=v, step_count=state.step_count + 1), theta_next

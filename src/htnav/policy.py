@@ -49,15 +49,6 @@ class PolicyParameters:
         return replace(self, weights=np.asarray(weights, dtype=float))
 
 
-@dataclass(frozen=True)
-class ActionSample:
-    """One draw from the policy: raw sample, its projection, and log f(raw)."""
-
-    raw: np.ndarray
-    projected: np.ndarray
-    log_density: float
-
-
 def init_policy(
     spec: ApproximatorSpec,
     sigma: float,
@@ -84,8 +75,8 @@ def sample_action(
     obs: np.ndarray,
     rng: np.random.Generator,
     delta: float = 1.0,
-) -> ActionSample:
-    """Draw one action, project it, and report the raw sample's log-density.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw one raw action and return it with its projection: ``(raw, projected)``.
 
     Cauchy sampling uses the inverse CDF (tangent transform) so the draw
     is an exact deterministic function of the uniform stream.
@@ -96,24 +87,17 @@ def sample_action(
         raw = mu + params.sigma * np.tan(np.pi * (u - 0.5))
     else:
         raw = mu + params.sigma * rng.standard_normal(mu.shape[0])
-    projected = project_action(raw, delta)
-    logp = _log_density_at(params, mu, raw)
-    return ActionSample(raw=raw, projected=projected, log_density=float(logp))
+    return raw, project_action(raw, delta)
 
 
 def log_density(params: PolicyParameters, obs: np.ndarray, action: np.ndarray) -> float:
     """Log-density of a raw action under the policy, summed over dimensions."""
-    mu = forward_mean(params, obs)
-    return float(_log_density_at(params, mu, np.asarray(action, dtype=float)))
-
-
-def _log_density_at(params: PolicyParameters, mu: np.ndarray, action: np.ndarray) -> float:
-    z = (action - mu) / params.sigma
+    z = (np.asarray(action, dtype=float) - forward_mean(params, obs)) / params.sigma
     if params.family == "cauchy":
         per_dim = -np.log(np.pi * params.sigma) - np.log1p(z**2)
     else:
         per_dim = -0.5 * (LOG_2PI + 2.0 * np.log(params.sigma)) - 0.5 * z**2
-    return per_dim.sum()
+    return float(per_dim.sum())
 
 
 def dlogp_dmean(params: PolicyParameters, mu: np.ndarray, action: np.ndarray) -> np.ndarray:

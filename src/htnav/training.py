@@ -27,8 +27,6 @@ INIT_SALT = 13
 ACTION_SALT = 19
 EVAL_SALT = 23
 
-PLATEAU_WINDOW = 30
-
 
 class TrainingAbort(RuntimeError):
     """A gradient went non-finite; the run stops rather than limping on."""
@@ -43,8 +41,7 @@ def policy_spec(cfg: TrainConfig) -> ApproximatorSpec:
 
 
 def world_for_episode(cfg: TrainConfig, seed: int, episode: int) -> World:
-    index = 0 if cfg.fixed_world else episode
-    ss = np.random.SeedSequence((seed, WORLD_SALT, index))
+    ss = np.random.SeedSequence((seed, WORLD_SALT, episode))
     return generate_world(cfg.scenario, ss, cfg.worldgen)
 
 
@@ -84,8 +81,7 @@ def rollout(
             raw = forward_mean(params, x)
             projected = project_action(raw, cfg.delta)
         else:
-            s = sample_action(params, x, rng, cfg.delta)
-            raw, projected = s.raw, s.projected
+            raw, projected = sample_action(params, x, rng, cfg.delta)
         feats.append(x)
         raws.append(raw)
         projs.append(projected)
@@ -140,10 +136,7 @@ class RunRecord:
         return tuple(run.seed for run in self.seed_runs)
 
     def returns_matrix(self) -> np.ndarray:
-        """(n_seeds, episodes) stack; requires equal-length runs."""
-        lengths = {len(run) for run in self.seed_runs}
-        if len(lengths) != 1:
-            raise ValueError(f"seed runs have unequal lengths {sorted(lengths)}")
+        """(n_seeds, episodes) stack."""
         return np.stack([run.returns for run in self.seed_runs])
 
     def mean_curve(self) -> np.ndarray:
@@ -162,13 +155,10 @@ def train_seed(cfg: TrainConfig, seed: int) -> SeedRun:
         beta1=cfg.beta1,
         beta2=cfg.beta2,
         epsilon=cfg.epsilon,
-        bias_correction=cfg.bias_correction,
     )
     returns, steps, causes = [], [], []
     raw_infs, clip_infs = [], []
     h_sampled, h_used, max_acts = [], [], []
-    best = -np.inf
-    best_at = 0
     for k in range(cfg.episodes):
         world = world_for_episode(cfg, seed, k)
         rng = episode_rng(seed, k)
@@ -190,14 +180,6 @@ def train_seed(cfg: TrainConfig, seed: int) -> SeedRun:
         h_sampled.append(est.horizon_sampled)
         h_used.append(est.horizon_used)
         max_acts.append(float(np.abs(traj.projected_actions).max()))
-
-        if cfg.plateau_patience is not None:
-            window_mean = float(np.mean(returns[-PLATEAU_WINDOW:]))
-            if window_mean > best:
-                best = window_mean
-                best_at = k
-            elif k - best_at >= cfg.plateau_patience:
-                break
     return SeedRun(
         seed=seed,
         family=cfg.family,
@@ -228,8 +210,6 @@ class ComparisonResult:
         """(episodes, 5) table: episode, cauchy mean/std, gaussian mean/std."""
         cm, cs = self.cauchy.mean_curve(), self.cauchy.std_curve()
         gm, gs = self.gaussian.mean_curve(), self.gaussian.std_curve()
-        if cm.shape != gm.shape:
-            raise ValueError("family curves have different lengths")
         episodes = np.arange(cm.shape[0], dtype=float)
         return np.column_stack([episodes, cm, cs, gm, gs])
 

@@ -9,7 +9,6 @@ bound.
 """
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass
 
@@ -19,8 +18,6 @@ from .geometry import Circle, Obstacle, Wall, point_obstacle_clearance, wrap_ang
 from .terrain import Heightmap, terrain_gradient
 
 SCENARIOS = ("goal_reaching", "obstacle_avoidance", "uneven_terrain")
-
-WORLD_FORMAT = "htnav-world-v1"
 
 
 class GenerationError(RuntimeError):
@@ -199,95 +196,20 @@ def generate_world(scenario: str, seed, cfg: WorldGenConfig | None = None) -> Wo
     )
 
 
-def _world_header(world: World) -> dict:
-    """Everything in the canonical serialization except the elevation values."""
-    obstacles = []
-    for ob in world.obstacles:
-        if isinstance(ob, Circle):
-            obstacles.append({"shape": "circle", "center": list(ob.center), "radius": ob.radius})
-        else:
-            obstacles.append(
-                {
-                    "shape": "segment",
-                    "p1": list(ob.p1),
-                    "p2": list(ob.p2),
-                    "thickness": ob.thickness,
-                }
-            )
-    hm = world.heightmap
-    return {
-        "format": WORLD_FORMAT,
-        "scenario": world.scenario,
-        "seed": world.seed_label,
-        "bounds": list(world.bounds),
-        "start_pose": list(world.start_pose),
-        "goal": list(world.goal),
-        "heightmap": {
-            "cell_size": hm.cell_size,
-            "origin": list(hm.origin),
-            "width": hm.width,
-            "height": hm.height,
-        },
-        "obstacles": obstacles,
-    }
-
-
-def world_to_dict(world: World) -> dict:
-    doc = _world_header(world)
-    doc["heightmap"]["elevations"] = world.heightmap.elevations.ravel().tolist()
-    return doc
-
-
-def world_from_dict(data: dict) -> World:
-    if data.get("format") != WORLD_FORMAT:
-        raise ValueError(f"unrecognized world format {data.get('format')!r}")
-    hm_data = data["heightmap"]
-    grid = np.asarray(hm_data["elevations"], dtype=float).reshape(
-        hm_data["height"], hm_data["width"]
-    )
-    hm = Heightmap(
-        cell_size=float(hm_data["cell_size"]),
-        elevations=grid,
-        origin=tuple(hm_data["origin"]),
-    )
-    obstacles: list[Obstacle] = []
-    for ob in data["obstacles"]:
-        if ob["shape"] == "circle":
-            obstacles.append(Circle(center=tuple(ob["center"]), radius=float(ob["radius"])))
-        elif ob["shape"] == "segment":
-            obstacles.append(
-                Wall(p1=tuple(ob["p1"]), p2=tuple(ob["p2"]), thickness=float(ob["thickness"]))
-            )
-        else:
-            raise ValueError(f"unknown obstacle shape {ob['shape']!r}")
-    return World(
-        heightmap=hm,
-        obstacles=obstacles,
-        start_pose=tuple(data["start_pose"]),
-        goal=tuple(data["goal"]),
-        scenario=data["scenario"],
-        bounds=tuple(data["bounds"]),
-        seed_label=str(data.get("seed", "")),
-    )
-
-
-def save_world(path, world: World) -> None:
-    with open(path, "w") as fh:
-        json.dump(world_to_dict(world), fh)
-
-
-def load_world(path) -> World:
-    with open(path) as fh:
-        return world_from_dict(json.load(fh))
-
-
 def world_hash(world: World) -> str:
-    """Content hash (world identity check): canonical JSON header, then raw ``<f8`` elevations."""
-    digest = hashlib.sha256(json.dumps(_world_header(world), sort_keys=True).encode())
-    digest.update(np.ascontiguousarray(world.heightmap.elevations, dtype="<f8").tobytes())
+    """Content hash (world identity check): repr of the other fields, then raw ``<f8`` elevations."""
+    hm = world.heightmap
+    header = (
+        world.scenario,
+        world.seed_label,
+        world.bounds,
+        world.start_pose,
+        world.goal,
+        hm.cell_size,
+        hm.origin,
+        hm.elevations.shape,
+        world.obstacles,
+    )
+    digest = hashlib.sha256(repr(header).encode())
+    digest.update(np.ascontiguousarray(hm.elevations, dtype="<f8").tobytes())
     return digest.hexdigest()
-
-
-def initial_distance(world: World) -> float:
-    sx, sy, _ = world.start_pose
-    return math.dist((sx, sy), world.goal)

@@ -98,7 +98,7 @@ def test_criterion_01_score_matches_finite_differences(capsys):
                 family=family,
             )
             x = rng.normal(0.0, 1.0, 4)
-            a = sample_action(params, x, rng, 1.0).raw
+            a, _ = sample_action(params, x, rng, 1.0)
             analytic = score(params, x, a)
             fd = _fd_score(params, x, a)
             rel = float(np.max(np.abs(analytic - fd)) / max(1.0, np.max(np.abs(fd))))
@@ -134,12 +134,12 @@ def test_criterion_02_estimator_unbiased_on_bandit(capsys):
     n = 200_000
     estimates = np.empty((n, spec.num_weights))
     for i in range(n):
-        s = sample_action(params, x, rng, 1.0)
-        r = math.exp(-float(s.raw[0]) ** 2)
+        raw, projected = sample_action(params, x, rng, 1.0)
+        r = math.exp(-float(raw[0]) ** 2)
         traj = Trajectory(
             features=x[None, :],
-            raw_actions=s.raw[None, :],
-            projected_actions=s.projected[None, :],
+            raw_actions=raw[None, :],
+            projected_actions=projected[None, :],
             rewards=np.array([r]),
             poses=np.zeros((2, 6)),
             horizon_sampled=0,
@@ -168,7 +168,7 @@ def _draw_raws(family, n, seed):
     x = np.zeros(2)
     out = np.empty((n, 2))
     for i in range(n):
-        out[i] = sample_action(params, x, rng, 1.0).raw
+        out[i], _ = sample_action(params, x, rng, 1.0)
     return out
 
 

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -37,7 +39,6 @@ def test_round_trip_with_optimizer(tmp_path):
     np.testing.assert_array_equal(loaded.v, state.v)
     assert loaded.step_count == 1
     assert loaded.eta == 0.02
-    assert loaded.bias_correction == state.bias_correction
 
 
 def test_rejects_wrong_format():
@@ -84,6 +85,25 @@ def test_rejects_bad_optimizer_block():
     del doc["optimizer"]["eta"]
     with pytest.raises(CheckpointError, match="optimizer block"):
         checkpoint_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "block, key, value", [("spec", "activation", "relu"), ("optimizer", "bias_correction", True)]
+)
+def test_rejects_unsupported_constant(block, key, value):
+    params = make_params()
+    doc = checkpoint_to_dict(params, OptimizerState.fresh(params.spec.num_weights))
+    doc[block][key] = value
+    with pytest.raises(CheckpointError, match=key):
+        checkpoint_from_dict(doc)
+
+
+def test_benchmark_checkpoint_loads_and_rewrites_identically(tmp_path):
+    path = Path(__file__).parents[1] / "perfbench" / "eval_checkpoint.json"
+    params, state = load_checkpoint(path)
+    assert state is not None
+    save_checkpoint(tmp_path / "again.json", params, state)
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
 def test_load_rejects_corrupt_file(tmp_path):

@@ -85,6 +85,7 @@ def test_bad_set_pair_is_config_error(tmp_path):
     assert run(["train", "--set", "eta", "--out", str(tmp_path / "x")]) == 2
     assert run(["train", "--set", "nope=1", "--out", str(tmp_path / "y")]) == 2
     assert run(["train", "--seeds", "a,b", "--out", str(tmp_path / "z")]) == 2
+    assert run(["compare", *FAST, "--set", "plateau_patience=2", "--out", str(tmp_path / "w")]) == 2
 
 
 def test_eval_round_trip(tmp_path):

@@ -28,7 +28,6 @@ def test_defaults_are_valid():
     assert cfg.max_steps == 300
     assert cfg.seeds == DEFAULT_SEEDS
     assert cfg.hidden_layers == ()
-    assert cfg.bias_correction is False
 
 
 def test_round_trip_dict():
@@ -58,6 +57,15 @@ def test_unknown_top_level_key_rejected():
         config_from_dict({"learning_rate": 0.1})
 
 
+@pytest.mark.parametrize("key", ["plateau_patience", "fixed_world", "bias_correction"])
+def test_removed_keys_rejected_by_name(key):
+    # config files written before these knobs were removed must fail, not be ignored
+    with pytest.raises(ConfigError, match=key):
+        config_from_dict({key: 1})
+    with pytest.raises(ConfigError, match=key):
+        apply_overrides(TrainConfig(), {key: "1"})
+
+
 def test_unknown_nested_key_rejected():
     with pytest.raises(ConfigError, match="unknown rewards keys"):
         config_from_dict({"rewards": {"bonus": 5}})
@@ -78,7 +86,7 @@ def test_unknown_nested_key_rejected():
         {"seeds": ()},
         {"seeds": (1, 1)},
         {"hidden_layers": (0,)},
-        {"plateau_patience": 0},
+        {"delta": 0.0},
     ],
 )
 def test_invalid_values_raise(kwargs):

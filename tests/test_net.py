@@ -20,8 +20,6 @@ def test_spec_validation():
         ApproximatorSpec(input_dim=4, output_dim=0)
     with pytest.raises(ValueError):
         ApproximatorSpec(input_dim=4, hidden_layers=(0,))
-    with pytest.raises(ValueError):
-        ApproximatorSpec(input_dim=4, activation="relu")
 
 
 def test_linear_spec_has_no_bias():

@@ -24,13 +24,6 @@ def test_ascends_not_descends():
     assert theta1[0] < 0
 
 
-def test_bias_correction_first_step_is_full_batch():
-    # with correction the first step is eta * g / (|g| + eps) regardless of betas
-    state = OptimizerState.fresh(2, bias_correction=True)
-    _, theta1 = ascent_step(state, np.zeros(2), np.array([2.0, -0.5]))
-    np.testing.assert_allclose(theta1, 0.01 * np.array([1.0, -1.0]), rtol=1e-6)
-
-
 def test_step_is_pure():
     state = OptimizerState.fresh(2)
     theta = np.zeros(2)

@@ -13,12 +13,7 @@ from htnav.world import (
     GenerationError,
     WorldGenConfig,
     generate_world,
-    initial_distance,
-    load_world,
-    save_world,
-    world_from_dict,
     world_hash,
-    world_to_dict,
 )
 
 
@@ -73,7 +68,7 @@ def test_start_goal_constraints(seed, scenario):
     gx, gy = world.goal
     assert x0 <= sx <= x1 and y0 <= sy <= y1
     assert x0 <= gx <= x1 and y0 <= gy <= y1
-    d = initial_distance(world)
+    d = math.dist((sx, sy), world.goal)
     assert cfg.separation[0] <= d <= cfg.separation[1]
     alpha = wrap_angle(math.atan2(gy - sy, gx - sx) - psi)
     assert abs(alpha) >= cfg.min_start_misalignment
@@ -91,23 +86,6 @@ def test_generation_error_when_unsatisfiable():
     cfg = WorldGenConfig(separation=(500.0, 600.0), retries=20)
     with pytest.raises(GenerationError):
         generate_world("goal_reaching", 0, cfg)
-
-
-def test_world_round_trip(tmp_path):
-    world = generate_world("obstacle_avoidance", 9)
-    path = tmp_path / "world.json"
-    save_world(path, world)
-    loaded = load_world(path)
-    assert world_hash(loaded) == world_hash(world)
-    assert loaded.scenario == world.scenario
-    assert len(loaded.obstacles) == len(world.obstacles)
-
-
-def test_world_dict_rejects_unknown_format():
-    doc = world_to_dict(generate_world("goal_reaching", 0))
-    doc["format"] = "something-else"
-    with pytest.raises(ValueError):
-        world_from_dict(doc)
 
 
 def test_world_accepts_seed_sequence():
