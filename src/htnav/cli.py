@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .atomic import atomic_open
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import (
     ConfigError,
@@ -106,7 +107,7 @@ def _write_manifest(out_dir: Path, command: str, cfg: TrainConfig | None, files)
         "seeds": list(cfg.seeds) if cfg is not None else None,
         "files": sorted(files),
     }
-    with open(out_dir / "manifest.json", "w") as fh:
+    with atomic_open(out_dir / "manifest.json") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

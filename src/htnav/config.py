@@ -9,6 +9,7 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 
+from .atomic import atomic_open
 from .env import EnvConfig
 from .policy import FAMILIES
 from .rewards import RewardConfig
@@ -131,7 +132,7 @@ def config_from_dict(data: dict) -> TrainConfig:
 
 
 def save_config(cfg: TrainConfig, path):
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True)
         fh.write("\n")
 

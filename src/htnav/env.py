@@ -42,6 +42,10 @@ class EnvConfig:
             raise ValueError("goal_radius and d_collision must be positive")
         if self.n_scan_rays < 1:
             raise ValueError("n_scan_rays must be >= 1")
+        if not (self.scan_max_range > 0 and math.isfinite(self.scan_max_range)):
+            raise ValueError(
+                f"scan_max_range must be positive and finite, got {self.scan_max_range}"
+            )
 
 
 class RewardBreakdown(NamedTuple):

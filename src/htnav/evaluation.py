@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import atomic_open
 from .config import TrainConfig
 from .policy import PolicyParameters
 from .training import EVAL_SALT, rollout
@@ -123,7 +124,7 @@ def evaluate(
 
 
 def write_eval_rows_csv(report: EvalReport, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["episode", "cause", "steps", "return", "elevation_cost", "final_distance"])
         for r in report.rows:
@@ -158,6 +159,6 @@ def write_eval_summary_json(report: EvalReport, path) -> None:
         "elevation_cost_all": report.elevation_cost,
         "elevation_cost_successful": _num(report.elevation_cost_successful),
     }
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -11,6 +11,21 @@ import numpy as np
 
 _PARALLEL_EPS = 1e-12
 
+# The scanner skips an obstacle whose outline lies more than
+# max_range + margin from the origin, where margin is _CULL_REL_MARGIN
+# times the size of the numbers the ray tests round on: max_range plus
+# the absolute coordinates of the origin and the obstacle plus its
+# radius or half thickness.  Rounding can put a reported hit short of
+# the true distance by a few ulps of that size on a clean hit, and by up
+# to about sqrt(12 * eps) = 5e-8 of it on a ray grazing a circle, where
+# b*b - 4c cancels; 1e-6 leaves a factor of 20 to spare.  A ray nearly
+# parallel to a segment (cross product just above _PARALLEL_EPS) can
+# have its hit misplaced by far more, but only if the segment's line
+# passes within about 1e-9 of that size of the origin, so a wall is also
+# kept whenever its line, or a capsule's side line, passes within the
+# margin.
+_CULL_REL_MARGIN = 1e-6
+
 
 def wrap_angle(a: float) -> float:
     """Wrap into (-pi, pi]."""
@@ -101,6 +116,35 @@ def ray_obstacle_distances(origin: np.ndarray, dirs: np.ndarray, obstacle: Obsta
     return np.minimum(d, ray_circle_distances(origin, dirs, b, r))
 
 
+def _beyond_range(ox: float, oy: float, obstacle: Obstacle, max_range: float) -> bool:
+    """True when no ray from (ox, oy) can report a hit on ``obstacle`` within max_range.
+
+    A NaN coordinate or range makes the comparisons false, so the obstacle
+    is scanned.
+    """
+    size = max_range + abs(ox) + abs(oy)
+    if isinstance(obstacle, Circle):
+        (cx, cy), r = obstacle.center, obstacle.radius
+        margin = _CULL_REL_MARGIN * (size + abs(cx) + abs(cy) + r)
+        return math.hypot(ox - cx, oy - cy) - r > max_range + margin
+    (ax, ay), (bx, by) = obstacle.p1, obstacle.p2
+    r = obstacle.thickness / 2.0
+    margin = _CULL_REL_MARGIN * (size + abs(ax) + abs(ay) + abs(bx) + abs(by) + r)
+    ex, ey = bx - ax, by - ay
+    px, py = ox - ax, oy - ay
+    # hypot, unlike ex*ex + ey*ey, stays non-zero on the shortest walls
+    length = math.hypot(ex, ey)
+    along = (px * ex + py * ey) / length
+    line = abs(px * ey - py * ex) / length
+    if along <= 0.0:
+        nearest = math.hypot(px, py)
+    elif along >= length:
+        nearest = math.hypot(ox - bx, oy - by)
+    else:
+        nearest = line
+    return nearest - r > max_range + margin and abs(line - r) > margin
+
+
 def scan_ranges(
     origin,
     heading: float,
@@ -111,14 +155,18 @@ def scan_ranges(
     """Simulated 360-degree range scan in the robot frame.
 
     Ray k points at heading + k * (2*pi / n_rays); ranges are clamped to
-    [0, max_range] with max_range standing in for "no hit".
+    [0, max_range] with max_range standing in for "no hit".  Obstacles
+    wholly beyond max_range are not ray-tested: every hit on one would
+    clamp to max_range, so skipping it leaves the scan bit for bit the same.
     """
     origin = np.asarray(origin, dtype=float)
+    ox, oy = origin.tolist()
     angles = heading + np.arange(n_rays) * (2.0 * math.pi / n_rays)
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     best = np.full(n_rays, np.inf)
     for obstacle in obstacles:
-        best = np.minimum(best, ray_obstacle_distances(origin, dirs, obstacle))
+        if not _beyond_range(ox, oy, obstacle, max_range):
+            best = np.minimum(best, ray_obstacle_distances(origin, dirs, obstacle))
     return np.clip(best, 0.0, max_range)
 
 

@@ -17,6 +17,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .atomic import atomic_open
+
 
 @dataclass
 class RewardConfig:
@@ -163,7 +165,7 @@ def reward_surface(
 
 def write_surface_csv(path, d_axis, other_axis, values, other_label: str) -> None:
     """Delimited grid: header row holds the second axis, rows lead with d_goal."""
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         fh.write("d_goal\\" + other_label + "," + ",".join(repr(float(v)) for v in other_axis) + "\n")
         for i, d in enumerate(d_axis):
             row = ",".join(repr(float(v)) for v in values[i])

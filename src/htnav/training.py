@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import atomic_open
 from .config import ConfigError, TrainConfig, config_to_dict
 from .env import NavEnv, observation_dim
 from .estimator import estimate, sample_horizon
@@ -233,7 +234,7 @@ def run_comparison(cfg_cauchy: TrainConfig, cfg_gaussian: TrainConfig) -> Compar
 
 def write_curves_csv(record: RunRecord, path) -> None:
     """One row per (seed, episode); floats via repr for exact round-trips."""
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["seed", "episode", "return", "steps", "cause"])
         for run in record.seed_runs:
@@ -244,7 +245,7 @@ def write_curves_csv(record: RunRecord, path) -> None:
 
 
 def write_diagnostics_csv(record: RunRecord, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             [
@@ -274,7 +275,7 @@ def write_diagnostics_csv(record: RunRecord, path) -> None:
 
 def write_comparison_csv(result: ComparisonResult, path) -> None:
     table = result.aligned_curves()
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["episode", "cauchy_mean", "cauchy_std", "gaussian_mean", "gaussian_std"])
         for row in table:

@@ -88,6 +88,14 @@ def test_bad_set_pair_is_config_error(tmp_path):
     assert run(["compare", *FAST, "--set", "plateau_patience=2", "--out", str(tmp_path / "w")]) == 2
 
 
+@pytest.mark.parametrize("value", ["-1", "NaN"])
+def test_bad_scan_max_range_is_config_error(tmp_path, caplog, value):
+    out = tmp_path / "x"
+    assert run(["train", *FAST, "--set", f"env.scan_max_range={value}", "--out", str(out)]) == 2
+    assert "scan_max_range must be positive and finite" in caplog.text
+    assert not out.exists()
+
+
 def test_eval_round_trip(tmp_path):
     train_out = tmp_path / "train"
     assert run(["train", *FAST, "--out", str(train_out)]) == 0

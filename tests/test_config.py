@@ -94,6 +94,12 @@ def test_invalid_values_raise(kwargs):
         TrainConfig(**kwargs)
 
 
+@pytest.mark.parametrize("value", [-3.0, math.nan])
+def test_invalid_env_values_raise(value):
+    with pytest.raises(ConfigError, match="scan_max_range"):
+        config_from_dict({"env": {"scan_max_range": value}})
+
+
 def test_overrides_top_level():
     cfg = apply_overrides(TrainConfig(), {"gamma": "0.9", "episodes": "10"})
     assert cfg.gamma == 0.9

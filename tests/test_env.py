@@ -210,3 +210,6 @@ def test_env_config_validation():
         EnvConfig(dt=-0.1)
     with pytest.raises(ValueError):
         EnvConfig(n_scan_rays=0)
+    for bad in (-3.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="scan_max_range"):
+            EnvConfig(scan_max_range=bad)
