@@ -14,7 +14,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from htnav.config import TrainConfig, apply_overrides, with_family
+from htnav.config import TrainConfig, apply_overrides
 from htnav.training import (
     run_comparison,
     write_comparison_csv,
@@ -51,7 +51,7 @@ def main() -> int:
             "seeds": "[" + args.seeds + "]",
         },
     )
-    result = run_comparison(cfg, with_family(cfg, "gaussian"))
+    result = run_comparison(cfg)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -16,7 +16,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from htnav.checkpoint import save_checkpoint
-from htnav.config import TrainConfig, with_family
+from htnav.config import TrainConfig
 from htnav.env import EnvConfig
 from htnav.evaluation import evaluate
 from htnav.training import run_comparison, write_curves_csv
@@ -40,7 +40,7 @@ def main() -> int:
         env=EnvConfig(v_max=2.0),
         worldgen=WorldGenConfig(min_start_misalignment=math.pi / 4),
     )
-    result = run_comparison(cfg, with_family(cfg, "gaussian"))
+    result = run_comparison(cfg)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

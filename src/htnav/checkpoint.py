@@ -66,6 +66,12 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
+def _require_finite(**fields) -> None:
+    for name, value in fields.items():
+        if not np.all(np.isfinite(value)):
+            raise CheckpointError(f"checkpoint field {name!r} must be finite")
+
+
 def checkpoint_from_dict(doc: dict) -> tuple[PolicyParameters, OptimizerState | None]:
     if not isinstance(doc, dict):
         raise CheckpointError(f"checkpoint must be a mapping, got {type(doc).__name__}")
@@ -98,6 +104,7 @@ def checkpoint_from_dict(doc: dict) -> tuple[PolicyParameters, OptimizerState | 
         )
     except (TypeError, ValueError) as exc:
         raise CheckpointError(str(exc)) from exc
+    _require_finite(sigma=params.sigma, weights=params.weights)
     opt_state = None
     if "optimizer" in doc:
         o = doc["optimizer"]
@@ -120,6 +127,14 @@ def checkpoint_from_dict(doc: dict) -> tuple[PolicyParameters, OptimizerState | 
             )
         if opt_state.m.shape != (spec.num_weights,):
             raise CheckpointError("optimizer moment size does not match the weight count")
+        _require_finite(
+            m=opt_state.m,
+            v=opt_state.v,
+            eta=opt_state.eta,
+            beta1=opt_state.beta1,
+            beta2=opt_state.beta2,
+            epsilon=opt_state.epsilon,
+        )
     return params, opt_state
 
 

@@ -20,16 +20,10 @@ import numpy as np
 from . import __version__
 from .atomic import atomic_open
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .config import (
-    ConfigError,
-    TrainConfig,
-    apply_overrides,
-    config_to_dict,
-    load_config,
-    with_family,
-)
+from .config import ConfigError, TrainConfig, apply_overrides, config_to_dict, load_config
 from .env import observation_dim
 from .evaluation import EVAL_MODES, evaluate, write_eval_rows_csv, write_eval_summary_json
+from .policy import FAMILIES
 from .rewards import reward_surface, write_surface_csv
 from .training import (
     TrainingAbort,
@@ -162,7 +156,7 @@ def cmd_eval(args) -> int:
 def cmd_compare(args) -> int:
     cfg = _build_config(args)
     out = _run_dir(args, f"compare-{cfg.scenario}")
-    result = run_comparison(with_family(cfg, "cauchy"), with_family(cfg, "gaussian"))
+    result = run_comparison(cfg)
     files = ["comparison.csv"]
     write_comparison_csv(result, out / "comparison.csv")
     for record in (result.cauchy, result.gaussian):
@@ -184,7 +178,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_surface(args) -> int:
-    cfg = _build_config(args) if args.config or args.set else TrainConfig()
+    cfg = _build_config(args)
     d_axis, other_axis, values = reward_surface(
         args.axes,
         cfg.rewards,
@@ -203,12 +197,20 @@ def cmd_surface(args) -> int:
     return 0
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
+def _add_config_flags(p: argparse.ArgumentParser, *run_flags: str) -> None:
+    """Add --config, --set, --out and the ``run_flags`` a subcommand reads.
+
+    ``run_flags`` names any of scenario, family, episodes and seeds.
+    """
     p.add_argument("--config", help="JSON config file (defaults apply if omitted)")
-    p.add_argument("--scenario", choices=SCENARIOS)
-    p.add_argument("--family", choices=("cauchy", "gaussian"))
-    p.add_argument("--episodes", type=int)
-    p.add_argument("--seeds", help="comma-separated seed list, e.g. 0,1,2")
+    flags = {
+        "scenario": {"choices": SCENARIOS},
+        "family": {"choices": FAMILIES},
+        "episodes": {"type": int},
+        "seeds": {"help": "comma-separated seed list, e.g. 0,1,2"},
+    }
+    for name in run_flags:
+        p.add_argument(f"--{name}", **flags[name])
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override any config key, dotted for nested (rewards.beta_g=50)")
     p.add_argument("--out", help="output directory (default: $HTNAV_OUT/<run-name>)")
@@ -222,12 +224,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="train one policy family over the configured seeds")
-    _add_config_flags(p_train)
+    _add_config_flags(p_train, "scenario", "family", "episodes", "seeds")
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint")
     p_eval.add_argument("checkpoint", help="checkpoint JSON written by train/compare")
-    _add_config_flags(p_eval)
+    _add_config_flags(p_eval, "scenario", "family")
     p_eval.add_argument("-n", type=int, default=50, help="number of evaluation episodes")
     p_eval.add_argument("--mode", choices=EVAL_MODES, default="deterministic")
     p_eval.add_argument("--eval-seed", type=int, default=0,
@@ -235,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_eval)
 
     p_cmp = sub.add_parser("compare", help="train both families on shared seeds and worlds")
-    _add_config_flags(p_cmp)
+    _add_config_flags(p_cmp, "scenario", "episodes", "seeds")
     p_cmp.set_defaults(func=cmd_compare)
 
     p_surf = sub.add_parser("surface", help="export a reward surface grid as CSV")

@@ -177,7 +177,3 @@ def apply_overrides(cfg: TrainConfig, overrides: dict) -> TrainConfig:
         else:
             raise ConfigError(f"unknown config key {key!r}")
     return config_from_dict(data)
-
-
-def with_family(cfg: TrainConfig, family: str) -> TrainConfig:
-    return dataclasses.replace(cfg, family=family)

@@ -14,10 +14,8 @@ import numpy as np
 
 from . import rewards as rw
 from .geometry import bounds_walls, scan_ranges, wrap_angle
-from .terrain import RobotPose, pose_from_terrain
+from .terrain import pose_from_terrain
 from .world import World
-
-CAUSES = ("running", "goal", "collision", "flip_over", "timeout")
 
 # feature scaling constants: the policy consumes O(1) inputs
 D_GOAL_SCALE = 20.0
@@ -83,9 +81,9 @@ def kinematic_step(
 class NavEnv:
     """One rollout's worth of simulation state.
 
-    Owns the pose, the step counter, and the per-episode reward latches,
-    plus the goal distance, heading offset and (obstacle scenario only)
-    scan of the latest observation.  The world boundary acts as a wall:
+    Owns the pose ``(x, y, psi, z, roll, pitch)``, the step counter, and
+    the per-episode reward latches, plus the goal distance, heading offset
+    and (obstacle scenario only) scan of the latest observation.  The world boundary acts as a wall:
     positions clamp to the bounds and the scanner sees the four boundary
     segments.
     """
@@ -105,30 +103,22 @@ class NavEnv:
         self.max_steps = max_steps
         self.scenario = world.scenario
         self._scan_obstacles = list(world.obstacles) + bounds_walls(world.bounds)
-        self.pose: RobotPose | None = None
+        self.pose: tuple[float, float, float, float, float, float] | None = None
         self.steps = 0
         self.reward_state: rw.EpisodeRewardState | None = None
         self.d_goal = math.nan
         self.alpha_goal = math.nan
         self.scan: np.ndarray | None = None
 
-    def _scan(self, pose: RobotPose) -> np.ndarray:
-        return scan_ranges(
-            (pose.x, pose.y),
-            pose.psi,
-            self._scan_obstacles,
-            n_rays=self.cfg.n_scan_rays,
-            max_range=self.cfg.scan_max_range,
-        )
-
-    def _observe(self, pose: RobotPose, prev_action) -> np.ndarray:
-        """Refresh d_goal, alpha_goal (and scan) at ``pose``; return the scaled features.
+    def _observe(self, prev_action) -> np.ndarray:
+        """Refresh d_goal, alpha_goal (and scan) at the pose; return the scaled features.
 
         Features are d/20, alpha/pi and the previous action, followed by
         the scan over 10 (obstacle_avoidance) or roll and pitch over pi/2
         (uneven_terrain).
         """
-        self.d_goal, self.alpha_goal = goal_geometry(pose.x, pose.y, pose.psi, self.world.goal)
+        x, y, psi, _, roll, pitch = self.pose
+        self.d_goal, self.alpha_goal = goal_geometry(x, y, psi, self.world.goal)
         base = [
             self.d_goal / D_GOAL_SCALE,
             self.alpha_goal / math.pi,
@@ -136,17 +126,23 @@ class NavEnv:
             float(prev_action[1]),
         ]
         if self.scenario == "obstacle_avoidance":
-            self.scan = self._scan(pose)
+            self.scan = scan_ranges(
+                (x, y),
+                psi,
+                self._scan_obstacles,
+                n_rays=self.cfg.n_scan_rays,
+                max_range=self.cfg.scan_max_range,
+            )
             return np.concatenate([base, self.scan / 10.0])
         if self.scenario == "uneven_terrain":
-            return np.asarray(base + [pose.roll / TILT_SCALE, pose.pitch / TILT_SCALE])
+            return np.asarray(base + [roll / TILT_SCALE, pitch / TILT_SCALE])
         return np.asarray(base)
 
     def reset(self) -> np.ndarray:
         """Place the robot at the start pose; returns the first feature vector."""
         self.pose = pose_from_terrain(self.world.heightmap, *self.world.start_pose)
         self.steps = 0
-        features = self._observe(self.pose, (0.0, 0.0))
+        features = self._observe((0.0, 0.0))
         self.reward_state = rw.EpisodeRewardState(initial_distance=self.d_goal)
         return features
 
@@ -159,15 +155,15 @@ class NavEnv:
         if self.pose is None:
             raise RuntimeError("call reset() before step()")
         action = np.asarray(projected_action, dtype=float)
-        x, y, psi = kinematic_step(self.pose.x, self.pose.y, self.pose.psi, action, self.cfg)
+        x, y, psi = kinematic_step(*self.pose[:3], action, self.cfg)
         x0, y0, x1, y1 = self.world.bounds
         x = min(max(x, x0), x1)
         y = min(max(y, y0), y1)
-        pose = pose_from_terrain(self.world.heightmap, x, y, psi)
-        self.pose = pose
+        self.pose = pose_from_terrain(self.world.heightmap, x, y, psi)
+        roll, pitch = self.pose[4:]
         self.steps += 1
 
-        features = self._observe(pose, action)
+        features = self._observe(action)
         heading = rw.r_heading(self.alpha_goal, self.reward_cfg)
         dist, self.reward_state = rw.r_dist(
             self.d_goal, self.reward_state, self.reward_cfg, self.cfg.goal_radius
@@ -177,8 +173,10 @@ class NavEnv:
             obs_pen = rw.r_obs(self.scan, self.cfg.d_collision, self.reward_cfg)
         stable_pen = 0.0
         if self.scenario == "uneven_terrain":
-            stable_pen = rw.r_stable(pose.roll, pose.pitch, self.reward_cfg)
-        total = rw.total_reward(self.scenario, heading, dist, obs_pen, stable_pen)
+            stable_pen = rw.r_stable(roll, pitch, self.reward_cfg)
+        # a scenario's missing terms are +0.0; heading (+0.0 or 1.0) comes
+        # first, so the sum is never -0.0 and adding them changes no bits
+        total = heading + dist + obs_pen + stable_pen
 
         cause = "running"
         if self.d_goal <= self.cfg.goal_radius:
@@ -186,7 +184,7 @@ class NavEnv:
         elif self.scenario == "obstacle_avoidance" and float(self.scan.min()) <= self.cfg.d_collision:
             cause = "collision"
         elif self.scenario == "uneven_terrain" and (
-            abs(pose.roll) >= self.cfg.flip_threshold or abs(pose.pitch) >= self.cfg.flip_threshold
+            abs(roll) >= self.cfg.flip_threshold or abs(pitch) >= self.cfg.flip_threshold
         ):
             cause = "flip_over"
         elif self.steps >= self.max_steps:

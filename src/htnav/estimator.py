@@ -12,24 +12,10 @@ backprop.  Steps past episode termination carry zero reward, so summing
 over recorded steps only is exact.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .policy import PolicyParameters, weighted_score_sum
 from .trajectory import Trajectory
-
-
-@dataclass(frozen=True)
-class GradientEstimate:
-    raw: np.ndarray
-    clipped: np.ndarray
-    horizon_sampled: int
-    horizon_used: int
-
-    def __post_init__(self):
-        if self.horizon_used > self.horizon_sampled:
-            raise ValueError("horizon_used cannot exceed horizon_sampled")
 
 
 def sample_horizon(gamma: float, rng: np.random.Generator) -> int:
@@ -62,12 +48,9 @@ def estimate_gradient(params: PolicyParameters, traj: Trajectory, gamma: float) 
     return weighted_score_sum(params, traj.features, traj.raw_actions, coeffs)
 
 
-def estimate(params: PolicyParameters, traj: Trajectory, gamma: float, phi: float) -> GradientEstimate:
-    """Full per-iteration estimate: raw gradient plus its clipped form."""
+def estimate(
+    params: PolicyParameters, traj: Trajectory, gamma: float, phi: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Full per-iteration estimate: ``(raw, clipped)`` gradients."""
     raw = estimate_gradient(params, traj, gamma)
-    return GradientEstimate(
-        raw=raw,
-        clipped=clip_gradient(raw, phi),
-        horizon_sampled=traj.horizon_sampled,
-        horizon_used=max(len(traj) - 1, 0),
-    )
+    return raw, clip_gradient(raw, phi)

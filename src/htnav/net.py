@@ -3,8 +3,10 @@
 The policy mean is produced by either a bare linear map ``W @ features``
 (no bias, the classical feature-dot-weights form) or a small tanh network
 whose affine layers carry biases.  All parameters live in one flat vector
-so the gradient-based training loop can treat them uniformly; gradients
-are computed by explicit layer-by-layer backpropagation, no autodiff.
+so the gradient-based training loop can treat them uniformly; the
+forward and backward passes take the per-layer views that
+:func:`unpack_weights` cuts from it.  Gradients are computed by explicit
+layer-by-layer backpropagation, no autodiff.
 """
 
 from dataclasses import dataclass
@@ -91,25 +93,16 @@ def init_weights(spec: ApproximatorSpec, rng: np.random.Generator) -> np.ndarray
     return np.concatenate(chunks) if chunks else np.zeros(0)
 
 
-def forward(spec: ApproximatorSpec, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Mean function for a single feature vector ``x`` of length input_dim."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (spec.input_dim,):
-        raise ValueError(f"expected input of shape ({spec.input_dim},), got {x.shape}")
-    mu, _ = forward_batch(spec, theta, x[None, :])
-    return mu[0]
-
-
-def forward_batch(spec: ApproximatorSpec, theta: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Batched forward pass.
+def forward_batch(layers, xs: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Batched forward pass through the :func:`unpack_weights` layers.
 
     Returns the (n, output_dim) means together with the list of layer
     activations (input first) needed by :func:`backward_batch`.
     """
     xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2 or xs.shape[1] != spec.input_dim:
-        raise ValueError(f"expected inputs of shape (n, {spec.input_dim}), got {xs.shape}")
-    layers = unpack_weights(spec, theta)
+    input_dim = layers[0][0].shape[1]
+    if xs.ndim != 2 or xs.shape[1] != input_dim:
+        raise ValueError(f"expected inputs of shape (n, {input_dim}), got {xs.shape}")
     acts = [xs]
     h = xs
     for i, (w, b) in enumerate(layers):
@@ -124,18 +117,12 @@ def forward_batch(spec: ApproximatorSpec, theta: np.ndarray, xs: np.ndarray) -> 
     return h, acts
 
 
-def backward_batch(
-    spec: ApproximatorSpec,
-    theta: np.ndarray,
-    acts: list[np.ndarray],
-    dmu: np.ndarray,
-) -> np.ndarray:
+def backward_batch(layers, acts: list[np.ndarray], dmu: np.ndarray) -> np.ndarray:
     """Accumulate d(sum_i <dmu_i, mu_i>)/dtheta over the batch.
 
     ``acts`` is the activation cache from :func:`forward_batch`; ``dmu``
     holds one upstream gradient row per batch element.
     """
-    layers = unpack_weights(spec, theta)
     dmu = np.asarray(dmu, dtype=float)
     grads_w: list[np.ndarray] = [None] * len(layers)  # type: ignore[list-item]
     grads_b: list[np.ndarray | None] = [None] * len(layers)

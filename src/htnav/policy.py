@@ -9,11 +9,11 @@ all operate on the raw (pre-projection) action; the infinity-norm
 projection only constrains what gets executed.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .net import ApproximatorSpec, backward_batch, forward, forward_batch, init_weights
+from .net import ApproximatorSpec, backward_batch, forward_batch, init_weights, unpack_weights
 
 FAMILIES = ("cauchy", "gaussian")
 
@@ -25,21 +25,19 @@ class PolicyParameters:
     """Flat weight vector plus the fixed distribution parameters.
 
     ``sigma`` is the Cauchy scale / Gaussian standard deviation and is
-    never touched by training.
+    never touched by training.  ``layers`` holds the per-layer views of
+    ``weights``, cut once here rather than on every forward pass.
     """
 
     spec: ApproximatorSpec
     weights: np.ndarray
     sigma: float
     family: str
+    layers: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
-        if self.weights.shape != (self.spec.num_weights,):
-            raise ValueError(
-                f"weights shape {self.weights.shape} does not match spec "
-                f"({self.spec.num_weights} parameters)"
-            )
+        self.layers = unpack_weights(self.spec, self.weights)  # checks the weight count
         if not self.sigma > 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         if self.family not in FAMILIES:
@@ -60,7 +58,8 @@ def init_policy(
 
 def forward_mean(params: PolicyParameters, obs: np.ndarray) -> np.ndarray:
     """Location parameter mu(s) per action dimension; deterministic."""
-    return forward(params.spec, params.weights, obs)
+    mu, _ = forward_batch(params.layers, np.asarray(obs, dtype=float)[None, :])
+    return mu[0]
 
 
 def project_action(raw: np.ndarray, delta: float) -> np.ndarray:
@@ -111,9 +110,9 @@ def dlogp_dmean(params: PolicyParameters, mu: np.ndarray, action: np.ndarray) ->
 def score(params: PolicyParameters, obs: np.ndarray, action: np.ndarray) -> np.ndarray:
     """Gradient of log pi(action | obs) with respect to the flat weights."""
     obs = np.asarray(obs, dtype=float)
-    mu, acts = forward_batch(params.spec, params.weights, obs[None, :])
+    mu, acts = forward_batch(params.layers, obs[None, :])
     dmu = dlogp_dmean(params, mu[0], action)
-    return backward_batch(params.spec, params.weights, acts, dmu[None, :])
+    return backward_batch(params.layers, acts, dmu[None, :])
 
 
 def weighted_score_sum(
@@ -130,6 +129,6 @@ def weighted_score_sum(
     features = np.asarray(features, dtype=float)
     actions = np.asarray(actions, dtype=float)
     coeffs = np.asarray(coeffs, dtype=float)
-    mu, acts = forward_batch(params.spec, params.weights, features)
+    mu, acts = forward_batch(params.layers, features)
     dmu = dlogp_dmean(params, mu, actions) * coeffs[:, None]
-    return backward_batch(params.spec, params.weights, acts, dmu)
+    return backward_batch(params.layers, acts, dmu)

@@ -1,4 +1,4 @@
-"""Sparse reward terms and their per-scenario composition.
+"""Sparse reward terms; the environment sums the ones its scenario has.
 
 Four terms: a heading indicator, milestone distance bonuses (half the
 initial distance, then the goal), a collision penalty keyed on the
@@ -109,17 +109,6 @@ def r_stable(roll: float, pitch: float, cfg: RewardConfig | None = None) -> floa
     if abs(roll) >= cfg.tilt_threshold or abs(pitch) >= cfg.tilt_threshold:
         return cfg.r_stable_penalty
     return 0.0
-
-
-def total_reward(scenario: str, heading: float, dist: float, obs: float, stable: float) -> float:
-    """Scenario-appropriate sum of the active components."""
-    if scenario == "goal_reaching":
-        return heading + dist
-    if scenario == "obstacle_avoidance":
-        return heading + dist + obs
-    if scenario == "uneven_terrain":
-        return heading + dist + stable
-    raise ValueError(f"unknown scenario {scenario!r}")
 
 
 def reward_surface(

@@ -37,18 +37,6 @@ class Heightmap:
         return int(self.elevations.shape[0])
 
 
-@dataclass(frozen=True)
-class RobotPose:
-    """Planar pose plus the terrain-induced vertical state."""
-
-    x: float
-    y: float
-    psi: float
-    z: float = 0.0
-    roll: float = 0.0
-    pitch: float = 0.0
-
-
 def flat_heightmap(size: float, cell_size: float = 1.0, origin=(0.0, 0.0)) -> Heightmap:
     n = int(round(size / cell_size)) + 1
     return Heightmap(cell_size=cell_size, elevations=np.zeros((n, n)), origin=origin)
@@ -85,8 +73,10 @@ def terrain_gradient(hm: Heightmap, x: float, y: float) -> tuple[float, float]:
     return dzdx, dzdy
 
 
-def pose_from_terrain(hm: Heightmap, x: float, y: float, psi: float) -> RobotPose:
-    """Ground a planar pose on the terrain.
+def pose_from_terrain(
+    hm: Heightmap, x: float, y: float, psi: float
+) -> tuple[float, float, float, float, float, float]:
+    """Ground a planar pose on the terrain: ``(x, y, psi, z, roll, pitch)``.
 
     Pitch is the slope along the heading (positive = nose up); roll is
     the slope along the heading's left perpendicular (positive = left
@@ -97,4 +87,4 @@ def pose_from_terrain(hm: Heightmap, x: float, y: float, psi: float) -> RobotPos
     c, s = math.cos(psi), math.sin(psi)
     pitch = math.atan(dzdx * c + dzdy * s)
     roll = math.atan(-dzdx * s + dzdy * c)
-    return RobotPose(x=x, y=y, psi=psi, z=z, roll=roll, pitch=pitch)
+    return x, y, psi, z, roll, pitch

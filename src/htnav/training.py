@@ -7,12 +7,12 @@ trained on the same seed.
 """
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .atomic import atomic_open
-from .config import ConfigError, TrainConfig, config_to_dict
+from .config import TrainConfig
 from .env import NavEnv, observation_dim
 from .estimator import estimate, sample_horizon
 from .net import ApproximatorSpec
@@ -73,8 +73,7 @@ def rollout(
         raise ValueError(f"act must be 'sample' or 'mean', got {act!r}")
     env = NavEnv(world, cfg.env, cfg.rewards, max_steps=cfg.max_steps)
     x = env.reset()
-    p = env.pose
-    poses = [(p.x, p.y, p.psi, p.z, p.roll, p.pitch)]
+    poses = [env.pose]
     feats, raws, projs, rewards = [], [], [], []
     cause = "running"
     for _ in range(min(horizon + 1, cfg.max_steps)):
@@ -88,8 +87,7 @@ def rollout(
         projs.append(projected)
         x, reward, cause = env.step(projected)
         rewards.append(reward.total)
-        p = env.pose
-        poses.append((p.x, p.y, p.psi, p.z, p.roll, p.pitch))
+        poses.append(env.pose)
         if cause != "running":
             break
     return Trajectory(
@@ -100,7 +98,6 @@ def rollout(
         poses=np.asarray(poses),
         final_cause=cause,
         final_distance=env.d_goal,
-        horizon_sampled=horizon,
     )
 
 
@@ -127,14 +124,8 @@ class SeedRun:
 
 @dataclass
 class RunRecord:
-    scenario: str
     family: str
-    episodes: int
     seed_runs: list[SeedRun]
-
-    @property
-    def seeds(self) -> tuple:
-        return tuple(run.seed for run in self.seed_runs)
 
     def returns_matrix(self) -> np.ndarray:
         """(n_seeds, episodes) stack."""
@@ -163,23 +154,24 @@ def train_seed(cfg: TrainConfig, seed: int) -> SeedRun:
     for k in range(cfg.episodes):
         world = world_for_episode(cfg, seed, k)
         rng = episode_rng(seed, k)
-        traj = rollout(world, params, cfg, rng, sample_horizon(cfg.gamma, rng))
-        est = estimate(params, traj, cfg.gamma, cfg.phi)
-        if not np.all(np.isfinite(est.raw)):
+        horizon = sample_horizon(cfg.gamma, rng)
+        traj = rollout(world, params, cfg, rng, horizon)
+        raw, clipped = estimate(params, traj, cfg.gamma, cfg.phi)
+        if not np.all(np.isfinite(raw)):
             raise TrainingAbort(
                 f"non-finite gradient (seed {seed}, episode {k}); "
                 "this indicates a bug, not a tuning problem"
             )
-        state, theta = ascent_step(state, params.weights, est.clipped)
+        state, theta = ascent_step(state, params.weights, clipped)
         params = params.with_weights(theta)
 
         returns.append(traj.episode_return)
         steps.append(len(traj))
         causes.append(traj.final_cause)
-        raw_infs.append(float(np.abs(est.raw).max()))
-        clip_infs.append(float(np.abs(est.clipped).max()))
-        h_sampled.append(est.horizon_sampled)
-        h_used.append(est.horizon_used)
+        raw_infs.append(float(np.abs(raw).max()))
+        clip_infs.append(float(np.abs(clipped).max()))
+        h_sampled.append(horizon)
+        h_used.append(len(traj) - 1)
         max_acts.append(float(np.abs(traj.projected_actions).max()))
     return SeedRun(
         seed=seed,
@@ -199,7 +191,7 @@ def train_seed(cfg: TrainConfig, seed: int) -> SeedRun:
 
 def train(cfg: TrainConfig) -> RunRecord:
     runs = [train_seed(cfg, seed) for seed in cfg.seeds]
-    return RunRecord(scenario=cfg.scenario, family=cfg.family, episodes=cfg.episodes, seed_runs=runs)
+    return RunRecord(family=cfg.family, seed_runs=runs)
 
 
 @dataclass
@@ -215,21 +207,12 @@ class ComparisonResult:
         return np.column_stack([episodes, cm, cs, gm, gs])
 
 
-def run_comparison(cfg_cauchy: TrainConfig, cfg_gaussian: TrainConfig) -> ComparisonResult:
-    """Train both families on identical seeds and worlds."""
-    if cfg_cauchy.family != "cauchy" or cfg_gaussian.family != "gaussian":
-        raise ConfigError("run_comparison expects a cauchy config and a gaussian config")
-    if cfg_cauchy.seeds != cfg_gaussian.seeds:
-        raise ConfigError(
-            f"seed lists differ: {cfg_cauchy.seeds} vs {cfg_gaussian.seeds}"
-        )
-    a = config_to_dict(cfg_cauchy)
-    b = config_to_dict(cfg_gaussian)
-    a.pop("family")
-    b.pop("family")
-    if a != b:
-        raise ConfigError("comparison configs must be identical except for family")
-    return ComparisonResult(cauchy=train(cfg_cauchy), gaussian=train(cfg_gaussian))
+def run_comparison(cfg: TrainConfig) -> ComparisonResult:
+    """Train both families on ``cfg``'s seeds and worlds; ``cfg.family`` is not read."""
+    return ComparisonResult(
+        cauchy=train(replace(cfg, family="cauchy")),
+        gaussian=train(replace(cfg, family="gaussian")),
+    )
 
 
 def write_curves_csv(record: RunRecord, path) -> None:

@@ -22,7 +22,6 @@ class Trajectory:
     poses: np.ndarray             # (T + 1, 6): x, y, psi, z, roll, pitch
     final_cause: str = "running"
     final_distance: float = math.nan
-    horizon_sampled: int = 0
 
     def __len__(self) -> int:
         return int(self.rewards.shape[0])

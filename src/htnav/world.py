@@ -8,7 +8,6 @@ hills rescaled so the total elevation gain stays within the configured
 bound.
 """
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -61,7 +60,6 @@ class World:
     goal: tuple[float, float]
     scenario: str
     bounds: tuple[float, float, float, float] = (0.0, 0.0, 100.0, 100.0)
-    seed_label: str = ""
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
@@ -192,24 +190,5 @@ def generate_world(scenario: str, seed, cfg: WorldGenConfig | None = None) -> Wo
         goal=goal,
         scenario=scenario,
         bounds=cfg.bounds,
-        seed_label=str(seed),
     )
 
-
-def world_hash(world: World) -> str:
-    """Content hash (world identity check): repr of the other fields, then raw ``<f8`` elevations."""
-    hm = world.heightmap
-    header = (
-        world.scenario,
-        world.seed_label,
-        world.bounds,
-        world.start_pose,
-        world.goal,
-        hm.cell_size,
-        hm.origin,
-        hm.elevations.shape,
-        world.obstacles,
-    )
-    digest = hashlib.sha256(repr(header).encode())
-    digest.update(np.ascontiguousarray(hm.elevations, dtype="<f8").tobytes())
-    return digest.hexdigest()

@@ -27,3 +27,23 @@ def make_params(input_dim=4, hidden=(), sigma=0.25, family="cauchy", seed=0, sca
     r = np.random.default_rng(seed)
     weights = scale * r.standard_normal(spec.num_weights)
     return PolicyParameters(spec=spec, weights=weights, sigma=sigma, family=family)
+
+
+def world_fields(world):
+    """Everything that makes a world, for field-by-field equality.
+
+    Elevations enter as the grid shape plus their raw bytes, so one ulp or
+    a -0.0 counts as a difference.
+    """
+    hm = world.heightmap
+    return (
+        world.scenario,
+        world.bounds,
+        world.start_pose,
+        world.goal,
+        world.obstacles,
+        hm.cell_size,
+        hm.origin,
+        hm.elevations.shape,
+        hm.elevations.tobytes(),
+    )

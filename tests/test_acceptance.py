@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from htnav.config import TrainConfig, with_family
+from htnav.config import TrainConfig
 from htnav.env import EnvConfig
 from htnav.estimator import estimate_gradient, sample_horizon
 from htnav.evaluation import evaluate
@@ -44,7 +44,7 @@ def _fig2_config() -> TrainConfig:
 @pytest.fixture(scope="module")
 def fig2():
     cfg = _fig2_config()
-    return run_comparison(cfg, with_family(cfg, "gaussian"))
+    return run_comparison(cfg)
 
 
 def _terrain_config() -> TrainConfig:
@@ -60,7 +60,7 @@ def _terrain_config() -> TrainConfig:
 @pytest.fixture(scope="module")
 def terrain():
     cfg = _terrain_config()
-    return cfg, run_comparison(cfg, with_family(cfg, "gaussian"))
+    return cfg, run_comparison(cfg)
 
 
 # ---------------------------------------------------------------- criteria
@@ -142,7 +142,6 @@ def test_criterion_02_estimator_unbiased_on_bandit(capsys):
             projected_actions=projected[None, :],
             rewards=np.array([r]),
             poses=np.zeros((2, 6)),
-            horizon_sampled=0,
         )
         estimates[i] = estimate_gradient(params, traj, 0.99)
     mean = estimates.mean(axis=0)
@@ -337,7 +336,7 @@ def test_criterion_09_elevation_cost_direction(capsys, terrain):
 
 def test_criterion_10_training_is_byte_deterministic(capsys, fig2, tmp_path):
     cfg = _fig2_config()
-    again = run_comparison(cfg, with_family(cfg, "gaussian"))
+    again = run_comparison(cfg)
     identical = True
     for first, second in ((fig2.cauchy, again.cauchy), (fig2.gaussian, again.gaussian)):
         pa = tmp_path / f"a_{first.family}.csv"

@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +95,32 @@ def test_rejects_unsupported_constant(block, key, value):
     params = make_params()
     doc = checkpoint_to_dict(params, OptimizerState.fresh(params.spec.num_weights))
     doc[block][key] = value
+    with pytest.raises(CheckpointError, match=key):
+        checkpoint_from_dict(doc)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "block, key",
+    [
+        (None, "sigma"),
+        (None, "weights"),
+        ("optimizer", "m"),
+        ("optimizer", "v"),
+        ("optimizer", "eta"),
+        ("optimizer", "beta1"),
+        ("optimizer", "beta2"),
+        ("optimizer", "epsilon"),
+    ],
+)
+def test_rejects_non_finite_field(block, key, value):
+    params = make_params()
+    doc = checkpoint_to_dict(params, OptimizerState.fresh(params.spec.num_weights))
+    owner = doc if block is None else doc[block]
+    if isinstance(owner[key], list):
+        owner[key][1] = value
+    else:
+        owner[key] = value
     with pytest.raises(CheckpointError, match=key):
         checkpoint_from_dict(doc)
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -126,6 +127,29 @@ def test_eval_rejects_corrupt_checkpoint(tmp_path):
     assert run(["eval", str(bad), "--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("weights", math.nan), ("sigma", math.inf), ("m", math.nan)],
+)
+def test_eval_rejects_non_finite_checkpoint(tmp_path, caplog, field, value):
+    train_out = tmp_path / "train"
+    assert run(["train", *FAST, "--out", str(train_out)]) == 0
+    path = train_out / "checkpoint_seed0.json"
+    doc = json.loads(path.read_text())
+    if field == "sigma":
+        doc["sigma"] = value
+    elif field == "weights":
+        doc["weights"][0] = value
+    else:
+        doc["optimizer"]["m"][0] = value
+    path.write_text(json.dumps(doc))  # written as NaN / Infinity, which json.load accepts
+    out = tmp_path / "out"
+    code = run(["eval", str(path), "--set", "max_steps=30", "-n", "2", "--out", str(out)])
+    assert code == 2
+    assert f"checkpoint field '{field}' must be finite" in caplog.text
+    assert not out.exists()
+
+
 def test_eval_rejects_scenario_mismatch(tmp_path):
     train_out = tmp_path / "train"
     assert run(["train", *FAST, "--out", str(train_out)]) == 0
@@ -208,3 +232,22 @@ def test_surface_scan_axes(tmp_path):
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         main([])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["surface", "--scenario", "uneven_terrain"],
+        ["surface", "--family", "gaussian"],
+        ["surface", "--episodes", "3"],
+        ["surface", "--seeds", "0,1"],
+        ["compare", "--family", "gaussian"],
+        ["eval", "ckpt.json", "--episodes", "3"],
+        ["eval", "ckpt.json", "--seeds", "0,1"],
+    ],
+)
+def test_unread_flags_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -11,7 +11,6 @@ from htnav.config import (
     config_to_dict,
     load_config,
     save_config,
-    with_family,
 )
 
 
@@ -136,14 +135,6 @@ def test_overrides_do_not_mutate_original():
     base = TrainConfig()
     apply_overrides(base, {"gamma": "0.5"})
     assert base.gamma == 0.99
-
-
-def test_with_family():
-    cfg = TrainConfig(family="cauchy", eta=0.07)
-    g = with_family(cfg, "gaussian")
-    assert g.family == "gaussian"
-    assert g.eta == 0.07
-    assert cfg.family == "cauchy"
 
 
 def test_nested_defaults_survive_round_trip():

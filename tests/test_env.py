@@ -25,7 +25,6 @@ def flat_world(scenario="goal_reaching", start=(5.0, 5.0, 0.0), goal=(15.0, 5.0)
         goal=goal,
         scenario=scenario,
         bounds=bounds,
-        seed_label="test",
     )
 
 
@@ -153,7 +152,7 @@ def test_bounds_clamp():
     env.reset()
     _, _, cause = env.step((1.0, 0.0))
     # driving into the west wall parks the robot on the boundary
-    assert env.pose.x == 0.0
+    assert env.pose[0] == 0.0
     assert cause == "running"
 
 

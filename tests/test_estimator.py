@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from htnav.estimator import GradientEstimate, clip_gradient, estimate, estimate_gradient, sample_horizon
+from htnav.estimator import clip_gradient, estimate, estimate_gradient, sample_horizon
 from htnav.policy import score
 from htnav.trajectory import Trajectory
 
@@ -20,7 +20,6 @@ def _traj(params, rng, n):
         projected_actions=np.clip(raws, -1, 1),
         rewards=rewards,
         poses=np.zeros((n + 1, 6)),
-        horizon_sampled=n + 3,
     )
 
 
@@ -102,11 +101,12 @@ def test_clip_gradient_clamps_to_phi():
 
 
 def test_estimate_bundle_horizon_bookkeeping():
+    # estimate bundles the raw gradient and its clip; train_seed keeps the
+    # horizon bookkeeping (tests/test_training.py)
     params = make_params(seed=6)
     traj = _traj(params, np.random.default_rng(2), 4)
-    est = estimate(params, traj, gamma=0.9, phi=10.0)
-    assert est.horizon_sampled == traj.horizon_sampled
-    assert est.horizon_used == 3
-    assert np.abs(est.clipped).max() <= 10.0
-    with pytest.raises(ValueError):
-        GradientEstimate(raw=est.raw, clipped=est.clipped, horizon_sampled=2, horizon_used=3)
+    traj.rewards = traj.rewards * 100.0
+    raw, clipped = estimate(params, traj, gamma=0.9, phi=10.0)
+    np.testing.assert_array_equal(raw, estimate_gradient(params, traj, 0.9))
+    assert np.abs(raw).max() > 10.0
+    np.testing.assert_array_equal(clipped, clip_gradient(raw, 10.0))

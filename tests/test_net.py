@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from htnav.net import (
     ApproximatorSpec,
     backward_batch,
-    forward,
     forward_batch,
     init_weights,
     unpack_weights,
@@ -61,14 +60,16 @@ def test_init_linear_is_zero():
     spec = ApproximatorSpec(input_dim=5)
     theta = init_weights(spec, np.random.default_rng(0))
     np.testing.assert_array_equal(theta, 0.0)
-    np.testing.assert_array_equal(forward(spec, theta, np.ones(5)), 0.0)
+    mu, _ = forward_batch(unpack_weights(spec, theta), np.ones((1, 5)))
+    np.testing.assert_array_equal(mu, 0.0)
 
 
 def test_linear_forward_is_matrix_product():
     spec = ApproximatorSpec(input_dim=3)
     w = np.array([[1.0, 2.0, 3.0], [0.0, -1.0, 0.5]])
     x = np.array([1.0, 1.0, 2.0])
-    np.testing.assert_allclose(forward(spec, w.ravel(), x), w @ x)
+    mu, _ = forward_batch(unpack_weights(spec, w.ravel()), x[None, :])
+    np.testing.assert_allclose(mu[0], w @ x)
 
 
 def test_forward_batch_matches_single():
@@ -76,16 +77,19 @@ def test_forward_batch_matches_single():
     rng = np.random.default_rng(3)
     theta = rng.standard_normal(spec.num_weights)
     xs = rng.standard_normal((5, 4))
-    mu_b, _ = forward_batch(spec, theta, xs)
+    layers = unpack_weights(spec, theta)
+    mu_b, _ = forward_batch(layers, xs)
     for i in range(5):
-        np.testing.assert_allclose(mu_b[i], forward(spec, theta, xs[i]))
+        np.testing.assert_allclose(mu_b[i], forward_batch(layers, xs[i:i + 1])[0][0])
+    with pytest.raises(ValueError, match="shape"):
+        forward_batch(layers, xs[:, :3])
 
 
 def _fd_grad(spec, theta, xs, dmu, eps=1e-6):
     """Finite-difference gradient of sum_i <dmu_i, mu_i(theta)>."""
 
     def value(t):
-        mu, _ = forward_batch(spec, t, xs)
+        mu, _ = forward_batch(unpack_weights(spec, t), xs)
         return float((mu * dmu).sum())
 
     g = np.zeros_like(theta)
@@ -105,8 +109,9 @@ def test_backward_matches_finite_differences(hidden):
     theta = 0.5 * rng.standard_normal(spec.num_weights)
     xs = rng.standard_normal((3, 4))
     dmu = rng.standard_normal((3, 2))
-    _, acts = forward_batch(spec, theta, xs)
-    analytic = backward_batch(spec, theta, acts, dmu)
+    layers = unpack_weights(spec, theta)
+    _, acts = forward_batch(layers, xs)
+    analytic = backward_batch(layers, acts, dmu)
     numeric = _fd_grad(spec, theta, xs, dmu)
     np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-8)
 
@@ -120,7 +125,8 @@ def test_backward_is_linear_in_upstream(seed):
     theta = rng.standard_normal(spec.num_weights)
     xs = rng.standard_normal((4, 3))
     dmu = rng.standard_normal((4, 2))
-    _, acts = forward_batch(spec, theta, xs)
-    g1 = backward_batch(spec, theta, acts, dmu)
-    g2 = backward_batch(spec, theta, acts, 2.0 * dmu)
+    layers = unpack_weights(spec, theta)
+    _, acts = forward_batch(layers, xs)
+    g1 = backward_batch(layers, acts, dmu)
+    g2 = backward_batch(layers, acts, 2.0 * dmu)
     np.testing.assert_allclose(g2, 2.0 * g1, rtol=1e-12, atol=1e-12)

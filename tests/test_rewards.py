@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from htnav.env import NavEnv
+from htnav.geometry import Circle
 from htnav.rewards import (
     EpisodeRewardState,
     RewardConfig,
@@ -13,9 +15,10 @@ from htnav.rewards import (
     r_obs,
     r_stable,
     reward_surface,
-    total_reward,
     write_surface_csv,
 )
+from htnav.terrain import Heightmap
+from htnav.world import SCENARIOS, World
 
 CFG = RewardConfig()
 
@@ -112,11 +115,30 @@ def test_r_dist_requires_episode_state():
 
 
 def test_total_reward_per_scenario():
-    assert total_reward("goal_reaching", 1.0, 50.0, -100.0, -100.0) == 51.0
-    assert total_reward("obstacle_avoidance", 1.0, 0.0, -100.0, -100.0) == -99.0
-    assert total_reward("uneven_terrain", 1.0, 0.0, -100.0, -100.0) == -99.0
-    with pytest.raises(ValueError):
-        total_reward("flying", 0.0, 0.0, 0.0, 0.0)
+    # a tree beside the start on a 1.5 slope: the collision and tilt terms
+    # would both fire, but each scenario pays only the terms it has
+    xs = np.arange(41.0)
+    hm = Heightmap(cell_size=1.0, elevations=np.tile(1.5 * xs, (41, 1)))
+    paid = {}
+    for scenario in SCENARIOS:
+        world = World(
+            heightmap=hm,
+            obstacles=[Circle(center=(5.6, 5.0), radius=0.1)],
+            start_pose=(5.0, 5.0, 0.0),
+            goal=(5.0, 25.0),
+            scenario=scenario,
+            bounds=(0.0, 0.0, 40.0, 40.0),
+        )
+        env = NavEnv(world)
+        env.reset()
+        _, r, _ = env.step((1.0, 0.0))
+        assert r.total == r.heading + r.dist + r.obs + r.stable
+        paid[scenario] = (r.obs, r.stable)
+    assert paid == {
+        "goal_reaching": (0.0, 0.0),
+        "obstacle_avoidance": (-100.0, 0.0),
+        "uneven_terrain": (0.0, -100.0),
+    }
 
 
 @settings(max_examples=50, deadline=None)

@@ -64,27 +64,25 @@ def test_gradient_on_incline():
 
 def test_pose_flat_terrain_level():
     pose = pose_from_terrain(flat_heightmap(10.0, cell_size=0.5), 3.0, 3.0, 1.0)
-    assert pose.roll == 0.0
-    assert pose.pitch == 0.0
-    assert pose.z == 0.0
+    assert pose == (3.0, 3.0, 1.0, 0.0, 0.0, 0.0)
 
 
 def test_pose_incline_aligned_heading():
     # gradient 0.5 along +x, heading +x: nose up by atan(0.5)
-    pose = pose_from_terrain(_incline(0.5), 5.0, 5.0, 0.0)
-    assert pose.pitch == pytest.approx(0.46365, abs=1e-4)
-    assert pose.roll == pytest.approx(0.0, abs=1e-12)
+    *_, roll, pitch = pose_from_terrain(_incline(0.5), 5.0, 5.0, 0.0)
+    assert pitch == pytest.approx(0.46365, abs=1e-4)
+    assert roll == pytest.approx(0.0, abs=1e-12)
 
 
 def test_pose_incline_perpendicular_heading():
-    pose = pose_from_terrain(_incline(0.5), 5.0, 5.0, math.pi / 2)
-    assert pose.pitch == pytest.approx(0.0, abs=1e-9)
-    assert abs(pose.roll) == pytest.approx(0.46365, abs=1e-4)
+    *_, roll, pitch = pose_from_terrain(_incline(0.5), 5.0, 5.0, math.pi / 2)
+    assert pitch == pytest.approx(0.0, abs=1e-9)
+    assert abs(roll) == pytest.approx(0.46365, abs=1e-4)
 
 
 def test_pose_downhill_heading_noses_down():
-    pose = pose_from_terrain(_incline(0.5), 5.0, 5.0, math.pi)
-    assert pose.pitch == pytest.approx(-0.46365, abs=1e-4)
+    *_, roll, pitch = pose_from_terrain(_incline(0.5), 5.0, 5.0, math.pi)
+    assert pitch == pytest.approx(-0.46365, abs=1e-4)
 
 
 @settings(max_examples=30, deadline=None)
@@ -97,10 +95,10 @@ def test_pose_angles_bounded(x, y, psi):
     rng = np.random.default_rng(7)
     z = rng.uniform(0, 3, size=(21, 21))
     hm = Heightmap(cell_size=0.5, elevations=z)
-    pose = pose_from_terrain(hm, x, y, psi)
-    assert -math.pi / 2 < pose.roll < math.pi / 2
-    assert -math.pi / 2 < pose.pitch < math.pi / 2
-    assert pose.z == pytest.approx(elevation_at(hm, x, y))
+    _, _, _, pose_z, roll, pitch = pose_from_terrain(hm, x, y, psi)
+    assert -math.pi / 2 < roll < math.pi / 2
+    assert -math.pi / 2 < pitch < math.pi / 2
+    assert pose_z == pytest.approx(elevation_at(hm, x, y))
 
 
 def _oracle_elevation_at(hm: Heightmap, x: float, y: float) -> float:

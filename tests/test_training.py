@@ -4,8 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from htnav.config import ConfigError, TrainConfig, apply_overrides, with_family
+import htnav.policy
+from htnav.config import ConfigError, TrainConfig, apply_overrides
 from htnav.env import NavEnv
+from htnav.estimator import sample_horizon
 from htnav.policy import forward_mean
 from htnav.training import (
     TrainingAbort,
@@ -20,9 +22,8 @@ from htnav.training import (
     write_curves_csv,
     write_diagnostics_csv,
 )
-from htnav.world import world_hash
 
-from conftest import LIVELY
+from conftest import LIVELY, world_fields
 
 TINY = TrainConfig(episodes=4, max_steps=40, seeds=(0, 1))
 # TINY earns 0 reward, so its weights never leave initial_params; on
@@ -32,13 +33,13 @@ LIVELY_TINY = apply_overrides(TINY, LIVELY)
 
 @pytest.fixture
 def world_requests(monkeypatch):
-    """Every world training asks for, as (family, seed, episode, world_hash)."""
+    """Every world training asks for, as (family, seed, episode, world_fields)."""
     calls = []
     real = world_for_episode
 
     def recording(cfg, seed, episode):
         world = real(cfg, seed, episode)
-        calls.append((cfg.family, seed, episode, world_hash(world)))
+        calls.append((cfg.family, seed, episode, world_fields(world)))
         return world
 
     monkeypatch.setattr("htnav.training.world_for_episode", recording)
@@ -57,11 +58,9 @@ def test_rollout_respects_horizon_budget():
     params = initial_params(TINY, 0)
     traj = rollout(world, params, TINY, np.random.default_rng(0), horizon=0)
     assert len(traj) == 1
-    assert traj.horizon_sampled == 0
     assert traj.final_cause == "running"
     traj = rollout(world, params, TINY, np.random.default_rng(0), horizon=6)
     assert len(traj) == 7
-    assert traj.horizon_sampled == 6
 
 
 def test_rollout_caps_at_max_steps():
@@ -94,13 +93,11 @@ def test_rollout_poses_start_at_reset(scenario):
     assert traj.poses.shape == (len(traj) + 1, 6)
     env = NavEnv(world, cfg.env, cfg.rewards, max_steps=cfg.max_steps)
     np.testing.assert_array_equal(traj.features[0], env.reset())
-    p = env.pose
-    np.testing.assert_array_equal(traj.poses[0], [p.x, p.y, p.psi, p.z, p.roll, p.pitch])
+    np.testing.assert_array_equal(traj.poses[0], env.pose)
     # replaying the executed actions retraces every later pose
     for t, action in enumerate(traj.projected_actions):
         features, reward, _ = env.step(action)
-        p = env.pose
-        np.testing.assert_array_equal(traj.poses[t + 1], [p.x, p.y, p.psi, p.z, p.roll, p.pitch])
+        np.testing.assert_array_equal(traj.poses[t + 1], env.pose)
         assert reward.total == traj.rewards[t]
     assert traj.final_distance == env.d_goal
 
@@ -138,7 +135,6 @@ def test_rollout_terminal_cause_sticks():
         goal=(6.05, 5.0),
         scenario="goal_reaching",
         bounds=(0.0, 0.0, 40.0, 40.0),
-        seed_label="adjacent",
     )
     cfg = replace(TINY, max_steps=300)
 
@@ -196,6 +192,10 @@ def test_train_seed_lengths_and_logs(world_requests):
     assert len(run.causes) == TINY.episodes
     assert [(seed, k) for _, seed, k, _ in world_requests] == [(1, k) for k in range(TINY.episodes)]
     assert np.all(run.grad_clipped_inf <= TINY.phi + 1e-12)
+    # the horizon drawn first from each episode's stream, and the one its steps used
+    drawn = [sample_horizon(TINY.gamma, episode_rng(1, k)) for k in range(TINY.episodes)]
+    np.testing.assert_array_equal(run.horizon_sampled, drawn)
+    np.testing.assert_array_equal(run.horizon_used, run.steps - 1)
     assert np.all(run.horizon_used <= run.horizon_sampled)
     assert np.all(run.max_abs_action <= TINY.delta + 1e-12)
 
@@ -219,16 +219,16 @@ def test_zero_episodes_gives_empty_run():
 
 
 def test_worlds_do_not_depend_on_family():
-    cauchy = world_for_episode(TINY, 3, 5)
-    gaussian = world_for_episode(with_family(TINY, "gaussian"), 3, 5)
-    assert world_hash(cauchy) == world_hash(gaussian)
+    cauchy = world_fields(world_for_episode(TINY, 3, 5))
+    gaussian = world_fields(world_for_episode(replace(TINY, family="gaussian"), 3, 5))
+    assert cauchy == gaussian
     # the episode index, not the family, picks the world
-    assert world_hash(world_for_episode(TINY, 3, 6)) != world_hash(cauchy)
+    assert world_fields(world_for_episode(TINY, 3, 6)) != cauchy
 
 
 def test_train_stacks_all_seeds():
     record = train(TINY)
-    assert record.seeds == (0, 1)
+    assert [run.seed for run in record.seed_runs] == [0, 1]
     assert record.returns_matrix().shape == (2, TINY.episodes)
     assert record.mean_curve().shape == (TINY.episodes,)
     assert record.std_curve().shape == (TINY.episodes,)
@@ -237,9 +237,9 @@ def test_train_stacks_all_seeds():
 def test_run_comparison_pairs_worlds(world_requests):
     # seed 1 is one where both families earn reward within two episodes
     cauchy = replace(LIVELY_TINY, episodes=2, seeds=(1,))
-    result = run_comparison(cauchy, with_family(cauchy, "gaussian"))
+    result = run_comparison(cauchy)
     for record in (result.cauchy, result.gaussian):
-        _assert_learned(record.seed_runs[0], with_family(cauchy, record.family))
+        _assert_learned(record.seed_runs[0], replace(cauchy, family=record.family))
     by_family = {
         family: [call[1:] for call in world_requests if call[0] == family]
         for family in ("cauchy", "gaussian")
@@ -251,16 +251,34 @@ def test_run_comparison_pairs_worlds(world_requests):
     np.testing.assert_array_equal(table[:, 0], [0.0, 1.0])
 
 
-def test_run_comparison_validates_inputs():
-    cauchy = TINY
-    with pytest.raises(ConfigError, match="cauchy config and a gaussian config"):
-        run_comparison(cauchy, cauchy)
-    gauss = with_family(replace(TINY, seeds=(0,)), "gaussian")
-    with pytest.raises(ConfigError, match="seed lists differ"):
-        run_comparison(cauchy, gauss)
-    gauss = with_family(replace(TINY, eta=0.5), "gaussian")
-    with pytest.raises(ConfigError, match="identical except for family"):
-        run_comparison(cauchy, gauss)
+def test_run_comparison_ignores_cfg_family():
+    cfg = replace(LIVELY_TINY, episodes=2, seeds=(1,))
+    a = run_comparison(cfg)
+    b = run_comparison(replace(cfg, family="gaussian"))
+    for family in ("cauchy", "gaussian"):
+        run_a = getattr(a, family).seed_runs[0]
+        run_b = getattr(b, family).seed_runs[0]
+        assert getattr(a, family).family == getattr(b, family).family == family
+        assert run_a.family == family
+        _assert_learned(run_a, replace(cfg, family=family))
+        np.testing.assert_array_equal(run_a.returns, run_b.returns)
+        np.testing.assert_array_equal(run_a.params.weights, run_b.params.weights)
+
+
+def test_unpack_weights_once_per_weight_vector(monkeypatch):
+    calls = []
+    real = htnav.policy.unpack_weights
+
+    def counting(spec, theta):
+        calls.append(1)
+        return real(spec, theta)
+
+    monkeypatch.setattr(htnav.policy, "unpack_weights", counting)
+    cfg = replace(LIVELY_TINY, seeds=(0,))
+    run = train_seed(cfg, 0)
+    # the initial weights, then one vector per ascent step; no step unpacks
+    assert len(calls) == cfg.episodes + 1
+    assert run.steps.sum() > len(calls)
 
 
 def test_curves_csv_layout(tmp_path):
@@ -297,7 +315,7 @@ def test_diagnostics_csv_layout(tmp_path):
 
 def test_comparison_csv_layout(tmp_path):
     cauchy = replace(TINY, episodes=3, seeds=(0,))
-    result = run_comparison(cauchy, with_family(cauchy, "gaussian"))
+    result = run_comparison(cauchy)
     path = tmp_path / "comparison.csv"
     write_comparison_csv(result, path)
     with open(path) as fh:
@@ -310,12 +328,7 @@ def test_comparison_csv_layout(tmp_path):
 def test_training_abort_on_nonfinite(monkeypatch):
     import htnav.training as tr
 
-    class _BadEstimate:
-        raw = np.array([np.nan, 0.0])
-        clipped = np.array([0.0, 0.0])
-        horizon_sampled = 1
-        horizon_used = 0
-
-    monkeypatch.setattr(tr, "estimate", lambda *a, **k: _BadEstimate())
+    bad = (np.array([np.nan, 0.0]), np.array([0.0, 0.0]))
+    monkeypatch.setattr(tr, "estimate", lambda *a, **k: bad)
     with pytest.raises(TrainingAbort, match="non-finite gradient"):
         train_seed(replace(TINY, episodes=1, seeds=(0,)), 0)
