@@ -2,8 +2,9 @@
 """Train both policy families on the flat-world scenario and export curves.
 
 Runs the paired comparison (same seeds, same per-episode worlds), writes
-comparison.csv / per-family curve files / checkpoints into the output
-directory, and prints a compact summary of the learning dynamics.
+the same run directory as ``htnav compare`` (comparison.csv, per-family
+curves, diagnostics and checkpoints, manifest), and prints a compact
+summary of the learning dynamics.
 """
 
 import argparse
@@ -14,25 +15,9 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from htnav.cli import write_compare_dir
 from htnav.config import TrainConfig, apply_overrides
-from htnav.training import (
-    run_comparison,
-    write_comparison_csv,
-    write_curves_csv,
-    write_diagnostics_csv,
-)
-
-
-def half_rise_episode(returns: np.ndarray, window: int = 20) -> float:
-    """First episode where the trailing-mean return reaches half its final value."""
-    smoothed = np.array(
-        [returns[max(0, k - window + 1) : k + 1].mean() for k in range(returns.shape[0])]
-    )
-    final = smoothed[-1]
-    if final <= 0:
-        return float("inf")
-    hits = np.nonzero(smoothed >= 0.5 * final)[0]
-    return float(hits[0]) if hits.size else float("inf")
+from htnav.training import half_rise_episode, run_comparison
 
 
 def main() -> int:
@@ -55,10 +40,7 @@ def main() -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_comparison_csv(result, out / "comparison.csv")
-    for record in (result.cauchy, result.gaussian):
-        write_curves_csv(record, out / f"curve_{record.family}.csv")
-        write_diagnostics_csv(record, out / f"diagnostics_{record.family}.csv")
+    write_compare_dir(out, cfg, result)
 
     window = min(20, max(1, cfg.episodes))
     print(f"scenario={cfg.scenario} episodes={cfg.episodes} seeds={list(cfg.seeds)}")

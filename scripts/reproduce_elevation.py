@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Uneven-terrain comparison: train both families, then evaluate elevation cost.
 
-Trains on procedurally generated hilly worlds, evaluates each trained seed
-deterministically on held-out worlds, and prints the per-family table of
-success rate, trajectory length, and elevation cost.
+Trains on procedurally generated hilly worlds, writes the same run
+directory as ``htnav compare`` (its manifest records this script's config),
+evaluates each trained seed deterministically on held-out worlds, and
+prints the per-family table of success rate, trajectory length, and
+elevation cost.
 """
 
 import argparse
@@ -15,11 +17,11 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from htnav.checkpoint import save_checkpoint
+from htnav.cli import write_compare_dir
 from htnav.config import TrainConfig
 from htnav.env import EnvConfig
 from htnav.evaluation import evaluate
-from htnav.training import run_comparison, write_curves_csv
+from htnav.training import run_comparison
 from htnav.world import WorldGenConfig
 
 
@@ -44,15 +46,12 @@ def main() -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    write_compare_dir(out, cfg, result)
     print(f"episodes={cfg.episodes} eta={cfg.eta} seeds={list(cfg.seeds)}")
     print(f"{'family':>8} {'success%':>9} {'steps(all)':>11} {'elev cost':>10}")
     for record in (result.cauchy, result.gaussian):
-        write_curves_csv(record, out / f"curve_{record.family}.csv")
         rates, lengths, costs = [], [], []
         for run in record.seed_runs:
-            save_checkpoint(
-                out / f"checkpoint_{record.family}_seed{run.seed}.json", run.params, run.opt_state
-            )
             report = evaluate(
                 run.params, cfg, args.eval_episodes, mode="deterministic", seed=run.seed
             )

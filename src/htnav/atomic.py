@@ -1,5 +1,11 @@
-"""Atomic file output: every file htnav writes appears whole or not at all."""
+"""Atomic file output: every file htnav writes appears whole or not at all.
 
+``write_json`` and ``write_csv`` are the only code that knows the format
+of htnav's JSON and CSV files.
+"""
+
+import csv
+import json
 import os
 from contextlib import contextmanager
 
@@ -26,3 +32,20 @@ def atomic_open(path, newline=None):
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def write_json(path, doc) -> None:
+    """Write ``doc`` as indented JSON with sorted keys and a final newline."""
+    with atomic_open(path) as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` then ``rows`` in the csv module's default dialect (CRLF row
+    ends); ``float`` cells, ``np.float64`` too, are ``repr(float(v))``, bit-exact."""
+    with atomic_open(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])

@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from .atomic import atomic_open
+from .atomic import write_json
 from .net import ApproximatorSpec
 from .optimizer import OptimizerState
 from .policy import FAMILIES, PolicyParameters
@@ -55,9 +55,7 @@ def checkpoint_to_dict(params: PolicyParameters, opt_state: OptimizerState | Non
 
 
 def save_checkpoint(path, params: PolicyParameters, opt_state: OptimizerState | None = None) -> None:
-    with atomic_open(path) as fh:
-        json.dump(checkpoint_to_dict(params, opt_state), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, checkpoint_to_dict(params, opt_state))
 
 
 def _require(doc: dict, key: str):

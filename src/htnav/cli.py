@@ -2,14 +2,15 @@
 
 Every command writes into one run directory (default root from the
 HTNAV_OUT environment variable, else ./runs) containing a manifest that
-lists every file the command produced.  Outputs are byte-identical
-across reruns with the same inputs; the manifest is the only file that
-carries a timestamp.
+lists every file the command produced.  Every run-file writer lives here;
+the reproduction scripts write theirs through ``write_compare_dir``.
+Outputs are byte-identical across reruns with the same inputs; the
+manifest is the only file that carries a timestamp.
 """
 
 import argparse
-import json
 import logging
+import math
 import os
 import sys
 import time
@@ -18,21 +19,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .atomic import atomic_open
+from .atomic import atomic_open, write_csv, write_json
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, TrainConfig, apply_overrides, config_to_dict, load_config
 from .env import observation_dim
-from .evaluation import EVAL_MODES, evaluate, write_eval_rows_csv, write_eval_summary_json
+from .evaluation import EVAL_MODES, EvalReport, evaluate
 from .policy import FAMILIES
-from .rewards import reward_surface, write_surface_csv
-from .training import (
-    TrainingAbort,
-    run_comparison,
-    train,
-    write_comparison_csv,
-    write_curves_csv,
-    write_diagnostics_csv,
-)
+from .rewards import reward_surface
+from .training import ComparisonResult, RunRecord, TrainingAbort, run_comparison, train
 from .world import SCENARIOS, GenerationError
 
 log = logging.getLogger("htnav")
@@ -101,9 +95,90 @@ def _write_manifest(out_dir: Path, command: str, cfg: TrainConfig | None, files)
         "seeds": list(cfg.seeds) if cfg is not None else None,
         "files": sorted(files),
     }
-    with atomic_open(out_dir / "manifest.json") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out_dir / "manifest.json", manifest)
+
+
+def write_curves_csv(record: RunRecord, path) -> None:
+    """One row per (seed, episode)."""
+    rows = (
+        [run.seed, k, run.returns[k], run.steps[k], run.causes[k]]
+        for run in record.seed_runs
+        for k in range(len(run))
+    )
+    write_csv(path, ["seed", "episode", "return", "steps", "cause"], rows)
+
+
+def write_diagnostics_csv(record: RunRecord, path) -> None:
+    """One row per (seed, iteration); the columns after those two are ``SeedRun`` fields."""
+    columns = ["grad_raw_inf", "grad_clipped_inf", "horizon_sampled", "horizon_used", "max_abs_action"]
+    rows = (
+        [run.seed, k, *(getattr(run, c)[k] for c in columns)]
+        for run in record.seed_runs
+        for k in range(len(run))
+    )
+    write_csv(path, ["seed", "iteration", *columns], rows)
+
+
+def write_comparison_csv(result: ComparisonResult, path) -> None:
+    """One row per episode: each family's mean and std return over seeds."""
+    c, g = result.cauchy, result.gaussian
+    columns = zip(c.mean_curve(), c.std_curve(), g.mean_curve(), g.std_curve())
+    rows = ([k, *row] for k, row in enumerate(columns))
+    write_csv(path, ["episode", "cauchy_mean", "cauchy_std", "gaussian_mean", "gaussian_std"], rows)
+
+
+def write_eval_rows_csv(report: EvalReport, path) -> None:
+    rows = (
+        [r.episode, r.cause, r.steps, r.episode_return, r.elevation, r.final_distance]
+        for r in report.rows
+    )
+    write_csv(path, ["episode", "cause", "steps", "return", "elevation_cost", "final_distance"], rows)
+
+
+def write_eval_summary_json(report: EvalReport, path) -> None:
+    """Metrics left undefined because no episode succeeded are null, not NaN: standard JSON."""
+
+    def _num(v):
+        return float(v) if math.isfinite(v) else None
+
+    summary = {
+        "episodes": report.episodes,
+        "mode": report.mode,
+        "success_rate": report.success_rate,
+        "avg_traj_length_successful": _num(report.avg_traj_length),
+        "avg_traj_length_all": report.avg_traj_length_all,
+        "elevation_cost_all": report.elevation_cost,
+        "elevation_cost_successful": _num(report.elevation_cost_successful),
+    }
+    write_json(path, summary)
+
+
+def write_surface_csv(path, d_axis, other_axis, values, other_label: str) -> None:
+    """Header row holds the second axis, rows lead with d_goal; rows end in LF, not CRLF."""
+    with atomic_open(path) as fh:
+        fh.write("d_goal\\" + other_label + "," + ",".join(repr(float(v)) for v in other_axis) + "\n")
+        for d, row in zip(d_axis, values):
+            fh.write(",".join(repr(float(v)) for v in (d, *row)) + "\n")
+
+
+def write_record(out_dir: Path, record: RunRecord, tag: str = "") -> list[str]:
+    """Write ``record``'s curve, diagnostics and checkpoint files; return their names."""
+    names = [f"curve{tag}.csv", f"diagnostics{tag}.csv"]
+    write_curves_csv(record, out_dir / names[0])
+    write_diagnostics_csv(record, out_dir / names[1])
+    for run in record.seed_runs:
+        names.append(f"checkpoint{tag}_seed{run.seed}.json")
+        save_checkpoint(out_dir / names[-1], run.params, run.opt_state)
+    return names
+
+
+def write_compare_dir(out_dir: Path, cfg: TrainConfig, result: ComparisonResult) -> None:
+    """Write a ``compare`` run directory: comparison.csv, both records, manifest."""
+    write_comparison_csv(result, out_dir / "comparison.csv")
+    files = ["comparison.csv"]
+    for record in (result.cauchy, result.gaussian):
+        files += write_record(out_dir, record, f"_{record.family}")
+    _write_manifest(out_dir, "compare", cfg, files)
 
 
 def cmd_train(args) -> int:
@@ -112,13 +187,8 @@ def cmd_train(args) -> int:
     log.info("training family=%s scenario=%s seeds=%s episodes=%d",
              cfg.family, cfg.scenario, list(cfg.seeds), cfg.episodes)
     record = train(cfg)
-    files = ["curve.csv", "diagnostics.csv"]
-    write_curves_csv(record, out / "curve.csv")
-    write_diagnostics_csv(record, out / "diagnostics.csv")
+    files = write_record(out, record)
     for run in record.seed_runs:
-        name = f"checkpoint_seed{run.seed}.json"
-        save_checkpoint(out / name, run.params, run.opt_state)
-        files.append(name)
         if len(run):
             tail = run.returns[-20:]
             log.info("seed %d: mean return over final %d episodes = %.3f",
@@ -157,17 +227,7 @@ def cmd_compare(args) -> int:
     cfg = _build_config(args)
     out = _run_dir(args, f"compare-{cfg.scenario}")
     result = run_comparison(cfg)
-    files = ["comparison.csv"]
-    write_comparison_csv(result, out / "comparison.csv")
-    for record in (result.cauchy, result.gaussian):
-        write_curves_csv(record, out / f"curve_{record.family}.csv")
-        write_diagnostics_csv(record, out / f"diagnostics_{record.family}.csv")
-        files += [f"curve_{record.family}.csv", f"diagnostics_{record.family}.csv"]
-        for run in record.seed_runs:
-            name = f"checkpoint_{record.family}_seed{run.seed}.json"
-            save_checkpoint(out / name, run.params, run.opt_state)
-            files.append(name)
-    _write_manifest(out, "compare", cfg, files)
+    write_compare_dir(out, cfg, result)
     if cfg.episodes:
         window = min(20, cfg.episodes)
         cm = float(result.cauchy.mean_curve()[-window:].mean())

@@ -7,12 +7,14 @@ a run is fully described by (config, seeds).
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
-from .atomic import atomic_open
+from .atomic import write_json
 from .env import EnvConfig
 from .policy import FAMILIES
 from .rewards import RewardConfig
+from .typecheck import check_field_types
 from .world import SCENARIOS, WorldGenConfig
 
 DEFAULT_SEEDS = (0, 1, 2, 3, 4, 5)
@@ -36,13 +38,17 @@ class TrainConfig:
     epsilon: float = 1e-8
     episodes: int = 120
     max_steps: int = 300
-    seeds: tuple = DEFAULT_SEEDS
-    hidden_layers: tuple = ()
+    seeds: tuple[int, ...] = DEFAULT_SEEDS
+    hidden_layers: tuple[int, ...] = ()
     rewards: RewardConfig = field(default_factory=RewardConfig)
     env: EnvConfig = field(default_factory=EnvConfig)
     worldgen: WorldGenConfig = field(default_factory=WorldGenConfig)
 
     def __post_init__(self):
+        try:
+            check_field_types(self)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
         if self.family not in FAMILIES:
@@ -50,8 +56,8 @@ class TrainConfig:
         if not 0.0 < self.gamma < 1.0:
             raise ConfigError(f"gamma must be in (0, 1), got {self.gamma}")
         for name in ("sigma", "delta", "phi", "eta", "epsilon"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {getattr(self, name)}")
         for name in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
@@ -102,10 +108,9 @@ def _build_nested(cls, data, where):
         fixed[f.name] = value
     try:
         return cls(**fixed)
-    except ConfigError:
-        raise
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        # every field check's message starts with the field's name
+        raise ConfigError(f"{where}.{exc}") from exc
 
 
 def config_from_dict(data: dict) -> TrainConfig:
@@ -132,9 +137,7 @@ def config_from_dict(data: dict) -> TrainConfig:
 
 
 def save_config(cfg: TrainConfig, path):
-    with atomic_open(path) as fh:
-        json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, config_to_dict(cfg))
 
 
 def load_config(path) -> TrainConfig:

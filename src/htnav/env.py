@@ -7,7 +7,7 @@ randomness in a rollout comes from the policy.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -15,6 +15,7 @@ import numpy as np
 from . import rewards as rw
 from .geometry import bounds_walls, scan_ranges, wrap_angle
 from .terrain import pose_from_terrain
+from .typecheck import check_field_types
 from .world import World
 
 # feature scaling constants: the policy consumes O(1) inputs
@@ -34,16 +35,11 @@ class EnvConfig:
     scan_max_range: float = 10.0
 
     def __post_init__(self):
-        if not (self.v_max > 0 and self.omega_max > 0 and self.dt > 0):
-            raise ValueError("v_max, omega_max, dt must be positive")
-        if not (self.goal_radius > 0 and self.d_collision > 0):
-            raise ValueError("goal_radius and d_collision must be positive")
-        if self.n_scan_rays < 1:
-            raise ValueError("n_scan_rays must be >= 1")
-        if not (self.scan_max_range > 0 and math.isfinite(self.scan_max_range)):
-            raise ValueError(
-                f"scan_max_range must be positive and finite, got {self.scan_max_range}"
-            )
+        check_field_types(self)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{f.name} must be positive and finite, got {value}")
 
 
 class RewardBreakdown(NamedTuple):

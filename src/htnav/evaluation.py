@@ -1,13 +1,10 @@
 """Post-training evaluation: success rate, trajectory length, elevation cost."""
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .atomic import atomic_open
 from .config import TrainConfig
 from .policy import PolicyParameters
 from .training import EVAL_SALT, rollout
@@ -121,44 +118,3 @@ def evaluate(
         elevation_cost_successful=elev_success,
         rows=rows,
     )
-
-
-def write_eval_rows_csv(report: EvalReport, path) -> None:
-    with atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["episode", "cause", "steps", "return", "elevation_cost", "final_distance"])
-        for r in report.rows:
-            writer.writerow(
-                [
-                    r.episode,
-                    r.cause,
-                    r.steps,
-                    repr(float(r.episode_return)),
-                    repr(float(r.elevation)),
-                    repr(float(r.final_distance)),
-                ]
-            )
-
-
-def write_eval_summary_json(report: EvalReport, path) -> None:
-    """Machine-readable summary: success %, average steps, elevation cost.
-
-    Metrics that are undefined because no episode succeeded serialize as
-    null rather than NaN so the file stays standard JSON.
-    """
-
-    def _num(v):
-        return float(v) if math.isfinite(v) else None
-
-    summary = {
-        "episodes": report.episodes,
-        "mode": report.mode,
-        "success_rate": report.success_rate,
-        "avg_traj_length_successful": _num(report.avg_traj_length),
-        "avg_traj_length_all": report.avg_traj_length_all,
-        "elevation_cost_all": report.elevation_cost,
-        "elevation_cost_successful": _num(report.elevation_cost_successful),
-    }
-    with atomic_open(path) as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .atomic import atomic_open
+from .typecheck import check_field_types
 
 
 @dataclass
@@ -31,6 +31,7 @@ class RewardConfig:
     tilt_threshold: float = math.pi / 4
 
     def __post_init__(self):
+        check_field_types(self)
         if not 0.0 < self.sigma_g <= 0.1:
             raise ValueError(f"sigma_g must lie in (0, 0.1], got {self.sigma_g}")
         if not 0.0 < self.angle_threshold < math.pi / 2:
@@ -150,12 +151,3 @@ def reward_surface(
         obs_vals = np.array([r_obs(np.array([s]), d_collision, cfg) for s in other_axis])
         values = dist_vals[:, None] + obs_vals[None, :]
     return d_axis, other_axis, values
-
-
-def write_surface_csv(path, d_axis, other_axis, values, other_label: str) -> None:
-    """Delimited grid: header row holds the second axis, rows lead with d_goal."""
-    with atomic_open(path) as fh:
-        fh.write("d_goal\\" + other_label + "," + ",".join(repr(float(v)) for v in other_axis) + "\n")
-        for i, d in enumerate(d_axis):
-            row = ",".join(repr(float(v)) for v in values[i])
-            fh.write(f"{float(d)!r},{row}\n")

@@ -6,12 +6,11 @@ and the two policy families see identical per-episode worlds when
 trained on the same seed.
 """
 
-import csv
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .atomic import atomic_open
 from .config import TrainConfig
 from .env import NavEnv, observation_dim
 from .estimator import estimate, sample_horizon
@@ -199,13 +198,6 @@ class ComparisonResult:
     cauchy: RunRecord
     gaussian: RunRecord
 
-    def aligned_curves(self) -> np.ndarray:
-        """(episodes, 5) table: episode, cauchy mean/std, gaussian mean/std."""
-        cm, cs = self.cauchy.mean_curve(), self.cauchy.std_curve()
-        gm, gs = self.gaussian.mean_curve(), self.gaussian.std_curve()
-        episodes = np.arange(cm.shape[0], dtype=float)
-        return np.column_stack([episodes, cm, cs, gm, gs])
-
 
 def run_comparison(cfg: TrainConfig) -> ComparisonResult:
     """Train both families on ``cfg``'s seeds and worlds; ``cfg.family`` is not read."""
@@ -215,51 +207,16 @@ def run_comparison(cfg: TrainConfig) -> ComparisonResult:
     )
 
 
-def write_curves_csv(record: RunRecord, path) -> None:
-    """One row per (seed, episode); floats via repr for exact round-trips."""
-    with atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["seed", "episode", "return", "steps", "cause"])
-        for run in record.seed_runs:
-            for k in range(len(run)):
-                writer.writerow(
-                    [run.seed, k, repr(float(run.returns[k])), int(run.steps[k]), run.causes[k]]
-                )
-
-
-def write_diagnostics_csv(record: RunRecord, path) -> None:
-    with atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "seed",
-                "iteration",
-                "grad_raw_inf",
-                "grad_clipped_inf",
-                "horizon_sampled",
-                "horizon_used",
-                "max_abs_action",
-            ]
-        )
-        for run in record.seed_runs:
-            for k in range(len(run)):
-                writer.writerow(
-                    [
-                        run.seed,
-                        k,
-                        repr(float(run.grad_raw_inf[k])),
-                        repr(float(run.grad_clipped_inf[k])),
-                        int(run.horizon_sampled[k]),
-                        int(run.horizon_used[k]),
-                        repr(float(run.max_abs_action[k])),
-                    ]
-                )
-
-
-def write_comparison_csv(result: ComparisonResult, path) -> None:
-    table = result.aligned_curves()
-    with atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["episode", "cauchy_mean", "cauchy_std", "gaussian_mean", "gaussian_std"])
-        for row in table:
-            writer.writerow([int(row[0])] + [repr(float(v)) for v in row[1:]])
+def half_rise_episode(returns: np.ndarray, window: int = 20) -> float:
+    """First episode whose trailing ``window``-episode mean return reaches
+    half of its final value; ``math.inf`` when that final value is not
+    positive.
+    """
+    smoothed = np.array(
+        [returns[max(0, k - window + 1) : k + 1].mean() for k in range(returns.shape[0])]
+    )
+    final = smoothed[-1]
+    if not final > 0:
+        return math.inf
+    # the final episode always qualifies, so argmax finds a hit
+    return int(np.argmax(smoothed >= 0.5 * final))

@@ -1,0 +1,42 @@
+"""Field type checks shared by the config dataclasses."""
+
+import dataclasses
+import numbers
+import typing
+
+# (singular, plural) for error messages
+_NAMES = {int: ("an integer", "integers"), float: ("a number", "numbers")}
+
+
+def _fits(value, kind) -> bool:
+    # bool is an int subclass, but True is no episode count
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, numbers.Integral if kind is int else numbers.Real)
+
+
+def check_field_types(obj) -> None:
+    """Raise ValueError naming the first field whose value does not fit its annotation.
+
+    ``int`` fields take integers and ``float`` fields take real numbers;
+    ``tuple[...]`` fields take a list or tuple of those, of the annotated
+    length unless the annotation ends in ``...``.  Fields of other types
+    are left to the dataclass's own checks, as are ranges and finiteness.
+    """
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if typing.get_origin(f.type) is tuple:
+            kinds = typing.get_args(f.type)
+            n = None if kinds[-1] is Ellipsis else len(kinds)
+            ok = (
+                isinstance(value, (list, tuple))
+                and (n is None or len(value) == n)
+                and all(_fits(v, kinds[0]) for v in value)
+            )
+            what = f"a list of {'' if n is None else f'{n} '}{_NAMES[kinds[0]][1]}"
+        elif f.type in _NAMES:
+            ok, what = _fits(value, f.type), _NAMES[f.type][0]
+        else:
+            continue
+        if not ok:
+            raise ValueError(f"{f.name} must be {what}, got {value!r}")

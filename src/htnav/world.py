@@ -15,6 +15,7 @@ import numpy as np
 
 from .geometry import Circle, Obstacle, Wall, point_obstacle_clearance, wrap_angle
 from .terrain import Heightmap, terrain_gradient
+from .typecheck import check_field_types
 
 SCENARIOS = ("goal_reaching", "obstacle_avoidance", "uneven_terrain")
 
@@ -50,6 +51,35 @@ class WorldGenConfig:
     elevation_gain: tuple[float, float] = (2.5, 4.0)
     max_elevation_gain: float = 4.0
     max_spawn_slope: float = 0.2
+
+    def __post_init__(self):
+        check_field_types(self)
+        finite = math.isfinite
+        rules = [
+            (("cell_size", "retries"), lambda v: 0 < v and finite(v), "positive and finite"),
+            (
+                ("margin", "obstacle_clearance", "min_start_misalignment", "ripple_amplitude",
+                 "n_hills", "max_elevation_gain", "max_spawn_slope"),
+                lambda v: 0 <= v and finite(v),
+                ">= 0 and finite",
+            ),
+            (("n_trees", "n_walls"), lambda r: 0 <= r[0] <= r[1], "a range with 0 <= low <= high"),
+            (
+                ("separation", "tree_radius", "wall_length", "wall_thickness", "hill_sigma",
+                 "hill_amplitude", "elevation_gain"),
+                lambda r: 0 < r[0] <= r[1] and finite(r[1]),
+                "a finite range with 0 < low <= high",
+            ),
+            (
+                ("bounds",),
+                lambda b: all(map(finite, b)) and min(b[2] - b[0], b[3] - b[1]) > 2 * self.margin,
+                "finite and span more than 2 * margin on both axes",
+            ),
+        ]
+        for names, ok, rule in rules:
+            for name in names:
+                if not ok(getattr(self, name)):
+                    raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
 
 
 @dataclass

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -47,3 +49,10 @@ def world_fields(world):
         hm.elevations.shape,
         hm.elevations.tobytes(),
     )
+
+
+def assert_manifest_lists_dir(out):
+    """The run directory holds exactly the manifest and the files it lists."""
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["files"] == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+    return manifest

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from htnav.cli import write_curves_csv
 from htnav.config import TrainConfig
 from htnav.env import EnvConfig
 from htnav.estimator import estimate_gradient, sample_horizon
@@ -21,7 +22,7 @@ from htnav.optimizer import OptimizerState, ascent_step
 from htnav.policy import PolicyParameters, forward_mean, log_density, sample_action, score
 from htnav.rewards import RewardConfig, r_heading, r_obs, r_stable, reward_surface
 from htnav.trajectory import Trajectory
-from htnav.training import run_comparison, write_curves_csv
+from htnav.training import half_rise_episode, run_comparison
 from htnav.world import WorldGenConfig
 
 SIGMA = 0.25
@@ -273,22 +274,6 @@ def test_criterion_07_constraints_never_violated(capsys, fig2):
     )
 
 
-def _smoothed(returns, window=20):
-    return np.array(
-        [returns[max(0, k - window + 1) : k + 1].mean() for k in range(returns.shape[0])]
-    )
-
-
-def _crossing_episode(returns):
-    """First episode where the 20-episode moving average reaches half its final value."""
-    s = _smoothed(returns)
-    final = s[-1]
-    if final <= 0:
-        return math.inf
-    hits = np.nonzero(s >= 0.5 * final)[0]
-    return int(hits[0]) if hits.size else math.inf
-
-
 def test_criterion_08_learning_curve_shape(capsys, fig2):
     t0 = time.perf_counter()
     c_runs = fig2.cauchy.seed_runs
@@ -298,7 +283,7 @@ def test_criterion_08_learning_curve_shape(capsys, fig2):
     wins = sum(
         1
         for c, g in zip(c_runs, g_runs)
-        if _crossing_episode(c.returns) < _crossing_episode(g.returns)
+        if half_rise_episode(c.returns) < half_rise_episode(g.returns)
     )
     ok = c_final > g_final and wins >= 5
     elapsed = time.perf_counter() - t0

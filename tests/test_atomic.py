@@ -11,7 +11,7 @@ import pytest
 import htnav.checkpoint
 from htnav.atomic import atomic_open
 from htnav.checkpoint import save_checkpoint
-from htnav.training import write_curves_csv
+from htnav.cli import write_curves_csv
 
 from conftest import make_params
 
@@ -21,6 +21,11 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "htnav"
 class _Run(SimpleNamespace):
     def __len__(self):
         return len(self.returns)
+
+
+class _Unprintable:
+    def __str__(self):
+        raise TypeError("this cell cannot be formatted")
 
 
 def _write_old(path):
@@ -60,9 +65,9 @@ def test_raise_mid_write_keeps_previous_file(tmp_path):
 def test_csv_writer_failing_mid_write_keeps_previous_file(tmp_path):
     path = tmp_path / "curve.csv"
     before = _write_old(path)
-    # the second row's return cannot be formatted, after the header and
+    # the second row's cause cannot be formatted, after the header and
     # the first row were written
-    run = _Run(seed=0, returns=[1.0, object()], steps=np.array([3, 4]), causes=["timeout"] * 2)
+    run = _Run(seed=0, returns=[1.0, 2.0], steps=np.array([3, 4]), causes=["timeout", _Unprintable()])
     with pytest.raises(TypeError):
         write_curves_csv(SimpleNamespace(seed_runs=[run]), path)
     assert path.read_bytes() == before
@@ -99,3 +104,53 @@ def test_only_atomic_open_opens_files_for_writing():
     }
     assert found == {}
     assert _write_mode_opens('open(p, "w")\nopen(p)\nopen(p, mode="a")\n') == [1, 3]
+
+
+def _format_code(source: str) -> list[int]:
+    """Lines that import csv or reach json.dump."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            hit = any(alias.name == "csv" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            hit = node.module == "csv" or (
+                node.module == "json" and any(alias.name == "dump" for alias in node.names)
+            )
+        else:
+            hit = (
+                isinstance(node, ast.Attribute)
+                and node.attr == "dump"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "json"
+            )
+        if hit:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def _imports_atomic(source: str) -> bool:
+    return any(
+        isinstance(node, ast.ImportFrom)
+        and ((node.module or "").endswith("atomic") or any(a.name == "atomic" for a in node.names))
+        for node in ast.walk(ast.parse(source))
+    )
+
+
+def test_only_atomic_knows_the_file_formats():
+    found = {
+        path.name: lines
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "atomic.py" and (lines := _format_code(path.read_text()))
+    }
+    assert found == {}
+    # the compute modules hand their results to cli.py, which writes them
+    assert [
+        name
+        for name in ("training.py", "evaluation.py", "rewards.py")
+        if _imports_atomic((SRC / name).read_text())
+    ] == []
+    probe = "import csv\nfrom csv import writer\njson.dump(d, f)\njson.dumps(d)\nfrom json import dump\n"
+    assert _format_code(probe) == [1, 2, 3, 5]
+    assert _imports_atomic("from .atomic import write_csv\n")
+    assert _imports_atomic("from . import atomic\n")
+    assert not _imports_atomic("from .config import TrainConfig\n")

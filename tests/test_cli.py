@@ -6,6 +6,8 @@ import pytest
 from htnav.cli import main
 from htnav.config import TrainConfig, save_config
 
+from conftest import assert_manifest_lists_dir
+
 FAST = [
     "--episodes",
     "2",
@@ -94,6 +96,29 @@ def test_bad_scan_max_range_is_config_error(tmp_path, caplog, value):
     out = tmp_path / "x"
     assert run(["train", *FAST, "--set", f"env.scan_max_range={value}", "--out", str(out)]) == 2
     assert "scan_max_range must be positive and finite" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        "delta=Infinity",
+        "sigma=Infinity",
+        "episodes=1.5",
+        "max_steps=2.5",
+        "seeds=[0.7]",
+        "env.n_scan_rays=2.5",
+        "env.dt=Infinity",
+        "worldgen.cell_size=0",
+        "worldgen.separation=[40,10]",
+        "worldgen.bounds=[0,0,1,1]",
+    ],
+)
+def test_bad_config_value_names_its_key(tmp_path, caplog, setting):
+    out = tmp_path / "x"
+    assert run(["train", *FAST, "--set", setting, "--out", str(out)]) == 2
+    key = setting.split("=")[0]
+    assert f"error: {key} must be" in caplog.text
     assert not out.exists()
 
 
@@ -227,6 +252,20 @@ def test_surface_scan_axes(tmp_path):
     code = run(["surface", "--axes", "dist_scan", "--n-d", "4", "--n-other", "4", "--out", str(out)])
     assert code == 0
     assert (out / "surface.csv").read_text().startswith("d_goal\\min_scan,")
+
+
+def test_manifest_lists_every_file(tmp_path):
+    runs = {
+        "train": ["train", *FAST],
+        "compare": ["compare", *FAST],
+        "surface": ["surface", "--n-d", "4", "--n-other", "4"],
+    }
+    for name, argv in runs.items():
+        assert run([*argv, "--out", str(tmp_path / name)]) == 0
+    checkpoint = str(tmp_path / "train" / "checkpoint_seed0.json")
+    assert run(["eval", checkpoint, "--set", "max_steps=30", "-n", "2", "--out", str(tmp_path / "eval")]) == 0
+    for name in (*runs, "eval"):
+        assert assert_manifest_lists_dir(tmp_path / name)["command"] == name
 
 
 def test_parser_requires_command():

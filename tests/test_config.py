@@ -86,6 +86,12 @@ def test_unknown_nested_key_rejected():
         {"seeds": (1, 1)},
         {"hidden_layers": (0,)},
         {"delta": 0.0},
+        {"delta": math.inf},
+        {"epsilon": math.nan},
+        {"episodes": 1.5},
+        {"max_steps": True},
+        {"seeds": (0.7,)},
+        {"hidden_layers": (8.0,)},
     ],
 )
 def test_invalid_values_raise(kwargs):

@@ -8,13 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from htnav.cli import write_eval_rows_csv, write_eval_summary_json
 from htnav.config import TrainConfig
-from htnav.evaluation import (
-    elevation_cost,
-    evaluate,
-    write_eval_rows_csv,
-    write_eval_summary_json,
-)
+from htnav.evaluation import elevation_cost, evaluate
 from htnav.training import initial_params
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from htnav.cli import write_surface_csv
 from htnav.env import NavEnv
 from htnav.geometry import Circle
 from htnav.rewards import (
@@ -15,7 +16,6 @@ from htnav.rewards import (
     r_obs,
     r_stable,
     reward_surface,
-    write_surface_csv,
 )
 from htnav.terrain import Heightmap
 from htnav.world import SCENARIOS, World

@@ -4,9 +4,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+from conftest import assert_manifest_lists_dir
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 FAMILIES = ("cauchy", "gaussian")
 DEFAULT_SEEDS = range(6)
+
+
+def _compare_files(seeds):
+    """What ``htnav compare`` writes for ``seeds``, manifest included."""
+    names = {"comparison.csv", "manifest.json"}
+    for family in FAMILIES:
+        names |= {f"curve_{family}.csv", f"diagnostics_{family}.csv"}
+        names |= {f"checkpoint_{family}_seed{seed}.json" for seed in seeds}
+    return names
 
 
 def _run(script, tmp_path, *args):
@@ -23,10 +34,8 @@ def _run(script, tmp_path, *args):
 
 def test_reproduce_curves(tmp_path):
     out, stdout = _run("reproduce_curves.py", tmp_path, "--episodes", "2", "--seeds", "0,1")
-    expected = {"comparison.csv"}
-    for family in FAMILIES:
-        expected |= {f"curve_{family}.csv", f"diagnostics_{family}.csv"}
-    assert {p.name for p in out.iterdir()} == expected
+    assert {p.name for p in out.iterdir()} == _compare_files([0, 1])
+    assert assert_manifest_lists_dir(out)["command"] == "compare"
     assert len((out / "comparison.csv").read_text().splitlines()) == 1 + 2
     assert len((out / "curve_cauchy.csv").read_text().splitlines()) == 1 + 2 * 2
     assert "seeds=[0, 1]" in stdout
@@ -34,11 +43,11 @@ def test_reproduce_curves(tmp_path):
 
 def test_reproduce_elevation(tmp_path):
     out, stdout = _run("reproduce_elevation.py", tmp_path, "--episodes", "2", "--eval-episodes", "2")
-    expected = set()
-    for family in FAMILIES:
-        expected.add(f"curve_{family}.csv")
-        expected |= {f"checkpoint_{family}_seed{seed}.json" for seed in DEFAULT_SEEDS}
-    assert {p.name for p in out.iterdir()} == expected
+    assert {p.name for p in out.iterdir()} == _compare_files(DEFAULT_SEEDS)
+    manifest = assert_manifest_lists_dir(out)
+    # the script's own settings, which no CLI default gives, are on record
+    assert manifest["config"]["eta"] == 0.05
+    assert manifest["config"]["env"]["v_max"] == 2.0
     # family, success %, mean steps, mean elevation cost
     table = [line.split() for line in stdout.splitlines() if line.split()[:1] in (["cauchy"], ["gaussian"])]
     assert [row[0] for row in table] == list(FAMILIES)
