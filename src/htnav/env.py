@@ -36,6 +36,7 @@ class EnvConfig:
 
     def __post_init__(self):
         check_field_types(self)
+        # every env knob is a positive, finite number
         for f in fields(self):
             value = getattr(self, f.name)
             if not 0 < value < math.inf:
