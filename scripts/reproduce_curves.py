@@ -42,14 +42,17 @@ def main() -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_compare_dir(out, cfg, result)
 
-    window = min(20, max(1, cfg.episodes))
+    window = min(20, cfg.episodes)
     print(f"scenario={cfg.scenario} episodes={cfg.episodes} seeds={list(cfg.seeds)}")
     for record in (result.cauchy, result.gaussian):
-        finals = [run.returns[-window:].mean() for run in record.seed_runs]
+        # with no episodes there is no final window to average
+        final = "n/a"
+        if window:
+            final = f"{np.mean([run.returns[-window:].mean() for run in record.seed_runs]):.3f}"
         rises = [half_rise_episode(run.returns) for run in record.seed_runs]
         rise_txt = ", ".join("never" if r == float("inf") else f"{r:.0f}" for r in rises)
         print(
-            f"{record.family:>8}: final-{window} mean return {np.mean(finals):8.3f} "
+            f"{record.family:>8}: final-{window} mean return {final:>8} "
             f"(per-seed half-rise episodes: {rise_txt})"
         )
     print(f"wrote {out}/comparison.csv")

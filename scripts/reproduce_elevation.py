@@ -32,6 +32,9 @@ def main() -> int:
     parser.add_argument("--eta", type=float, default=0.05)
     parser.add_argument("--out", default="runs/elevation")
     args = parser.parse_args()
+    if args.eval_episodes < 1:
+        # evaluate() would refuse this only after the whole comparison has trained
+        parser.error(f"--eval-episodes must be >= 1, got {args.eval_episodes}")
 
     # faster robot and a looser spawn-misalignment floor keep desk-scale
     # training long enough to see terrain interaction within the budget

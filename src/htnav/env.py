@@ -151,7 +151,7 @@ class NavEnv:
         """
         if self.pose is None:
             raise RuntimeError("call reset() before step()")
-        action = np.asarray(projected_action, dtype=float)
+        action = (float(projected_action[0]), float(projected_action[1]))
         x, y, psi = kinematic_step(*self.pose[:3], action, self.cfg)
         x0, y0, x1, y1 = self.world.bounds
         x = min(max(x, x0), x1)

@@ -4,9 +4,9 @@ Two families share one parametrization: a heavy-tailed Cauchy policy
 (location = approximator output, fixed scale sigma) and a light-tailed
 Gaussian policy (mean = approximator output, fixed standard deviation
 sigma).  Action dimensions are sampled independently with the shared
-scalar sigma.  Sampling, log-density, and the analytic score function
-all operate on the raw (pre-projection) action; the infinity-norm
-projection only constrains what gets executed.
+scalar sigma.  Sampling and the analytic score function operate on the
+raw (pre-projection) action; the infinity-norm projection only constrains
+what gets executed.
 """
 
 from dataclasses import dataclass, field, replace
@@ -16,8 +16,6 @@ import numpy as np
 from .net import ApproximatorSpec, backward_batch, forward_batch, init_weights, unpack_weights
 
 FAMILIES = ("cauchy", "gaussian")
-
-LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 @dataclass
@@ -63,10 +61,16 @@ def forward_mean(params: PolicyParameters, obs: np.ndarray) -> np.ndarray:
 
 
 def project_action(raw: np.ndarray, delta: float) -> np.ndarray:
-    """Project onto the infinity-norm ball: component-wise clamp to [-delta, delta]."""
+    """Clamp one action vector component-wise to [-delta, delta] (the infinity-norm ball).
+
+    Clamps each component as ``np.clip`` does, in Python floats: NaN and
+    -0.0 pass through unchanged.
+    """
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    return np.clip(np.asarray(raw, dtype=float), -delta, delta)
+    lo = -delta
+    values = np.asarray(raw, dtype=float).tolist()
+    return np.array([lo if v < lo else delta if v > delta else v for v in values], dtype=float)
 
 
 def sample_action(
@@ -87,16 +91,6 @@ def sample_action(
     else:
         raw = mu + params.sigma * rng.standard_normal(mu.shape[0])
     return raw, project_action(raw, delta)
-
-
-def log_density(params: PolicyParameters, obs: np.ndarray, action: np.ndarray) -> float:
-    """Log-density of a raw action under the policy, summed over dimensions."""
-    z = (np.asarray(action, dtype=float) - forward_mean(params, obs)) / params.sigma
-    if params.family == "cauchy":
-        per_dim = -np.log(np.pi * params.sigma) - np.log1p(z**2)
-    else:
-        per_dim = -0.5 * (LOG_2PI + 2.0 * np.log(params.sigma)) - 0.5 * z**2
-    return float(per_dim.sum())
 
 
 def dlogp_dmean(params: PolicyParameters, mu: np.ndarray, action: np.ndarray) -> np.ndarray:

@@ -37,40 +37,62 @@ class Heightmap:
         return int(self.elevations.shape[0])
 
 
-def flat_heightmap(size: float, cell_size: float = 1.0, origin=(0.0, 0.0)) -> Heightmap:
-    n = int(round(size / cell_size)) + 1
-    return Heightmap(cell_size=cell_size, elevations=np.zeros((n, n)), origin=origin)
+def _elevations(hm: Heightmap, points) -> list[float]:
+    """Bilinear elevation at each ``(x, y)`` of ``points``, border-clamped.
+
+    Each lookup interpolates the four surrounding nodes.  The comparisons
+    are those of ``min(max(g, 0.0), n - 1.0)``: a NaN coordinate passes
+    the clamp and fails at ``int``, and -0.0 survives it.
+    """
+    grid = hm.elevations
+    height, width = grid.shape
+    x_top = width - 1.0
+    y_top = height - 1.0
+    ox, oy = hm.origin
+    cell = hm.cell_size
+    nodes = memoryview(grid.reshape(-1))  # flat view, read as Python floats
+    out = []
+    for x, y in points:
+        gx = (x - ox) / cell
+        gy = (y - oy) / cell
+        gx = 0.0 if 0.0 > gx else x_top if x_top < gx else gx
+        gy = 0.0 if 0.0 > gy else y_top if y_top < gy else gy
+        ix = 0
+        if width > 1:
+            ix = int(gx)
+            if ix > width - 2:
+                ix = width - 2
+        iy = 0
+        if height > 1:
+            iy = int(gy)
+            if iy > height - 2:
+                iy = height - 2
+        fx = gx - ix
+        fy = gy - iy
+        k = iy * width + ix
+        if width > 1 and height > 1:
+            top = nodes[k] * (1 - fx) + nodes[k + 1] * fx
+            bot = nodes[k + width] * (1 - fx) + nodes[k + width + 1] * fx
+            out.append(top * (1 - fy) + bot * fy)
+        elif width > 1:
+            out.append(nodes[k] * (1 - fx) + nodes[k + 1] * fx)
+        elif height > 1:
+            out.append(nodes[k] * (1 - fy) + nodes[k + width] * fy)
+        else:
+            out.append(nodes[0])
+    return out
 
 
 def elevation_at(hm: Heightmap, x: float, y: float) -> float:
     """Bilinear interpolation over the four surrounding nodes, border-clamped."""
-    height, width = hm.elevations.shape
-    gx = (x - hm.origin[0]) / hm.cell_size
-    gy = (y - hm.origin[1]) / hm.cell_size
-    gx = min(max(gx, 0.0), width - 1.0)
-    gy = min(max(gy, 0.0), height - 1.0)
-    ix = min(int(gx), width - 2) if width > 1 else 0
-    iy = min(int(gy), height - 2) if height > 1 else 0
-    fx = gx - ix
-    fy = gy - iy
-    e = hm.elevations.item  # nodes as Python floats: no numpy-scalar arithmetic
-    if width == 1 and height == 1:
-        return e(0, 0)
-    if width == 1:
-        return e(iy, 0) * (1 - fy) + e(iy + 1, 0) * fy
-    if height == 1:
-        return e(0, ix) * (1 - fx) + e(0, ix + 1) * fx
-    top = e(iy, ix) * (1 - fx) + e(iy, ix + 1) * fx
-    bot = e(iy + 1, ix) * (1 - fx) + e(iy + 1, ix + 1) * fx
-    return top * (1 - fy) + bot * fy
+    return _elevations(hm, ((x, y),))[0]
 
 
 def terrain_gradient(hm: Heightmap, x: float, y: float) -> tuple[float, float]:
     """(dz/dx, dz/dy) by central differences over one cell."""
     h = hm.cell_size
-    dzdx = (elevation_at(hm, x + h, y) - elevation_at(hm, x - h, y)) / (2.0 * h)
-    dzdy = (elevation_at(hm, x, y + h) - elevation_at(hm, x, y - h)) / (2.0 * h)
-    return dzdx, dzdy
+    east, west, north, south = _elevations(hm, ((x + h, y), (x - h, y), (x, y + h), (x, y - h)))
+    return (east - west) / (2.0 * h), (north - south) / (2.0 * h)
 
 
 def pose_from_terrain(
@@ -78,12 +100,17 @@ def pose_from_terrain(
 ) -> tuple[float, float, float, float, float, float]:
     """Ground a planar pose on the terrain: ``(x, y, psi, z, roll, pitch)``.
 
-    Pitch is the slope along the heading (positive = nose up); roll is
-    the slope along the heading's left perpendicular (positive = left
-    side up).
+    ``z`` is ``elevation_at`` and the slope is ``terrain_gradient``, all
+    five lookups made in one pass.  Pitch is the slope along the heading
+    (positive = nose up); roll is the slope along the heading's left
+    perpendicular (positive = left side up).
     """
-    z = elevation_at(hm, x, y)
-    dzdx, dzdy = terrain_gradient(hm, x, y)
+    h = hm.cell_size
+    z, east, west, north, south = _elevations(
+        hm, ((x, y), (x + h, y), (x - h, y), (x, y + h), (x, y - h))
+    )
+    dzdx = (east - west) / (2.0 * h)
+    dzdy = (north - south) / (2.0 * h)
     c, s = math.cos(psi), math.sin(psi)
     pitch = math.atan(dzdx * c + dzdy * s)
     roll = math.atan(-dzdx * s + dzdy * c)

@@ -209,9 +209,11 @@ def run_comparison(cfg: TrainConfig) -> ComparisonResult:
 
 def half_rise_episode(returns: np.ndarray, window: int = 20) -> float:
     """First episode whose trailing ``window``-episode mean return reaches
-    half of its final value; ``math.inf`` when that final value is not
-    positive.
+    half of its final value; ``math.inf`` when there are no episodes or
+    that final value is not positive.
     """
+    if returns.shape[0] == 0:
+        return math.inf
     smoothed = np.array(
         [returns[max(0, k - window + 1) : k + 1].mean() for k in range(returns.shape[0])]
     )

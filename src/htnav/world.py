@@ -97,10 +97,20 @@ class World:
 
 
 def _hill_field(xs, ys, centers, sigmas, amps) -> np.ndarray:
-    gx, gy = np.meshgrid(xs, ys)
-    z = np.zeros_like(gx)
+    """Sum of Gaussian hills ``a * exp(-(dx**2 + dy**2) / (2 s**2))`` on the ``ys x xs`` grid.
+
+    Each hill's exponent is the broadcast sum of its two 1-D halves,
+    built in one reused buffer: ``(-dx**2) + (-dy**2)`` equals
+    ``-(dx**2 + dy**2)`` bit for bit, since negation is exact.
+    """
+    z = np.zeros((ys.shape[0], xs.shape[0]))
+    buf = np.empty_like(z)
     for (cx, cy), s, a in zip(centers, sigmas, amps):
-        z += a * np.exp(-((gx - cx) ** 2 + (gy - cy) ** 2) / (2.0 * s * s))
+        np.add(-((xs - cx) ** 2), -((ys - cy) ** 2)[:, None], out=buf)
+        np.divide(buf, 2.0 * s * s, out=buf)
+        np.exp(buf, out=buf)
+        np.multiply(buf, a, out=buf)
+        z += buf
     return z
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from htnav.net import ApproximatorSpec
-from htnav.policy import PolicyParameters
+from htnav.policy import PolicyParameters, forward_mean
+from htnav.terrain import Heightmap
 
 # A wide heading cone, long steps, a big collision radius and a low tilt
 # threshold make the heading, collision and tilt terms fire within 40
@@ -29,6 +30,28 @@ def make_params(input_dim=4, hidden=(), sigma=0.25, family="cauchy", seed=0, sca
     r = np.random.default_rng(seed)
     weights = scale * r.standard_normal(spec.num_weights)
     return PolicyParameters(spec=spec, weights=weights, sigma=sigma, family=family)
+
+
+LOG_2PI = float(np.log(2.0 * np.pi))
+
+
+def log_density(params, obs, action) -> float:
+    """Log-density of a raw action under the policy, summed over dimensions.
+
+    The oracle that ``policy.score`` is checked against by finite differences.
+    """
+    z = (np.asarray(action, dtype=float) - forward_mean(params, obs)) / params.sigma
+    if params.family == "cauchy":
+        per_dim = -np.log(np.pi * params.sigma) - np.log1p(z**2)
+    else:
+        per_dim = -0.5 * (LOG_2PI + 2.0 * np.log(params.sigma)) - 0.5 * z**2
+    return float(per_dim.sum())
+
+
+def flat_heightmap(size: float, cell_size: float = 1.0, origin=(0.0, 0.0)) -> Heightmap:
+    """All-zero square grid spanning ``[0, size]`` from ``origin``."""
+    n = int(round(size / cell_size)) + 1
+    return Heightmap(cell_size=cell_size, elevations=np.zeros((n, n)), origin=origin)
 
 
 def world_fields(world):

@@ -19,11 +19,13 @@ from htnav.estimator import estimate_gradient, sample_horizon
 from htnav.evaluation import evaluate
 from htnav.net import ApproximatorSpec
 from htnav.optimizer import OptimizerState, ascent_step
-from htnav.policy import PolicyParameters, forward_mean, log_density, sample_action, score
+from htnav.policy import PolicyParameters, forward_mean, sample_action, score
 from htnav.rewards import RewardConfig, r_heading, r_obs, r_stable, reward_surface
 from htnav.trajectory import Trajectory
 from htnav.training import half_rise_episode, run_comparison
 from htnav.world import WorldGenConfig
+
+from conftest import log_density
 
 SIGMA = 0.25
 

@@ -11,8 +11,9 @@ from htnav.env import (
     observation_dim,
 )
 from htnav.geometry import Circle
-from htnav.terrain import flat_heightmap
 from htnav.world import World, generate_world
+
+from conftest import flat_heightmap
 
 
 def flat_world(scenario="goal_reaching", start=(5.0, 5.0, 0.0), goal=(15.0, 5.0), obstacles=()):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,14 +11,13 @@ from htnav.policy import (
     dlogp_dmean,
     forward_mean,
     init_policy,
-    log_density,
     project_action,
     sample_action,
     score,
     weighted_score_sum,
 )
 
-from conftest import make_params
+from conftest import log_density, make_params
 
 
 def test_parameters_validate_shapes_and_sigma():
@@ -42,6 +43,33 @@ def test_project_action_clamps():
     )
     with pytest.raises(ValueError):
         project_action(np.zeros(2), 0.0)
+
+
+def _clip_edges(delta):
+    """NaN, the infinities, both zeros, exactly +-delta and one ulp to either side of it."""
+    out = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-300, -1e300]
+    for edge in (delta, -delta):
+        out += [edge, math.nextafter(edge, math.inf), math.nextafter(edge, -math.inf)]
+    return out
+
+
+@pytest.mark.parametrize("delta", [1.0, 0.3, 2.5, 1, math.inf])
+def test_project_action_matches_np_clip_on_edges(delta):
+    edges = _clip_edges(float(delta))
+    for a in edges:
+        for b in edges:
+            raw = np.array([a, b])
+            got = project_action(raw, delta)
+            assert got.dtype == np.float64 and got.shape == (2,)
+            # bytes, so -0.0 and NaN count
+            assert got.tobytes() == np.clip(raw, -delta, delta).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), min_size=2, max_size=2), st.floats(5e-324, 1e300))
+def test_project_action_matches_np_clip_bits(raw, delta):
+    raw = np.array(raw)
+    assert project_action(raw, delta).tobytes() == np.clip(raw, -delta, delta).tobytes()
 
 
 def test_sampling_is_reproducible():

@@ -20,7 +20,7 @@ def _compare_files(seeds):
     return names
 
 
-def _run(script, tmp_path, *args):
+def _run(script, tmp_path, *args, returncode=0):
     out = tmp_path / "out"
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / script), *args, "--out", str(out)],
@@ -28,30 +28,48 @@ def _run(script, tmp_path, *args):
         text=True,
         timeout=300,
     )
-    assert proc.returncode == 0, proc.stderr
-    return out, proc.stdout
+    assert proc.returncode == returncode, proc.stderr
+    return out, proc
 
 
 def test_reproduce_curves(tmp_path):
-    out, stdout = _run("reproduce_curves.py", tmp_path, "--episodes", "2", "--seeds", "0,1")
+    out, proc = _run("reproduce_curves.py", tmp_path, "--episodes", "2", "--seeds", "0,1")
     assert {p.name for p in out.iterdir()} == _compare_files([0, 1])
     assert assert_manifest_lists_dir(out)["command"] == "compare"
     assert len((out / "comparison.csv").read_text().splitlines()) == 1 + 2
     assert len((out / "curve_cauchy.csv").read_text().splitlines()) == 1 + 2 * 2
-    assert "seeds=[0, 1]" in stdout
+    assert "seeds=[0, 1]" in proc.stdout
+
+
+def test_reproduce_curves_with_no_episodes(tmp_path):
+    out, proc = _run("reproduce_curves.py", tmp_path, "--episodes", "0", "--seeds", "0")
+    assert {p.name for p in out.iterdir()} == _compare_files([0])
+    for family in FAMILIES:
+        line = f"{family}: final-0 mean return      n/a (per-seed half-rise episodes: never)"
+        assert line in proc.stdout
 
 
 def test_reproduce_elevation(tmp_path):
-    out, stdout = _run("reproduce_elevation.py", tmp_path, "--episodes", "2", "--eval-episodes", "2")
+    out, proc = _run("reproduce_elevation.py", tmp_path, "--episodes", "2", "--eval-episodes", "2")
     assert {p.name for p in out.iterdir()} == _compare_files(DEFAULT_SEEDS)
     manifest = assert_manifest_lists_dir(out)
     # the script's own settings, which no CLI default gives, are on record
     assert manifest["config"]["eta"] == 0.05
     assert manifest["config"]["env"]["v_max"] == 2.0
     # family, success %, mean steps, mean elevation cost
-    table = [line.split() for line in stdout.splitlines() if line.split()[:1] in (["cauchy"], ["gaussian"])]
+    rows = [line.split() for line in proc.stdout.splitlines()]
+    table = [row for row in rows if row[:1] in (["cauchy"], ["gaussian"])]
     assert [row[0] for row in table] == list(FAMILIES)
     for _, success, steps, elevation in table:
         assert 0.0 <= float(success) <= 100.0
         assert 0.0 < float(steps) <= 300.0
         assert float(elevation) >= 0.0
+
+
+def test_reproduce_elevation_rejects_no_eval_episodes_before_training(tmp_path):
+    out, proc = _run(
+        "reproduce_elevation.py", tmp_path, "--episodes", "1", "--eval-episodes", "0", returncode=2
+    )
+    assert "--eval-episodes must be >= 1, got 0" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()

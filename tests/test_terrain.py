@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,13 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from htnav.terrain import (
-    Heightmap,
-    elevation_at,
-    flat_heightmap,
-    pose_from_terrain,
-    terrain_gradient,
-)
+from htnav.terrain import Heightmap, elevation_at, pose_from_terrain, terrain_gradient
+
+from conftest import flat_heightmap
 
 
 def test_heightmap_validates():
@@ -128,7 +125,8 @@ def _small_heightmaps(draw):
     """Grids from 1x1 up to 5x5, so the 1-wide and 1-tall branches get drawn too."""
     h = draw(st.integers(1, 5))
     w = draw(st.integers(1, 5))
-    z = draw(st.lists(st.floats(-1e6, 1e6), min_size=h * w, max_size=h * w))
+    node = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0])
+    z = draw(st.lists(node, min_size=h * w, max_size=h * w))
     cell = draw(st.floats(1e-3, 1e3))
     origin = (draw(st.floats(-1e3, 1e3)), draw(st.floats(-1e3, 1e3)))
     return Heightmap(cell_size=cell, elevations=np.array(z).reshape(h, w), origin=origin)
@@ -167,3 +165,91 @@ def test_elevation_at_matches_oracle_on_generated_hills():
 def test_elevation_at_keeps_negative_zero():
     hm = Heightmap(cell_size=1.0, elevations=np.array([[-0.0]]))
     assert _same_bits(elevation_at(hm, 0.3, 0.7), -0.0)
+
+
+def _oracle_terrain_gradient(hm: Heightmap, x: float, y: float):
+    h = hm.cell_size
+    dzdx = (_oracle_elevation_at(hm, x + h, y) - _oracle_elevation_at(hm, x - h, y)) / (2.0 * h)
+    dzdy = (_oracle_elevation_at(hm, x, y + h) - _oracle_elevation_at(hm, x, y - h)) / (2.0 * h)
+    return dzdx, dzdy
+
+
+def _oracle_pose_from_terrain(hm: Heightmap, x: float, y: float, psi: float):
+    """Five separate lookups, as ``pose_from_terrain`` once made them: the bit-exact reference."""
+    z = _oracle_elevation_at(hm, x, y)
+    dzdx, dzdy = _oracle_terrain_gradient(hm, x, y)
+    c, s = math.cos(psi), math.sin(psi)
+    pitch = math.atan(dzdx * c + dzdy * s)
+    roll = math.atan(-dzdx * s + dzdy * c)
+    return x, y, psi, z, roll, pitch
+
+
+def _outcome(f, *args):
+    """Every returned float's bits, or the type of the exception raised."""
+    try:
+        return [float.hex(v) for v in f(*args)]
+    except Exception as exc:
+        return type(exc)
+
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    _small_heightmaps(),
+    _grid_units | st.just(math.nan),
+    _grid_units | st.just(math.nan),
+    _anywhere,
+    _anywhere,
+    st.booleans(),
+    st.floats(-10.0, 10.0) | st.sampled_from([math.nan, math.inf]),
+)
+def test_pose_from_terrain_matches_oracle_bits(hm, ux, uy, ax, ay, far, psi):
+    if far:
+        x, y = ax, ay
+    else:
+        x = hm.origin[0] + ux * hm.cell_size
+        y = hm.origin[1] + uy * hm.cell_size
+    want = _outcome(_oracle_pose_from_terrain, hm, x, y, psi)
+    assert _outcome(pose_from_terrain, hm, x, y, psi) == want
+    assert _outcome(terrain_gradient, hm, x, y) == _outcome(_oracle_terrain_gradient, hm, x, y)
+
+
+def test_nan_coordinate_raises_like_oracle():
+    hm = Heightmap(cell_size=1.0, elevations=np.arange(6.0).reshape(2, 3))
+    for x, y in [(math.nan, 0.5), (0.5, math.nan)]:
+        assert _outcome(_oracle_pose_from_terrain, hm, x, y, 0.0) is ValueError
+        assert _outcome(pose_from_terrain, hm, x, y, 0.0) is ValueError
+
+
+def test_pose_keeps_signed_zeros_like_oracle():
+    # a -0.0 coordinate at a zero origin keeps its sign through the clamp,
+    # and -0.0 nodes keep theirs through the blend
+    z = np.array([[-0.0, 1.0, -0.0], [-0.0, -0.0, 2.0], [0.5, -0.0, -0.0]])
+    zeros = (-0.0, 0.0)
+    for h, w in [(3, 3), (1, 3), (3, 1), (1, 1)]:
+        for origin in [(0.0, 0.0), (-0.0, -0.0)]:
+            hm = Heightmap(cell_size=0.5, elevations=z[:h, :w], origin=origin)
+            for x, y, psi in itertools.product(zeros + (0.25,), zeros + (0.25,), zeros):
+                want = _outcome(_oracle_pose_from_terrain, hm, x, y, psi)
+                assert _outcome(pose_from_terrain, hm, x, y, psi) == want
+
+
+def test_pose_on_strided_grids_matches_oracle():
+    z = np.random.default_rng(2).uniform(-1.0, 1.0, size=(6, 9))
+    for grid in (z.T, z[::2, 1::3], np.asfortranarray(z)):
+        hm = Heightmap(cell_size=0.5, elevations=grid)
+        for x, y in np.random.default_rng(3).uniform(-1.0, 5.0, size=(200, 2)).tolist():
+            assert _outcome(pose_from_terrain, hm, x, y, 0.3) == _outcome(
+                _oracle_pose_from_terrain, hm, x, y, 0.3
+            )
+
+
+def test_pose_and_gradient_match_oracle_on_generated_hills():
+    from htnav.world import generate_world
+
+    hm = generate_world("uneven_terrain", 4).heightmap
+    rng = np.random.default_rng(1)
+    for x, y, psi in rng.uniform(-5.0, 105.0, size=(2000, 3)).tolist():
+        want = _outcome(_oracle_pose_from_terrain, hm, x, y, psi)
+        assert _outcome(pose_from_terrain, hm, x, y, psi) == want
+        assert _outcome(terrain_gradient, hm, x, y) == _outcome(_oracle_terrain_gradient, hm, x, y)

@@ -21,7 +21,7 @@ from htnav.training import (
     world_for_episode,
 )
 
-from conftest import LIVELY, world_fields
+from conftest import LIVELY, flat_heightmap, world_fields
 
 TINY = TrainConfig(episodes=4, max_steps=40, seeds=(0, 1))
 # TINY earns 0 reward, so its weights never leave initial_params; on
@@ -123,7 +123,6 @@ def test_rollout_rejects_unknown_act():
 
 def test_rollout_terminal_cause_sticks():
     # generated worlds keep start and goal far apart, so hand-build one
-    from htnav.terrain import flat_heightmap
     from htnav.world import World
 
     world = World(

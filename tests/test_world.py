@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from htnav.geometry import point_obstacle_clearance, wrap_angle
-from htnav.world import SCENARIOS, GenerationError, WorldGenConfig, generate_world
+from htnav.world import SCENARIOS, GenerationError, WorldGenConfig, _hill_field, generate_world
 
 from conftest import world_fields
 
@@ -85,3 +85,55 @@ def test_world_accepts_seed_sequence():
     b = generate_world("goal_reaching", np.random.SeedSequence((4, 11, 0)))
     assert world_fields(a) == world_fields(b)
 
+
+
+def _oracle_hill_field(xs, ys, centers, sigmas, amps) -> np.ndarray:
+    """The full-grid meshgrid loop that ``_hill_field`` replaced: the bit-exact reference."""
+    gx, gy = np.meshgrid(xs, ys)
+    z = np.zeros_like(gx)
+    for (cx, cy), s, a in zip(centers, sigmas, amps):
+        z += a * np.exp(-((gx - cx) ** 2 + (gy - cy) ** 2) / (2.0 * s * s))
+    return z
+
+
+@st.composite
+def _hills(draw):
+    """Non-square grids at offset origins with 0-30 hills.
+
+    Sigmas down to 0.05 cells push most nodes deep into exp's underflow
+    and subnormal range; negative amplitudes are the flat scenarios' ripple.
+    """
+    cell = draw(st.floats(0.05, 2.0))
+    x0, y0 = draw(st.floats(-100.0, 100.0)), draw(st.floats(-100.0, 100.0))
+    xs = x0 + np.arange(draw(st.integers(1, 40))) * cell
+    ys = y0 + np.arange(draw(st.integers(1, 40))) * cell
+    n = draw(st.integers(0, 30))
+    center = st.tuples(st.floats(x0 - 5.0, xs[-1] + 5.0), st.floats(y0 - 5.0, ys[-1] + 5.0))
+    centers = np.array(draw(st.lists(center, min_size=n, max_size=n))).reshape(n, 2)
+    sigmas = np.array(draw(st.lists(st.floats(0.05, 25.0), min_size=n, max_size=n)))
+    amps = np.array(draw(st.lists(st.floats(-3.5, 3.5), min_size=n, max_size=n)))
+    return xs, ys, centers, sigmas, amps
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hills())
+def test_hill_field_matches_oracle_bits(hills):
+    got = _hill_field(*hills)
+    want = _oracle_hill_field(*hills)
+    assert got.shape == want.shape
+    # bytes, so one ulp or a -0.0 counts
+    assert got.tobytes() == want.tobytes()
+
+
+def test_hill_field_matches_oracle_on_world_sized_grids():
+    rng = np.random.default_rng(5)
+    xs = ys = np.arange(201) * 0.5
+    for n, sigma, amp in [(24, (1.2, 7.0), (0.5, 3.5)), (6, (8.0, 25.0), (-1.0, 1.0))]:
+        for _ in range(5):
+            hills = (
+                np.column_stack([rng.uniform(0.0, 100.0, n), rng.uniform(0.0, 100.0, n)]),
+                rng.uniform(*sigma, n),
+                rng.uniform(*amp, n),
+            )
+            want = _oracle_hill_field(xs, ys, *hills)
+            assert _hill_field(xs, ys, *hills).tobytes() == want.tobytes()
