@@ -16,7 +16,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from htnav.cli import write_compare_dir
-from htnav.config import TrainConfig, apply_overrides
+from htnav.config import ConfigError, TrainConfig, apply_overrides
 from htnav.training import half_rise_episode, run_comparison
 
 
@@ -28,14 +28,18 @@ def main() -> int:
     parser.add_argument("--out", default="runs/curves")
     args = parser.parse_args()
 
-    cfg = apply_overrides(
-        TrainConfig(),
-        {
-            "scenario": args.scenario,
-            "episodes": str(args.episodes),
-            "seeds": "[" + args.seeds + "]",
-        },
-    )
+    try:
+        cfg = apply_overrides(
+            TrainConfig(),
+            {
+                "scenario": args.scenario,
+                "episodes": str(args.episodes),
+                "seeds": "[" + args.seeds + "]",
+            },
+        )
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     result = run_comparison(cfg)
 
     out = Path(args.out)

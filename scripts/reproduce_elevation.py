@@ -18,7 +18,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from htnav.cli import write_compare_dir
-from htnav.config import TrainConfig
+from htnav.config import ConfigError, TrainConfig
 from htnav.env import EnvConfig
 from htnav.evaluation import evaluate
 from htnav.training import run_comparison
@@ -38,13 +38,17 @@ def main() -> int:
 
     # faster robot and a looser spawn-misalignment floor keep desk-scale
     # training long enough to see terrain interaction within the budget
-    cfg = TrainConfig(
-        scenario="uneven_terrain",
-        episodes=args.episodes,
-        eta=args.eta,
-        env=EnvConfig(v_max=2.0),
-        worldgen=WorldGenConfig(min_start_misalignment=math.pi / 4),
-    )
+    try:
+        cfg = TrainConfig(
+            scenario="uneven_terrain",
+            episodes=args.episodes,
+            eta=args.eta,
+            env=EnvConfig(v_max=2.0),
+            worldgen=WorldGenConfig(min_start_misalignment=math.pi / 4),
+        )
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     result = run_comparison(cfg)
 
     out = Path(args.out)

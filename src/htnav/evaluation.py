@@ -7,7 +7,7 @@ import numpy as np
 
 from .config import TrainConfig
 from .policy import PolicyParameters
-from .training import EVAL_SALT, rollout
+from .training import EVAL_SALT, map_jobs, rollout
 from .world import generate_world
 
 EVAL_MODES = ("deterministic", "stochastic")
@@ -61,6 +61,29 @@ class EvalReport:
             raise ValueError(f"success_rate must be in [0, 100], got {self.success_rate}")
 
 
+def eval_episode(
+    params: PolicyParameters, cfg: TrainConfig, seed: int, i: int, act: str
+) -> EpisodeResult:
+    """Episode ``i`` of the evaluation stream of ``seed``; a pure function of its arguments."""
+    world = generate_world(
+        cfg.scenario, np.random.SeedSequence((seed, EVAL_SALT, i)), cfg.worldgen
+    )
+    rng = np.random.default_rng(np.random.SeedSequence((seed, EVAL_SALT, i, 1)))
+    traj = rollout(world, params, cfg, rng, cfg.max_steps, act=act)
+    # summed step by step, left to right, unlike the training return
+    total = 0.0
+    for r in traj.rewards.tolist():
+        total += r
+    return EpisodeResult(
+        episode=i,
+        cause=traj.final_cause,
+        steps=len(traj),
+        episode_return=total,
+        elevation=elevation_cost(traj.poses[:, 3]),
+        final_distance=traj.final_distance,
+    )
+
+
 def evaluate(
     params: PolicyParameters,
     cfg: TrainConfig,
@@ -80,27 +103,7 @@ def evaluate(
     if mode not in EVAL_MODES:
         raise ValueError(f"mode must be one of {EVAL_MODES}, got {mode!r}")
     act = "mean" if mode == "deterministic" else "sample"
-    rows = []
-    for i in range(n_episodes):
-        world = generate_world(
-            cfg.scenario, np.random.SeedSequence((seed, EVAL_SALT, i)), cfg.worldgen
-        )
-        rng = np.random.default_rng(np.random.SeedSequence((seed, EVAL_SALT, i, 1)))
-        traj = rollout(world, params, cfg, rng, cfg.max_steps, act=act)
-        # summed step by step, left to right, unlike the training return
-        total = 0.0
-        for r in traj.rewards.tolist():
-            total += r
-        rows.append(
-            EpisodeResult(
-                episode=i,
-                cause=traj.final_cause,
-                steps=len(traj),
-                episode_return=total,
-                elevation=elevation_cost(traj.poses[:, 3]),
-                final_distance=traj.final_distance,
-            )
-        )
+    rows = map_jobs(eval_episode, [(params, cfg, seed, i, act) for i in range(n_episodes)])
     successes = [r for r in rows if r.success]
     n_success = len(successes)
     success_rate = 100.0 * n_success / n_episodes

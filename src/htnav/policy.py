@@ -41,6 +41,11 @@ class PolicyParameters:
         if self.family not in FAMILIES:
             raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
 
+    def __reduce__(self):
+        # pickled (to and from worker processes) without ``layers``, which
+        # are cut again as views of the unpickled weights
+        return PolicyParameters, (self.spec, self.weights, self.sigma, self.family)
+
     def with_weights(self, weights: np.ndarray) -> "PolicyParameters":
         return replace(self, weights=np.asarray(weights, dtype=float))
 
@@ -55,8 +60,11 @@ def init_policy(
 
 
 def forward_mean(params: PolicyParameters, obs: np.ndarray) -> np.ndarray:
-    """Location parameter mu(s) per action dimension; deterministic."""
-    mu, _ = forward_batch(params.layers, np.asarray(obs, dtype=float)[None, :])
+    """Location parameter mu(s) per action dimension; deterministic.
+
+    ``obs`` is a 1-d float64 array, as ``NavEnv`` returns it.
+    """
+    mu, _ = forward_batch(params.layers, obs[None, :])
     return mu[0]
 
 

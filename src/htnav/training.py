@@ -3,10 +3,12 @@
 One iteration consumes exactly one episode.  All randomness flows
 through named substreams of the run seed, so a run is bit-reproducible
 and the two policy families see identical per-episode worlds when
-trained on the same seed.
+trained on the same seed.  Independent runs go through ``map_jobs``,
+which spreads them over the CPUs this process may use.
 """
 
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,6 +32,46 @@ EVAL_SALT = 23
 
 class TrainingAbort(RuntimeError):
     """A gradient went non-finite; the run stops rather than limping on."""
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on; ``taskset`` narrows them.
+
+    Where the platform cannot say (no ``sched_getaffinity``), 1.
+    """
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def map_jobs(fn, jobs: list[tuple]) -> list:
+    """``[fn(*job) for job in jobs]``, with the jobs spread over the usable CPUs.
+
+    ``fn`` must be a module-level function and each call a pure function
+    of its job, so the results do not depend on which process made them;
+    they come back in job order.  With one worker, or where ``fork`` is
+    missing, the jobs run in a plain loop in this process.  Otherwise a
+    ``fork`` pool takes one job per task, so long and short jobs balance;
+    an exception raised in a worker is raised here with its own type, and
+    the pool is shut down before this returns.
+    """
+    workers = min(len(jobs), usable_cpus())
+    if workers > 1:
+        # imported here: at module level they would add to every start-up
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork, not spawn: a spawned worker re-imports numpy and htnav, which
+        # costs more than a short run gains.  Nothing here has started a
+        # thread before the fork, and OpenBLAS's own pool has fork hooks.
+        if "fork" in multiprocessing.get_all_start_methods():
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+            try:
+                futures = [pool.submit(fn, *job) for job in jobs]
+                return [future.result() for future in futures]
+            finally:
+                pool.shutdown(wait=True, cancel_futures=True)
+    return [fn(*job) for job in jobs]
 
 
 def policy_spec(cfg: TrainConfig) -> ApproximatorSpec:
@@ -189,7 +231,7 @@ def train_seed(cfg: TrainConfig, seed: int) -> SeedRun:
 
 
 def train(cfg: TrainConfig) -> RunRecord:
-    runs = [train_seed(cfg, seed) for seed in cfg.seeds]
+    runs = map_jobs(train_seed, [(cfg, seed) for seed in cfg.seeds])
     return RunRecord(family=cfg.family, seed_runs=runs)
 
 
@@ -200,10 +242,16 @@ class ComparisonResult:
 
 
 def run_comparison(cfg: TrainConfig) -> ComparisonResult:
-    """Train both families on ``cfg``'s seeds and worlds; ``cfg.family`` is not read."""
+    """Train both families on ``cfg``'s seeds and worlds; ``cfg.family`` is not read.
+
+    All ``2 x len(cfg.seeds)`` runs share one ``map_jobs`` call.
+    """
+    cauchy, gaussian = replace(cfg, family="cauchy"), replace(cfg, family="gaussian")
+    runs = map_jobs(train_seed, [(c, seed) for c in (cauchy, gaussian) for seed in cfg.seeds])
+    n = len(cfg.seeds)
     return ComparisonResult(
-        cauchy=train(replace(cfg, family="cauchy")),
-        gaussian=train(replace(cfg, family="gaussian")),
+        cauchy=RunRecord(family="cauchy", seed_runs=runs[:n]),
+        gaussian=RunRecord(family="gaussian", seed_runs=runs[n:]),
     )
 
 

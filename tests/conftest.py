@@ -54,6 +54,15 @@ def flat_heightmap(size: float, cell_size: float = 1.0, origin=(0.0, 0.0)) -> He
     return Heightmap(cell_size=cell_size, elevations=np.zeros((n, n)), origin=origin)
 
 
+def use_workers(monkeypatch, n):
+    """Make ``map_jobs`` see ``n`` usable CPUs; with 1, every job runs in this process.
+
+    Tests that record calls in this process pin 1: calls made in a worker
+    process are not seen here.
+    """
+    monkeypatch.setattr("htnav.training.usable_cpus", lambda: n)
+
+
 def world_fields(world):
     """Everything that makes a world, for field-by-field equality.
 

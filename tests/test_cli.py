@@ -1,12 +1,13 @@
 import json
 import math
+import multiprocessing
 
 import pytest
 
 from htnav.cli import main
 from htnav.config import TrainConfig, save_config
 
-from conftest import assert_manifest_lists_dir
+from conftest import LIVELY, assert_manifest_lists_dir, use_workers
 
 FAST = [
     "--episodes",
@@ -235,6 +236,46 @@ def test_compare_reruns_byte_identical(tmp_path):
     assert run([*args, "--out", str(b)]) == 0
     for name in ("comparison.csv", "curve_cauchy.csv", "checkpoint_gaussian_seed0.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def _assert_same_run_dirs(a, b):
+    """Two run directories hold the same files, byte for byte, but for the manifest's timestamp."""
+    assert sorted(p.name for p in a.iterdir()) == sorted(p.name for p in b.iterdir())
+    for path in a.iterdir():
+        if path.name == "manifest.json":
+            docs = [json.loads((d / path.name).read_text()) for d in (a, b)]
+            for doc in docs:
+                del doc["created_unix"]
+            assert docs[0] == docs[1]
+        else:
+            assert path.read_bytes() == (b / path.name).read_bytes(), path.name
+
+
+LIVELY_ARGS = [arg for key, value in LIVELY.items() for arg in ("--set", f"{key}={value}")]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "--scenario", "obstacle_avoidance", *FAST, *LIVELY_ARGS],
+        ["compare", "--scenario", "uneven_terrain", *FAST, *LIVELY_ARGS],
+        ["eval", "CHECKPOINT", "--scenario", "uneven_terrain", "-n", "3", *LIVELY_ARGS],
+        ["eval", "CHECKPOINT", "--scenario", "uneven_terrain", "-n", "3", "--mode", "stochastic"],
+    ],
+)
+def test_run_directory_same_with_one_or_two_workers(tmp_path, monkeypatch, argv):
+    if argv[0] == "eval":
+        trained = tmp_path / "trained"
+        use_workers(monkeypatch, 1)
+        train = ["train", "--scenario", "uneven_terrain", *FAST, *LIVELY_ARGS, "--out", str(trained)]
+        assert run(train) == 0
+        argv = [argv[0], str(trained / "checkpoint_seed1.json"), *argv[2:]]
+    outs = [tmp_path / "one", tmp_path / "two"]
+    for n, out in zip((1, 2), outs):
+        use_workers(monkeypatch, n)
+        assert run([*argv, "--out", str(out)]) == 0
+        assert multiprocessing.active_children() == []
+    _assert_same_run_dirs(*outs)
 
 
 def test_surface_grid_dimensions(tmp_path):

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import multiprocessing
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,9 @@ from htnav.cli import write_eval_rows_csv, write_eval_summary_json
 from htnav.config import TrainConfig
 from htnav.evaluation import elevation_cost, evaluate
 from htnav.training import initial_params
+from htnav.world import GenerationError
+
+from conftest import use_workers
 
 
 def test_elevation_cost_examples():
@@ -113,12 +117,27 @@ def test_stochastic_eval_draws_no_horizon(monkeypatch):
             return getattr(self._rng, name)
 
     real = np.random.default_rng
+    use_workers(monkeypatch, 1)
     monkeypatch.setattr(np.random, "default_rng", lambda *a: _OneStepHorizon(real(*a)))
     cfg = TrainConfig(episodes=1, max_steps=15)
     report = evaluate(_zero_policy(cfg), cfg, n_episodes=3, mode="stochastic")
     assert geometric_calls == []
     assert [r.steps for r in report.rows] == [15, 15, 15]
     assert all(r.cause == "timeout" for r in report.rows)
+
+
+def test_generation_error_in_eval_worker_keeps_its_type(monkeypatch):
+    import htnav.evaluation as ev
+
+    def no_world(*args):
+        raise GenerationError("no placement satisfies the constraints")
+
+    use_workers(monkeypatch, 2)
+    monkeypatch.setattr(ev, "generate_world", no_world)
+    cfg = TrainConfig(episodes=1, max_steps=10)
+    with pytest.raises(GenerationError, match="no placement"):
+        evaluate(_zero_policy(cfg), cfg, n_episodes=3)
+    assert multiprocessing.active_children() == []
 
 
 def test_eval_seed_changes_worlds():

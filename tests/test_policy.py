@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -28,6 +29,17 @@ def test_parameters_validate_shapes_and_sigma():
         PolicyParameters(spec=spec, weights=np.zeros(8), sigma=0.0, family="cauchy")
     with pytest.raises(ValueError):
         PolicyParameters(spec=spec, weights=np.zeros(8), sigma=0.25, family="levy")
+
+
+def test_pickle_round_trip_recuts_layer_views():
+    params = make_params(hidden=(5,), family="gaussian")
+    back = pickle.loads(pickle.dumps(params))
+    assert (back.spec, back.sigma, back.family) == (params.spec, params.sigma, params.family)
+    assert back.weights.tobytes() == params.weights.tobytes()
+    for (w, b), (w0, b0) in zip(back.layers, params.layers):
+        assert np.shares_memory(w, back.weights) and np.shares_memory(b, back.weights)
+        np.testing.assert_array_equal(w, w0)
+        np.testing.assert_array_equal(b, b0)
 
 
 def test_init_policy_mean_is_zero_everywhere():

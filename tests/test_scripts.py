@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from conftest import assert_manifest_lists_dir
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -71,5 +73,20 @@ def test_reproduce_elevation_rejects_no_eval_episodes_before_training(tmp_path):
         "reproduce_elevation.py", tmp_path, "--episodes", "1", "--eval-episodes", "0", returncode=2
     )
     assert "--eval-episodes must be >= 1, got 0" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "script, args, message",
+    [
+        ("reproduce_curves.py", ["--episodes", "-1", "--seeds", "0"], "episodes must be >= 0, got -1"),
+        ("reproduce_curves.py", ["--seeds", "x"], "seeds must be a list of integers"),
+        ("reproduce_elevation.py", ["--episodes", "-2"], "episodes must be >= 0, got -2"),
+    ],
+)
+def test_scripts_report_config_errors(tmp_path, script, args, message):
+    out, proc = _run(script, tmp_path, *args, returncode=2)
+    assert f"error: {message}" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not out.exists()

@@ -1,4 +1,6 @@
 import csv
+import multiprocessing
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +16,7 @@ from htnav.training import (
     TrainingAbort,
     episode_rng,
     initial_params,
+    map_jobs,
     rollout,
     run_comparison,
     train,
@@ -21,7 +24,9 @@ from htnav.training import (
     world_for_episode,
 )
 
-from conftest import LIVELY, flat_heightmap, world_fields
+from htnav.world import GenerationError
+
+from conftest import LIVELY, flat_heightmap, use_workers, world_fields
 
 TINY = TrainConfig(episodes=4, max_steps=40, seeds=(0, 1))
 # TINY earns 0 reward, so its weights never leave initial_params; on
@@ -34,6 +39,7 @@ def world_requests(monkeypatch):
     """Every world training asks for, as (family, seed, episode, world_fields)."""
     calls = []
     real = world_for_episode
+    use_workers(monkeypatch, 1)
 
     def recording(cfg, seed, episode):
         world = real(cfg, seed, episode)
@@ -327,3 +333,40 @@ def test_training_abort_on_nonfinite(monkeypatch):
     monkeypatch.setattr(tr, "estimate", lambda *a, **k: bad)
     with pytest.raises(TrainingAbort, match="non-finite gradient"):
         train_seed(replace(TINY, episodes=1, seeds=(0,)), 0)
+
+
+def test_map_jobs_keeps_job_order_in_and_out_of_process(monkeypatch):
+    jobs = [(k,) for k in (5, -3, 0, 12, 7)]
+    use_workers(monkeypatch, 1)
+    assert map_jobs(abs, jobs) == [5, 3, 0, 12, 7]
+    # one usable CPU: no worker process is started
+    assert map_jobs(os.getpid, [(), ()]) == [os.getpid()] * 2
+    use_workers(monkeypatch, 2)
+    assert map_jobs(abs, jobs) == [5, 3, 0, 12, 7]
+    assert os.getpid() not in map_jobs(os.getpid, [(), ()])
+    assert multiprocessing.active_children() == []
+    assert map_jobs(abs, []) == []
+
+
+def test_training_abort_in_worker_keeps_its_type(monkeypatch):
+    import htnav.training as tr
+
+    use_workers(monkeypatch, 2)
+    bad = (np.array([np.nan, 0.0]), np.array([0.0, 0.0]))
+    monkeypatch.setattr(tr, "estimate", lambda *a, **k: bad)
+    with pytest.raises(TrainingAbort, match="non-finite gradient"):
+        train(replace(TINY, episodes=1, seeds=(0, 1)))
+    assert multiprocessing.active_children() == []
+
+
+def test_generation_error_in_worker_keeps_its_type(monkeypatch):
+    import htnav.training as tr
+
+    def no_world(*args):
+        raise GenerationError("no placement satisfies the constraints")
+
+    use_workers(monkeypatch, 2)
+    monkeypatch.setattr(tr, "generate_world", no_world)
+    with pytest.raises(GenerationError, match="no placement"):
+        run_comparison(replace(TINY, episodes=1, seeds=(0, 1)))
+    assert multiprocessing.active_children() == []
