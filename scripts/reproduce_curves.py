@@ -17,7 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from htnav.cli import write_compare_dir
 from htnav.config import ConfigError, TrainConfig, apply_overrides
-from htnav.training import half_rise_episode, run_comparison
+from htnav.training import FINAL_WINDOW, half_rise_episode, run_comparison
 
 
 def main() -> int:
@@ -46,7 +46,7 @@ def main() -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_compare_dir(out, cfg, result)
 
-    window = min(20, cfg.episodes)
+    window = min(FINAL_WINDOW, cfg.episodes)
     print(f"scenario={cfg.scenario} episodes={cfg.episodes} seeds={list(cfg.seeds)}")
     for record in (result.cauchy, result.gaussian):
         # with no episodes there is no final window to average

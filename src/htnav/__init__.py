@@ -8,7 +8,7 @@ differential-drive simulator with three sparse-reward scenarios.
 
 __version__ = "0.1.0"
 
-from .config import ConfigError, TrainConfig, load_config, save_config
+from .config import ConfigError, TrainConfig, load_config
 from .env import EnvConfig, NavEnv
 from .evaluation import EvalReport, elevation_cost, evaluate
 from .policy import PolicyParameters, init_policy, sample_action
@@ -37,7 +37,6 @@ __all__ = [
     "rollout",
     "run_comparison",
     "sample_action",
-    "save_config",
     "train",
     "train_seed",
 ]

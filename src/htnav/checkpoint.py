@@ -3,8 +3,9 @@
 A checkpoint captures everything needed to resume or evaluate a policy:
 the approximator shape, the family, sigma, the flat weight vector, and
 (optionally) the optimizer moments.  Floats are written via repr so a
-save/load round-trip is bit-exact.  ``activation`` and ``bias_correction``
-are written as their only supported values ("tanh", false); others are rejected.
+save/load round-trip is bit-exact.  ``activation``, ``output_dim`` and
+``bias_correction`` are written as their only supported values ("tanh", 2,
+false); others are rejected.
 """
 
 import json
@@ -12,9 +13,10 @@ import json
 import numpy as np
 
 from .atomic import write_json
-from .net import ApproximatorSpec
+from .net import OUTPUT_DIM, ApproximatorSpec
 from .optimizer import OptimizerState
 from .policy import FAMILIES, PolicyParameters
+from .typecheck import fits
 
 CHECKPOINT_FORMAT = "htnav-checkpoint-v1"
 
@@ -34,7 +36,7 @@ def checkpoint_to_dict(params: PolicyParameters, opt_state: OptimizerState | Non
             "input_dim": params.spec.input_dim,
             "hidden_layers": list(params.spec.hidden_layers),
             "activation": "tanh",
-            "output_dim": params.spec.output_dim,
+            "output_dim": OUTPUT_DIM,
         },
         "family": params.family,
         "sigma": float(params.sigma),
@@ -70,7 +72,16 @@ def _require_finite(**fields) -> None:
             raise CheckpointError(f"checkpoint field {name!r} must be finite")
 
 
+def _numbers(block: dict, key: str) -> np.ndarray:
+    """``block[key]`` as an array, if it is a list of numbers (a bool is none)."""
+    values = _require(block, key)
+    if not isinstance(values, list) or not all(fits(v, float) for v in values):
+        raise CheckpointError(f"checkpoint field {key!r} must be a list of numbers")
+    return np.asarray(values, dtype=float)
+
+
 def checkpoint_from_dict(doc: dict) -> tuple[PolicyParameters, OptimizerState | None]:
+    """Rebuild the policy and optimizer state; numbers are type-checked as config numbers are."""
     if not isinstance(doc, dict):
         raise CheckpointError(f"checkpoint must be a mapping, got {type(doc).__name__}")
     fmt = _require(doc, "format")
@@ -79,26 +90,25 @@ def checkpoint_from_dict(doc: dict) -> tuple[PolicyParameters, OptimizerState | 
     spec_doc = _require(doc, "spec")
     try:
         spec = ApproximatorSpec(
-            input_dim=int(spec_doc["input_dim"]),
-            hidden_layers=tuple(int(h) for h in spec_doc["hidden_layers"]),
-            output_dim=int(spec_doc.get("output_dim", 2)),
+            input_dim=spec_doc["input_dim"], hidden_layers=spec_doc["hidden_layers"]
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"bad spec block: {exc}") from exc
-    activation = spec_doc.get("activation", "tanh")
-    if activation != "tanh":
-        raise CheckpointError(f"unsupported activation {activation!r}; only 'tanh' exists")
+    for key, only in (("activation", "tanh"), ("output_dim", OUTPUT_DIM)):
+        value = spec_doc.get(key, only)
+        if type(value) is not type(only) or value != only:
+            raise CheckpointError(f"unsupported {key} {value!r}; only {only!r} exists")
     family = _require(doc, "family")
     if family not in FAMILIES:
         raise CheckpointError(f"unknown family {family!r}")
-    weights = np.asarray(_require(doc, "weights"), dtype=float)
+    weights = _numbers(doc, "weights")
     if weights.shape != (spec.num_weights,):
         raise CheckpointError(
             f"weight count {weights.shape[0]} does not match spec ({spec.num_weights})"
         )
     try:
         params = PolicyParameters(
-            spec=spec, weights=weights, sigma=float(_require(doc, "sigma")), family=family
+            spec=spec, weights=weights, sigma=_require(doc, "sigma"), family=family
         )
     except (TypeError, ValueError) as exc:
         raise CheckpointError(str(exc)) from exc
@@ -108,13 +118,13 @@ def checkpoint_from_dict(doc: dict) -> tuple[PolicyParameters, OptimizerState | 
         o = doc["optimizer"]
         try:
             opt_state = OptimizerState(
-                m=np.asarray(o["m"], dtype=float),
-                v=np.asarray(o["v"], dtype=float),
-                step_count=int(o["step_count"]),
-                eta=float(o["eta"]),
-                beta1=float(o["beta1"]),
-                beta2=float(o["beta2"]),
-                epsilon=float(o["epsilon"]),
+                m=_numbers(o, "m"),
+                v=_numbers(o, "v"),
+                step_count=o["step_count"],
+                eta=o["eta"],
+                beta1=o["beta1"],
+                beta2=o["beta2"],
+                epsilon=o["epsilon"],
             )
             bias_correction = o["bias_correction"]
         except (KeyError, TypeError, ValueError) as exc:

@@ -19,14 +19,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .atomic import atomic_open, write_csv, write_json
+from .atomic import write_csv, write_json
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, TrainConfig, apply_overrides, config_to_dict, load_config
 from .env import observation_dim
 from .evaluation import EVAL_MODES, EvalReport, evaluate
 from .policy import FAMILIES
 from .rewards import reward_surface
-from .training import ComparisonResult, RunRecord, TrainingAbort, run_comparison, train
+from .training import FINAL_WINDOW, ComparisonResult, RunRecord, TrainingAbort, run_comparison, train
 from .world import SCENARIOS, GenerationError
 
 log = logging.getLogger("htnav")
@@ -154,11 +154,9 @@ def write_eval_summary_json(report: EvalReport, path) -> None:
 
 
 def write_surface_csv(path, d_axis, other_axis, values, other_label: str) -> None:
-    """Header row holds the second axis, rows lead with d_goal; rows end in LF, not CRLF."""
-    with atomic_open(path) as fh:
-        fh.write("d_goal\\" + other_label + "," + ",".join(repr(float(v)) for v in other_axis) + "\n")
-        for d, row in zip(d_axis, values):
-            fh.write(",".join(repr(float(v)) for v in (d, *row)) + "\n")
+    """Header row holds the second axis, rows lead with d_goal."""
+    header = ["d_goal\\" + other_label, *(repr(float(v)) for v in other_axis)]
+    write_csv(path, header, ([d, *row] for d, row in zip(d_axis, values)))
 
 
 def write_record(out_dir: Path, record: RunRecord, tag: str = "") -> list[str]:
@@ -190,7 +188,7 @@ def cmd_train(args) -> int:
     files = write_record(out, record)
     for run in record.seed_runs:
         if len(run):
-            tail = run.returns[-20:]
+            tail = run.returns[-FINAL_WINDOW:]
             log.info("seed %d: mean return over final %d episodes = %.3f",
                      run.seed, len(tail), float(np.mean(tail)))
     _write_manifest(out, "train", cfg, files)
@@ -229,7 +227,7 @@ def cmd_compare(args) -> int:
     result = run_comparison(cfg)
     write_compare_dir(out, cfg, result)
     if cfg.episodes:
-        window = min(20, cfg.episodes)
+        window = min(FINAL_WINDOW, cfg.episodes)
         cm = float(result.cauchy.mean_curve()[-window:].mean())
         gm = float(result.gaussian.mean_curve()[-window:].mean())
         log.info("final-%d-episode mean return: cauchy %.3f, gaussian %.3f", window, cm, gm)

@@ -10,7 +10,6 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .atomic import write_json
 from .env import EnvConfig
 from .policy import FAMILIES
 from .rewards import RewardConfig
@@ -75,69 +74,50 @@ class TrainConfig:
             raise ConfigError(f"hidden layer widths must be >= 1, got {self.hidden_layers}")
 
 
-_NESTED = {"rewards": RewardConfig, "env": EnvConfig, "worldgen": WorldGenConfig}
-
-
-def config_to_dict(cfg: TrainConfig) -> dict:
+def config_to_dict(cfg) -> dict:
+    """``cfg`` as a JSON-ready dict: nested blocks become dicts, tuples lists."""
     out = {}
     for f in dataclasses.fields(cfg):
         value = getattr(cfg, f.name)
-        if f.name in _NESTED:
-            out[f.name] = dict(dataclasses.asdict(value))
+        if dataclasses.is_dataclass(f.type):
+            value = config_to_dict(value)
         elif isinstance(value, tuple):
-            out[f.name] = list(value)
-        else:
-            out[f.name] = value
+            value = list(value)
+        out[f.name] = value
     return out
 
 
-def _build_nested(cls, data, where):
+def _from_dict(cls, data, path: str = ""):
+    """Build ``cls`` from a mapping; a field annotated with a dataclass is a nested block.
+
+    ``path`` is the block's dotted key ("" for the top level); errors raised
+    inside a block carry it as a prefix ("env.dt must be ...").
+    """
+    where = path or "config"
     if not isinstance(data, dict):
         raise ConfigError(f"{where} must be a mapping, got {type(data).__name__}")
-    known = {f.name for f in dataclasses.fields(cls)}
-    bad = set(data) - known
+    fields = {f.name: f.type for f in dataclasses.fields(cls)}
+    bad = set(data) - set(fields)
     if bad:
         raise ConfigError(f"unknown {where} keys: {sorted(bad)}")
-    fixed = {}
-    for f in dataclasses.fields(cls):
-        if f.name not in data:
-            continue
-        value = data[f.name]
-        if isinstance(value, list):
-            value = tuple(value)
-        fixed[f.name] = value
-    try:
-        return cls(**fixed)
-    except (TypeError, ValueError) as exc:
-        # every field check's message starts with the field's name
-        raise ConfigError(f"{where}.{exc}") from exc
-
-
-def config_from_dict(data: dict) -> TrainConfig:
-    if not isinstance(data, dict):
-        raise ConfigError(f"config must be a mapping, got {type(data).__name__}")
-    known = {f.name for f in dataclasses.fields(TrainConfig)}
-    bad = set(data) - known
-    if bad:
-        raise ConfigError(f"unknown config keys: {sorted(bad)}")
     kwargs = {}
     for key, value in data.items():
-        if key in _NESTED:
-            kwargs[key] = _build_nested(_NESTED[key], value, key)
+        if dataclasses.is_dataclass(fields[key]):
+            value = _from_dict(fields[key], value, f"{path}.{key}" if path else key)
         elif isinstance(value, list):
-            kwargs[key] = tuple(value)
-        else:
-            kwargs[key] = value
+            value = tuple(value)
+        kwargs[key] = value
     try:
-        return TrainConfig(**kwargs)
+        return cls(**kwargs)
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+        # every field check's message starts with the field's name
+        raise ConfigError(f"{path}.{exc}" if path else str(exc)) from exc
 
 
-def save_config(cfg: TrainConfig, path):
-    write_json(path, config_to_dict(cfg))
+def config_from_dict(data: dict) -> TrainConfig:
+    return _from_dict(TrainConfig, data)
 
 
 def load_config(path) -> TrainConfig:
@@ -160,23 +140,19 @@ def _coerce(text: str):
 def apply_overrides(cfg: TrainConfig, overrides: dict) -> TrainConfig:
     """Return a new config with dotted-key overrides applied.
 
-    Keys address top-level fields ("gamma") or nested ones
-    ("rewards.beta_g"). String values are parsed as JSON when possible,
-    so "0.5" becomes a float and "[0,1]" a list.
+    Keys address top-level fields ("gamma") or, dotted, the fields of
+    any nested block ("rewards.beta_g"). String values are parsed as JSON
+    when possible, so "0.5" becomes a float and "[0,1]" a list.
     """
     data = config_to_dict(cfg)
     for key, value in overrides.items():
         if isinstance(value, str):
             value = _coerce(value)
-        parts = key.split(".")
-        if len(parts) == 1:
-            if parts[0] not in data:
-                raise ConfigError(f"unknown config key {key!r}")
-            data[parts[0]] = value
-        elif len(parts) == 2 and parts[0] in _NESTED:
-            if parts[1] not in data[parts[0]]:
-                raise ConfigError(f"unknown config key {key!r}")
-            data[parts[0]][parts[1]] = value
-        else:
+        *blocks, leaf = key.split(".")
+        owner = data
+        for name in blocks:
+            owner = owner.get(name) if isinstance(owner, dict) else None
+        if not isinstance(owner, dict) or leaf not in owner:
             raise ConfigError(f"unknown config key {key!r}")
+        owner[leaf] = value
     return config_from_dict(data)

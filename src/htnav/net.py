@@ -13,6 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .typecheck import check_field_types
+
+# the approximator outputs the location of the 2-D (v, omega) action
+OUTPUT_DIM = 2
+
 
 @dataclass(frozen=True)
 class ApproximatorSpec:
@@ -25,21 +30,19 @@ class ApproximatorSpec:
 
     input_dim: int
     hidden_layers: tuple[int, ...] = ()
-    output_dim: int = 2
 
     def __post_init__(self):
+        check_field_types(self)
         if self.input_dim < 1:
             raise ValueError(f"input_dim must be >= 1, got {self.input_dim}")
-        if self.output_dim < 1:
-            raise ValueError(f"output_dim must be >= 1, got {self.output_dim}")
         if any(h < 1 for h in self.hidden_layers):
             raise ValueError(f"hidden sizes must be >= 1, got {self.hidden_layers}")
-        # Tolerate lists from config files; canonical form is a tuple.
-        object.__setattr__(self, "hidden_layers", tuple(int(h) for h in self.hidden_layers))
+        # Tolerate lists from checkpoint files; canonical form is a tuple.
+        object.__setattr__(self, "hidden_layers", tuple(self.hidden_layers))
 
     def layer_dims(self) -> list[tuple[int, int]]:
         """(fan_out, fan_in) per affine layer, input to output order."""
-        sizes = [self.input_dim, *self.hidden_layers, self.output_dim]
+        sizes = [self.input_dim, *self.hidden_layers, OUTPUT_DIM]
         return [(sizes[i + 1], sizes[i]) for i in range(len(sizes) - 1)]
 
     @property
@@ -49,7 +52,7 @@ class ApproximatorSpec:
     @property
     def num_weights(self) -> int:
         if not self.hidden_layers:
-            return self.output_dim * self.input_dim
+            return OUTPUT_DIM * self.input_dim
         return sum(out * inp + out for out, inp in self.layer_dims())
 
 
@@ -96,7 +99,7 @@ def init_weights(spec: ApproximatorSpec, rng: np.random.Generator) -> np.ndarray
 def forward_batch(layers, xs: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Batched forward pass through the :func:`unpack_weights` layers.
 
-    Returns the (n, output_dim) means together with the list of layer
+    Returns the (n, OUTPUT_DIM) means together with the list of layer
     activations (input first) needed by :func:`backward_batch`.
     """
     xs = np.asarray(xs, dtype=float)

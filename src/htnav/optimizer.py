@@ -13,6 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .typecheck import check_field_types
+
 
 @dataclass
 class OptimizerState:
@@ -25,6 +27,7 @@ class OptimizerState:
     epsilon: float = 1e-8
 
     def __post_init__(self):
+        check_field_types(self)
         self.m = np.asarray(self.m, dtype=float)
         self.v = np.asarray(self.v, dtype=float)
         if self.m.shape != self.v.shape:

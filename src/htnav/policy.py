@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .net import ApproximatorSpec, backward_batch, forward_batch, init_weights, unpack_weights
+from .typecheck import check_field_types
 
 FAMILIES = ("cauchy", "gaussian")
 
@@ -36,6 +37,7 @@ class PolicyParameters:
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
         self.layers = unpack_weights(self.spec, self.weights)  # checks the weight count
+        check_field_types(self)
         if not self.sigma > 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         if self.family not in FAMILIES:
@@ -109,21 +111,13 @@ def dlogp_dmean(params: PolicyParameters, mu: np.ndarray, action: np.ndarray) ->
     return diff / params.sigma**2
 
 
-def score(params: PolicyParameters, obs: np.ndarray, action: np.ndarray) -> np.ndarray:
-    """Gradient of log pi(action | obs) with respect to the flat weights."""
-    obs = np.asarray(obs, dtype=float)
-    mu, acts = forward_batch(params.layers, obs[None, :])
-    dmu = dlogp_dmean(params, mu[0], action)
-    return backward_batch(params.layers, acts, dmu[None, :])
-
-
 def weighted_score_sum(
     params: PolicyParameters,
     features: np.ndarray,
     actions: np.ndarray,
     coeffs: np.ndarray,
 ) -> np.ndarray:
-    """sum_t coeffs[t] * score(params, features[t], actions[t]) in one batched pass.
+    """sum_t coeffs[t] * grad_theta log pi(actions[t] | features[t]) in one batched pass.
 
     Exact by linearity of backpropagation; this is the workhorse of the
     trajectory gradient estimator.

@@ -28,14 +28,6 @@ class Heightmap:
         if not np.all(np.isfinite(self.elevations)):
             raise ValueError("elevations must all be finite")
 
-    @property
-    def width(self) -> int:
-        return int(self.elevations.shape[1])
-
-    @property
-    def height(self) -> int:
-        return int(self.elevations.shape[0])
-
 
 def _elevations(hm: Heightmap, points) -> list[float]:
     """Bilinear elevation at each ``(x, y)`` of ``points``, border-clamped.
@@ -83,11 +75,6 @@ def _elevations(hm: Heightmap, points) -> list[float]:
     return out
 
 
-def elevation_at(hm: Heightmap, x: float, y: float) -> float:
-    """Bilinear interpolation over the four surrounding nodes, border-clamped."""
-    return _elevations(hm, ((x, y),))[0]
-
-
 def terrain_gradient(hm: Heightmap, x: float, y: float) -> tuple[float, float]:
     """(dz/dx, dz/dy) by central differences over one cell."""
     h = hm.cell_size
@@ -100,10 +87,10 @@ def pose_from_terrain(
 ) -> tuple[float, float, float, float, float, float]:
     """Ground a planar pose on the terrain: ``(x, y, psi, z, roll, pitch)``.
 
-    ``z`` is ``elevation_at`` and the slope is ``terrain_gradient``, all
-    five lookups made in one pass.  Pitch is the slope along the heading
-    (positive = nose up); roll is the slope along the heading's left
-    perpendicular (positive = left side up).
+    ``z`` is the bilinear elevation at ``(x, y)`` and the slope is
+    ``terrain_gradient``, all five lookups made in one pass.  Pitch is the
+    slope along the heading (positive = nose up); roll is the slope along
+    the heading's left perpendicular (positive = left side up).
     """
     h = hm.cell_size
     z, east, west, north, south = _elevations(

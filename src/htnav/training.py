@@ -29,6 +29,10 @@ INIT_SALT = 13
 ACTION_SALT = 19
 EVAL_SALT = 23
 
+# episodes in the trailing window behind every "final mean return" and the
+# half-rise statistic
+FINAL_WINDOW = 20
+
 
 class TrainingAbort(RuntimeError):
     """A gradient went non-finite; the run stops rather than limping on."""
@@ -78,7 +82,6 @@ def policy_spec(cfg: TrainConfig) -> ApproximatorSpec:
     return ApproximatorSpec(
         input_dim=observation_dim(cfg.scenario, cfg.env.n_scan_rays),
         hidden_layers=cfg.hidden_layers,
-        output_dim=2,
     )
 
 
@@ -255,15 +258,15 @@ def run_comparison(cfg: TrainConfig) -> ComparisonResult:
     )
 
 
-def half_rise_episode(returns: np.ndarray, window: int = 20) -> float:
-    """First episode whose trailing ``window``-episode mean return reaches
-    half of its final value; ``math.inf`` when there are no episodes or
-    that final value is not positive.
+def half_rise_episode(returns: np.ndarray) -> float:
+    """First episode whose trailing ``FINAL_WINDOW``-episode mean return
+    reaches half of its final value; ``math.inf`` when there are no
+    episodes or that final value is not positive.
     """
     if returns.shape[0] == 0:
         return math.inf
     smoothed = np.array(
-        [returns[max(0, k - window + 1) : k + 1].mean() for k in range(returns.shape[0])]
+        [returns[max(0, k - FINAL_WINDOW + 1) : k + 1].mean() for k in range(returns.shape[0])]
     )
     final = smoothed[-1]
     if not final > 0:

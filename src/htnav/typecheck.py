@@ -1,4 +1,4 @@
-"""Field type checks shared by the config dataclasses."""
+"""Field type checks shared by the config dataclasses and the checkpoint reader."""
 
 import dataclasses
 import numbers
@@ -8,8 +8,11 @@ import typing
 _NAMES = {int: ("an integer", "integers"), float: ("a number", "numbers")}
 
 
-def _fits(value, kind) -> bool:
-    # bool is an int subclass, but True is no episode count
+def fits(value, kind) -> bool:
+    """Whether ``value`` is an integer (``kind`` int) or a real number (``kind`` float).
+
+    A bool is neither: it is an int subclass, but True is no episode count.
+    """
     if isinstance(value, bool):
         return False
     return isinstance(value, numbers.Integral if kind is int else numbers.Real)
@@ -31,11 +34,11 @@ def check_field_types(obj) -> None:
             ok = (
                 isinstance(value, (list, tuple))
                 and (n is None or len(value) == n)
-                and all(_fits(v, kinds[0]) for v in value)
+                and all(fits(v, kinds[0]) for v in value)
             )
             what = f"a list of {'' if n is None else f'{n} '}{_NAMES[kinds[0]][1]}"
         elif f.type in _NAMES:
-            ok, what = _fits(value, f.type), _NAMES[f.type][0]
+            ok, what = fits(value, f.type), _NAMES[f.type][0]
         else:
             continue
         if not ok:

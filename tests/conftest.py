@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from htnav.net import ApproximatorSpec
-from htnav.policy import PolicyParameters, forward_mean
-from htnav.terrain import Heightmap
+from htnav.net import ApproximatorSpec, backward_batch, forward_batch
+from htnav.policy import PolicyParameters, dlogp_dmean, forward_mean
+from htnav.terrain import Heightmap, _elevations
 
 # A wide heading cone, long steps, a big collision radius and a low tilt
 # threshold make the heading, collision and tilt terms fire within 40
@@ -26,7 +26,7 @@ def rng():
 
 def make_params(input_dim=4, hidden=(), sigma=0.25, family="cauchy", seed=0, scale=0.5):
     """Small random policy for unit tests; weights are N(0, scale)."""
-    spec = ApproximatorSpec(input_dim=input_dim, hidden_layers=hidden, output_dim=2)
+    spec = ApproximatorSpec(input_dim=input_dim, hidden_layers=hidden)
     r = np.random.default_rng(seed)
     weights = scale * r.standard_normal(spec.num_weights)
     return PolicyParameters(spec=spec, weights=weights, sigma=sigma, family=family)
@@ -38,7 +38,7 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 def log_density(params, obs, action) -> float:
     """Log-density of a raw action under the policy, summed over dimensions.
 
-    The oracle that ``policy.score`` is checked against by finite differences.
+    The oracle that ``score`` is checked against by finite differences.
     """
     z = (np.asarray(action, dtype=float) - forward_mean(params, obs)) / params.sigma
     if params.family == "cauchy":
@@ -46,6 +46,23 @@ def log_density(params, obs, action) -> float:
     else:
         per_dim = -0.5 * (LOG_2PI + 2.0 * np.log(params.sigma)) - 0.5 * z**2
     return float(per_dim.sum())
+
+
+def score(params, obs, action) -> np.ndarray:
+    """Gradient of log pi(action | obs) with respect to the flat weights, one step.
+
+    The single-step target that ``policy.weighted_score_sum`` and the
+    estimator are checked against.
+    """
+    obs = np.asarray(obs, dtype=float)
+    mu, acts = forward_batch(params.layers, obs[None, :])
+    dmu = dlogp_dmean(params, mu[0], action)
+    return backward_batch(params.layers, acts, dmu[None, :])
+
+
+def elevation_at(hm: Heightmap, x: float, y: float) -> float:
+    """Bilinear elevation at one point, border-clamped: the ``z`` lookup of ``pose_from_terrain``."""
+    return _elevations(hm, ((x, y),))[0]
 
 
 def flat_heightmap(size: float, cell_size: float = 1.0, origin=(0.0, 0.0)) -> Heightmap:

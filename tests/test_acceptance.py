@@ -19,13 +19,13 @@ from htnav.estimator import estimate_gradient, sample_horizon
 from htnav.evaluation import evaluate
 from htnav.net import ApproximatorSpec
 from htnav.optimizer import OptimizerState, ascent_step
-from htnav.policy import PolicyParameters, forward_mean, sample_action, score
+from htnav.policy import PolicyParameters, forward_mean, sample_action
 from htnav.rewards import RewardConfig, r_heading, r_obs, r_stable, reward_surface
 from htnav.trajectory import Trajectory
 from htnav.training import half_rise_episode, run_comparison
 from htnav.world import WorldGenConfig
 
-from conftest import log_density
+from conftest import log_density, score
 
 SIGMA = 0.25
 
@@ -87,8 +87,8 @@ def test_criterion_01_score_matches_finite_differences(capsys):
     t0 = time.perf_counter()
     rng = np.random.default_rng(101)
     specs = (
-        ApproximatorSpec(input_dim=4, hidden_layers=(), output_dim=2),
-        ApproximatorSpec(input_dim=4, hidden_layers=(6,), output_dim=2),
+        ApproximatorSpec(input_dim=4, hidden_layers=()),
+        ApproximatorSpec(input_dim=4, hidden_layers=(6,)),
     )
     worst = 0.0
     for family in ("cauchy", "gaussian"):
@@ -118,7 +118,7 @@ def test_criterion_01_score_matches_finite_differences(capsys):
 
 def test_criterion_02_estimator_unbiased_on_bandit(capsys):
     t0 = time.perf_counter()
-    spec = ApproximatorSpec(input_dim=3, hidden_layers=(), output_dim=2)
+    spec = ApproximatorSpec(input_dim=3, hidden_layers=())
     rng = np.random.default_rng(77)
     params = PolicyParameters(
         spec=spec, weights=rng.normal(0.0, 0.3, spec.num_weights), sigma=SIGMA, family="cauchy"
@@ -162,7 +162,7 @@ def test_criterion_02_estimator_unbiased_on_bandit(capsys):
 
 
 def _draw_raws(family, n, seed):
-    spec = ApproximatorSpec(input_dim=2, hidden_layers=(), output_dim=2)
+    spec = ApproximatorSpec(input_dim=2, hidden_layers=())
     params = PolicyParameters(
         spec=spec, weights=np.zeros(spec.num_weights), sigma=SIGMA, family=family
     )

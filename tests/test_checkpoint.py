@@ -1,3 +1,4 @@
+import json
 import math
 from pathlib import Path
 
@@ -89,7 +90,13 @@ def test_rejects_bad_optimizer_block():
 
 
 @pytest.mark.parametrize(
-    "block, key, value", [("spec", "activation", "relu"), ("optimizer", "bias_correction", True)]
+    "block, key, value",
+    [
+        ("spec", "activation", "relu"),
+        ("spec", "output_dim", 3),
+        ("spec", "output_dim", 2.0),
+        ("optimizer", "bias_correction", True),
+    ],
 )
 def test_rejects_unsupported_constant(block, key, value):
     params = make_params()
@@ -125,8 +132,45 @@ def test_rejects_non_finite_field(block, key, value):
         checkpoint_from_dict(doc)
 
 
+BENCH_CHECKPOINT = Path(__file__).parents[1] / "perfbench" / "eval_checkpoint.json"
+
+
+@pytest.mark.parametrize(
+    "block, key, value",
+    [
+        ("spec", "input_dim", 6.9),
+        ("spec", "input_dim", True),
+        ("spec", "hidden_layers", [4.0]),
+        ("spec", "output_dim", 2.5),
+        ("spec", "output_dim", "2"),
+        (None, "sigma", True),
+        (None, "sigma", "0.25"),
+        (None, "weights", "0.0"),
+        (None, "weights", True),
+        ("optimizer", "m", "0.0"),
+        ("optimizer", "v", False),
+        ("optimizer", "step_count", 2.5),
+        ("optimizer", "step_count", "40"),
+        ("optimizer", "eta", "0.01"),
+        ("optimizer", "beta1", True),
+        ("optimizer", "epsilon", None),
+    ],
+)
+def test_rejects_mistyped_number(block, key, value):
+    # numbers are held to the config rules: no int from a float, no number
+    # from a string or a bool
+    doc = json.loads(BENCH_CHECKPOINT.read_text())
+    owner = doc if block is None else doc[block]
+    if isinstance(owner[key], list) and owner[key]:
+        owner[key][1] = value
+    else:
+        owner[key] = value
+    with pytest.raises(CheckpointError, match=key):
+        checkpoint_from_dict(doc)
+
+
 def test_benchmark_checkpoint_loads_and_rewrites_identically(tmp_path):
-    path = Path(__file__).parents[1] / "perfbench" / "eval_checkpoint.json"
+    path = BENCH_CHECKPOINT
     params, state = load_checkpoint(path)
     assert state is not None
     save_checkpoint(tmp_path / "again.json", params, state)
@@ -141,8 +185,6 @@ def test_load_rejects_corrupt_file(tmp_path):
 
 
 def test_checkpoint_dict_is_json_plain():
-    import json
-
     doc = checkpoint_to_dict(make_params(hidden=(3,)), OptimizerState.fresh(23))
     json.dumps(doc)
     assert doc["format"] == "htnav-checkpoint-v1"

@@ -1,13 +1,17 @@
 import json
 import math
 import multiprocessing
+from pathlib import Path
 
 import pytest
 
+from htnav.atomic import write_json
 from htnav.cli import main
-from htnav.config import TrainConfig, save_config
+from htnav.config import TrainConfig, config_to_dict
 
 from conftest import LIVELY, assert_manifest_lists_dir, use_workers
+
+BENCH_CHECKPOINT = Path(__file__).parents[1] / "perfbench" / "eval_checkpoint.json"
 
 FAST = [
     "--episodes",
@@ -59,7 +63,7 @@ def test_missing_config_file_names_path(tmp_path, caplog):
 
 def test_config_file_then_set_precedence(tmp_path):
     cfg_path = tmp_path / "cfg.json"
-    save_config(TrainConfig(episodes=7, eta=0.03), cfg_path)
+    write_json(cfg_path, config_to_dict(TrainConfig(episodes=7, eta=0.03)))
     out = tmp_path / "run"
     code = run(
         [
@@ -173,6 +177,29 @@ def test_eval_rejects_non_finite_checkpoint(tmp_path, caplog, field, value):
     code = run(["eval", str(path), "--set", "max_steps=30", "-n", "2", "--out", str(out)])
     assert code == 2
     assert f"checkpoint field '{field}' must be finite" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "block, key, value, message",
+    [
+        # the env would drop the third action component without a word
+        ("spec", "output_dim", 3, "unsupported output_dim 3"),
+        (None, "sigma", "0.25", "sigma must be a number, got '0.25'"),
+    ],
+)
+def test_eval_rejects_mistyped_benchmark_checkpoint(tmp_path, caplog, block, key, value, message):
+    doc = json.loads(BENCH_CHECKPOINT.read_text())
+    if key == "output_dim":
+        # a 3-wide output layer, so only the stated width is wrong
+        doc["weights"] += doc["weights"][:6]
+    (doc if block is None else doc[block])[key] = value
+    path = tmp_path / "ckpt.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code = run(["eval", str(path), "--scenario", "uneven_terrain", "-n", "2", "--out", str(out)])
+    assert code == 2
+    assert message in caplog.text
     assert not out.exists()
 
 

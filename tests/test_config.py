@@ -1,7 +1,10 @@
+import dataclasses
+import json
 import math
 
 import pytest
 
+from htnav.atomic import write_json
 from htnav.config import (
     DEFAULT_SEEDS,
     ConfigError,
@@ -10,7 +13,6 @@ from htnav.config import (
     config_from_dict,
     config_to_dict,
     load_config,
-    save_config,
 )
 
 
@@ -40,7 +42,7 @@ def test_round_trip_dict():
 def test_round_trip_file(tmp_path):
     cfg = TrainConfig(family="gaussian", eta=0.05)
     path = tmp_path / "cfg.json"
-    save_config(cfg, path)
+    write_json(path, config_to_dict(cfg))
     assert load_config(path) == cfg
 
 
@@ -129,12 +131,10 @@ def test_overrides_parse_json_values():
 
 
 def test_overrides_reject_unknown_keys():
-    with pytest.raises(ConfigError):
-        apply_overrides(TrainConfig(), {"warmup": "3"})
-    with pytest.raises(ConfigError):
-        apply_overrides(TrainConfig(), {"rewards.bonus": "3"})
-    with pytest.raises(ConfigError):
-        apply_overrides(TrainConfig(), {"a.b.c": "3"})
+    # a key must end at a field: not past one, not at a missing block
+    for key in ("warmup", "rewards.bonus", "a.b.c", "gamma.x", "rewards.beta_g.x", "env."):
+        with pytest.raises(ConfigError, match=f"^unknown config key '{key}'$"):
+            apply_overrides(TrainConfig(), {key: "3"})
 
 
 def test_overrides_do_not_mutate_original():
@@ -149,3 +149,101 @@ def test_nested_defaults_survive_round_trip():
     assert doc["env"]["dt"] == 0.1
     assert doc["worldgen"]["min_start_misalignment"] == pytest.approx(math.pi / 2)
     assert isinstance(doc["seeds"], list)
+
+
+# one valid value per settable field, by dotted key, each unlike its default
+CHANGED = {
+    "scenario": "uneven_terrain",
+    "family": "gaussian",
+    "gamma": 0.95,
+    "sigma": 0.5,
+    "delta": 2.0,
+    "phi": 5.0,
+    "eta": 0.02,
+    "beta1": 0.8,
+    "beta2": 0.99,
+    "epsilon": 1e-6,
+    "episodes": 7,
+    "max_steps": 50,
+    "seeds": [9, 3],
+    "hidden_layers": [5, 3],
+    "rewards.beta_g": 50.0,
+    "rewards.sigma_g": 0.1,
+    "rewards.r_collision": -50.0,
+    "rewards.r_stable_penalty": -25.0,
+    "rewards.dist_mode": "literal",
+    "rewards.angle_threshold": 1.5,
+    "rewards.tilt_threshold": 0.3,
+    "env.v_max": 2.0,
+    "env.omega_max": 0.5,
+    "env.dt": 0.5,
+    "env.goal_radius": 2.0,
+    "env.d_collision": 1.0,
+    "env.flip_threshold": 1.0,
+    "env.n_scan_rays": 36,
+    "env.scan_max_range": 5.0,
+    "worldgen.bounds": [-10.0, 0.0, 50.0, 60.0],
+    "worldgen.separation": [5.0, 20.0],
+    "worldgen.obstacle_clearance": 1.0,
+    "worldgen.margin": 3.0,
+    "worldgen.min_start_misalignment": 0.5,
+    "worldgen.retries": 10,
+    "worldgen.n_trees": [1, 2],
+    "worldgen.tree_radius": [0.5, 0.6],
+    "worldgen.n_walls": [0, 1],
+    "worldgen.wall_length": [2.0, 4.0],
+    "worldgen.wall_thickness": [0.1, 0.2],
+    "worldgen.cell_size": 1.0,
+    "worldgen.ripple_amplitude": 0.0,
+    "worldgen.n_hills": 3,
+    "worldgen.hill_sigma": [2.0, 3.0],
+    "worldgen.hill_amplitude": [1.0, 2.0],
+    "worldgen.elevation_gain": [1.0, 2.0],
+    "worldgen.max_elevation_gain": 2.0,
+    "worldgen.max_spawn_slope": 0.5,
+}
+
+
+def _dotted_keys(cls, prefix=""):
+    for f in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(f.type):
+            yield from _dotted_keys(f.type, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name
+
+
+def test_changed_values_cover_every_field():
+    assert sorted(_dotted_keys(TrainConfig)) == sorted(CHANGED)
+
+
+@pytest.mark.parametrize("key", sorted(CHANGED))
+def test_every_field_set_by_dotted_key_and_round_trips(key):
+    cfg = apply_overrides(TrainConfig(), {key: json.dumps(CHANGED[key])})
+    expected = config_to_dict(TrainConfig())
+    *blocks, leaf = key.split(".")
+    owner = expected
+    for name in blocks:
+        owner = owner[name]
+    assert owner[leaf] != CHANGED[key]
+    owner[leaf] = CHANGED[key]
+    # the override changes exactly this field
+    assert config_to_dict(cfg) == expected
+    again = config_from_dict(json.loads(json.dumps(config_to_dict(cfg))))
+    assert again == cfg
+    assert config_to_dict(again) == expected
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ([], "config must be a mapping, got list"),
+        ({"env": [1]}, "env must be a mapping, got list"),
+        ({"worldgen": {"depth": 1}}, r"unknown worldgen keys: \['depth'\]"),
+        ({"env": {"dt": -1.0}}, "env.dt must be positive and finite, got -1.0"),
+        ({"rewards": {"beta_g": "high"}}, "rewards.beta_g must be a number, got 'high'"),
+        ({"gamma": 2.0}, r"gamma must be in \(0, 1\), got 2.0"),
+    ],
+)
+def test_reader_errors_name_their_block(data, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        config_from_dict(data)

@@ -4,10 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from htnav.estimator import clip_gradient, estimate, estimate_gradient, sample_horizon
-from htnav.policy import score
 from htnav.trajectory import Trajectory
 
-from conftest import make_params
+from conftest import make_params, score
 
 
 def _traj(params, rng, n):

@@ -16,8 +16,6 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         ApproximatorSpec(input_dim=0)
     with pytest.raises(ValueError):
-        ApproximatorSpec(input_dim=4, output_dim=0)
-    with pytest.raises(ValueError):
         ApproximatorSpec(input_dim=4, hidden_layers=(0,))
 
 

@@ -14,11 +14,10 @@ from htnav.policy import (
     init_policy,
     project_action,
     sample_action,
-    score,
     weighted_score_sum,
 )
 
-from conftest import log_density, make_params
+from conftest import log_density, make_params, score
 
 
 def test_parameters_validate_shapes_and_sigma():

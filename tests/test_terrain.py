@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from htnav.terrain import Heightmap, elevation_at, pose_from_terrain, terrain_gradient
+from htnav.terrain import Heightmap, pose_from_terrain, terrain_gradient
 
-from conftest import flat_heightmap
+from conftest import elevation_at, flat_heightmap
 
 
 def test_heightmap_validates():
@@ -100,20 +100,21 @@ def test_pose_angles_bounded(x, y, psi):
 
 def _oracle_elevation_at(hm: Heightmap, x: float, y: float) -> float:
     """The numpy-scalar lookup that ``elevation_at`` replaced, kept as its bit-exact reference."""
+    e = hm.elevations
+    height, width = e.shape
     gx = (x - hm.origin[0]) / hm.cell_size
     gy = (y - hm.origin[1]) / hm.cell_size
-    gx = min(max(gx, 0.0), hm.width - 1.0)
-    gy = min(max(gy, 0.0), hm.height - 1.0)
-    ix = min(int(gx), hm.width - 2) if hm.width > 1 else 0
-    iy = min(int(gy), hm.height - 2) if hm.height > 1 else 0
+    gx = min(max(gx, 0.0), width - 1.0)
+    gy = min(max(gy, 0.0), height - 1.0)
+    ix = min(int(gx), width - 2) if width > 1 else 0
+    iy = min(int(gy), height - 2) if height > 1 else 0
     fx = gx - ix
     fy = gy - iy
-    e = hm.elevations
-    if hm.width == 1 and hm.height == 1:
+    if width == 1 and height == 1:
         return float(e[0, 0])
-    if hm.width == 1:
+    if width == 1:
         return float(e[iy, 0] * (1 - fy) + e[iy + 1, 0] * fy)
-    if hm.height == 1:
+    if height == 1:
         return float(e[0, ix] * (1 - fx) + e[0, ix + 1] * fx)
     top = e[iy, ix] * (1 - fx) + e[iy, ix + 1] * fx
     bot = e[iy + 1, ix] * (1 - fx) + e[iy + 1, ix + 1] * fx
