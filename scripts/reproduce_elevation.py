@@ -3,8 +3,9 @@
 
 Trains on procedurally generated hilly worlds, writes the same run
 directory as ``htnav compare`` (its manifest records this script's config),
-evaluates each trained seed deterministically on held-out worlds, and
-prints the per-family table of success rate, trajectory length, and
+evaluates each trained seed deterministically on held-out worlds, writes
+that per-seed table to ``eval_seeds.csv`` in the same directory, and
+prints the per-family means of success rate, trajectory length, and
 elevation cost.
 """
 
@@ -17,12 +18,15 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from htnav.atomic import write_csv
 from htnav.cli import write_compare_dir
-from htnav.config import ConfigError, TrainConfig
+from htnav.config import ConfigError, TrainConfig, apply_overrides
 from htnav.env import EnvConfig
 from htnav.evaluation import evaluate
 from htnav.training import run_comparison
 from htnav.world import WorldGenConfig
+
+EVAL_CSV = "eval_seeds.csv"
 
 
 def main() -> int:
@@ -30,6 +34,7 @@ def main() -> int:
     parser.add_argument("--episodes", type=int, default=400)
     parser.add_argument("--eval-episodes", type=int, default=50)
     parser.add_argument("--eta", type=float, default=0.05)
+    parser.add_argument("--seeds", default="0,1,2,3,4,5")
     parser.add_argument("--out", default="runs/elevation")
     args = parser.parse_args()
     if args.eval_episodes < 1:
@@ -46,25 +51,29 @@ def main() -> int:
             env=EnvConfig(v_max=2.0),
             worldgen=WorldGenConfig(min_start_misalignment=math.pi / 4),
         )
+        cfg = apply_overrides(cfg, {"seeds": "[" + args.seeds + "]"})
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     result = run_comparison(cfg)
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_compare_dir(out, cfg, result)
-    print(f"episodes={cfg.episodes} eta={cfg.eta} seeds={list(cfg.seeds)}")
-    print(f"{'family':>8} {'success%':>9} {'steps(all)':>11} {'elev cost':>10}")
+    rows = []
     for record in (result.cauchy, result.gaussian):
-        rates, lengths, costs = [], [], []
         for run in record.seed_runs:
             report = evaluate(
                 run.params, cfg, args.eval_episodes, mode="deterministic", seed=run.seed
             )
-            rates.append(report.success_rate)
-            lengths.append(report.avg_traj_length_all)
-            costs.append(report.elevation_cost)
+            rows.append([record.family, run.seed, report.success_rate,
+                         report.avg_traj_length_all, report.elevation_cost])
+
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    header = ["family", "seed", "success_rate", "avg_traj_length_all", "elevation_cost_all"]
+    write_csv(out / EVAL_CSV, header, rows)
+    write_compare_dir(out, cfg, result, extra_files=[EVAL_CSV])
+    print(f"episodes={cfg.episodes} eta={cfg.eta} seeds={list(cfg.seeds)}")
+    print(f"{'family':>8} {'success%':>9} {'steps(all)':>11} {'elev cost':>10}")
+    for record in (result.cauchy, result.gaussian):
+        rates, lengths, costs = zip(*(row[2:] for row in rows if row[0] == record.family))
         print(
             f"{record.family:>8} {np.mean(rates):9.1f} {np.mean(lengths):11.1f} "
             f"{np.mean(costs):10.4f}"

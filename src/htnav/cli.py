@@ -61,18 +61,27 @@ def _build_config(args) -> TrainConfig:
     else:
         cfg = TrainConfig()
     overrides = {}
-    if getattr(args, "scenario", None):
-        overrides["scenario"] = args.scenario
-    if getattr(args, "family", None):
-        overrides["family"] = args.family
-    if getattr(args, "episodes", None) is not None:
-        overrides["episodes"] = args.episodes
+    for name in ("scenario", "family", "episodes"):
+        if getattr(args, name, None) is not None:
+            overrides[name] = getattr(args, name)
     if getattr(args, "seeds", None):
         overrides["seeds"] = _parse_seeds(args.seeds)
     overrides.update(_parse_set_pairs(getattr(args, "set", None)))
     if overrides:
         cfg = apply_overrides(cfg, overrides)
     return cfg
+
+
+def _eval_config(args, params) -> TrainConfig:
+    """``_build_config`` with the checkpoint's family, sigma and hidden_layers, which a
+    ``--family`` or ``--set`` may only repeat: the config an eval runs and records."""
+    cfg = _build_config(args)
+    policy = {"family": params.family, "sigma": params.sigma, "hidden_layers": params.spec.hidden_layers}
+    flagged = set(_parse_set_pairs(args.set)) | ({"family"} if args.family else set())
+    for key, value in policy.items():
+        if key in flagged and getattr(cfg, key) != value:
+            raise ConfigError(f"checkpoint has {key} {value!r}, not {getattr(cfg, key)!r}")
+    return apply_overrides(cfg, policy)
 
 
 def _run_dir(args, default_name: str) -> Path:
@@ -170,10 +179,11 @@ def write_record(out_dir: Path, record: RunRecord, tag: str = "") -> list[str]:
     return names
 
 
-def write_compare_dir(out_dir: Path, cfg: TrainConfig, result: ComparisonResult) -> None:
-    """Write a ``compare`` run directory: comparison.csv, both records, manifest."""
+def write_compare_dir(out_dir: Path, cfg: TrainConfig, result: ComparisonResult, extra_files=()) -> None:
+    """Write a ``compare`` run directory: comparison.csv, both records, and a manifest
+    that also lists ``extra_files``, which the caller has written to ``out_dir``."""
     write_comparison_csv(result, out_dir / "comparison.csv")
-    files = ["comparison.csv"]
+    files = ["comparison.csv", *extra_files]
     for record in (result.cauchy, result.gaussian):
         files += write_record(out_dir, record, f"_{record.family}")
     _write_manifest(out_dir, "compare", cfg, files)
@@ -198,16 +208,12 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     params, _ = load_checkpoint(args.checkpoint)
-    cfg = _build_config(args)
+    cfg = _eval_config(args, params)
     expected = observation_dim(cfg.scenario, cfg.env.n_scan_rays)
     if params.spec.input_dim != expected:
         raise CheckpointError(
             f"checkpoint expects {params.spec.input_dim} input features but "
             f"scenario {cfg.scenario!r} provides {expected}"
-        )
-    if params.family != cfg.family:
-        raise CheckpointError(
-            f"checkpoint family {params.family!r} does not match config family {cfg.family!r}"
         )
     report = evaluate(params, cfg, args.n, mode=args.mode, seed=args.eval_seed)
     out = _run_dir(args, f"eval-{cfg.scenario}-{cfg.family}")
@@ -316,16 +322,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, CheckpointError) as exc:
-        log.error("error: %s", exc)
-        return 2
     except FileNotFoundError as exc:
         log.error("error: file not found: %s", exc.filename or exc)
         return 2
     except (TrainingAbort, GenerationError) as exc:
         log.error("error: %s", exc)
         return 1
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError and CheckpointError among them
         log.error("error: %s", exc)
         return 2
 

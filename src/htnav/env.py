@@ -1,6 +1,7 @@
 """Differential-drive navigation environment over procedural worlds.
 
-Unicycle kinematics on a heightmap, an optional 360-degree range scan,
+Unicycle kinematics, grounded on the heightmap in ``uneven_terrain`` and
+level on the flat scenarios' ground, an optional 360-degree range scan,
 scenario-specific observations, sparse rewards, and termination logic.
 Dynamics are purely kinematic and fully deterministic: the only
 randomness in a rollout comes from the policy.
@@ -78,9 +79,10 @@ def kinematic_step(
 class NavEnv:
     """One rollout's worth of simulation state.
 
-    Owns the pose ``(x, y, psi, z, roll, pitch)``, the step counter, and
-    the per-episode reward latches, plus the goal distance, heading offset
-    and (obstacle scenario only) scan of the latest observation.  The world boundary acts as a wall:
+    Owns the pose ``(x, y, psi, z, roll, pitch)``, whose last three are 0.0
+    on flat ground, the step counter, and the per-episode reward latches,
+    plus the goal distance, heading offset and (obstacle scenario only)
+    scan of the latest observation.  The world boundary acts as a wall:
     positions clamp to the bounds and the scanner sees the four boundary
     segments.
     """
@@ -135,9 +137,15 @@ class NavEnv:
             return np.asarray(base + [roll / TILT_SCALE, pitch / TILT_SCALE])
         return np.asarray(base)
 
+    def _ground(self, x: float, y: float, psi: float) -> tuple[float, float, float, float, float, float]:
+        """The full pose at a planar pose: level on flat ground, else from the terrain."""
+        if self.world.heightmap is None:
+            return x, y, psi, 0.0, 0.0, 0.0
+        return pose_from_terrain(self.world.heightmap, x, y, psi)
+
     def reset(self) -> np.ndarray:
         """Place the robot at the start pose; returns the first feature vector."""
-        self.pose = pose_from_terrain(self.world.heightmap, *self.world.start_pose)
+        self.pose = self._ground(*self.world.start_pose)
         self.steps = 0
         features = self._observe((0.0, 0.0))
         self.reward_state = rw.EpisodeRewardState(initial_distance=self.d_goal)
@@ -156,7 +164,7 @@ class NavEnv:
         x0, y0, x1, y1 = self.world.bounds
         x = min(max(x, x0), x1)
         y = min(max(y, y0), y1)
-        self.pose = pose_from_terrain(self.world.heightmap, x, y, psi)
+        self.pose = self._ground(x, y, psi)
         roll, pitch = self.pose[4:]
         self.steps += 1
 

@@ -12,7 +12,8 @@ class Trajectory:
 
     ``features`` are the policy inputs actually consumed at each step and
     ``rewards`` are the per-step totals.  ``poses`` has one row more than
-    there are steps: the pose after reset comes first.
+    there are steps: the pose after reset comes first.  Its z, roll and
+    pitch columns are 0.0 on the flat scenarios, which have no terrain.
     """
 
     features: np.ndarray          # (T, obs_dim)

@@ -1,11 +1,11 @@
 """Procedural worlds for the three navigation scenarios.
 
 A world is fully determined by (scenario, seed, generation knobs):
-terrain grid, obstacle primitives, start pose, and goal position.
-Scenario 1 places no obstacles on near-flat ground, scenario 2 adds
-trees and walls, scenario 3 builds rolling terrain from seeded Gaussian
-hills rescaled so the total elevation gain stays within the configured
-bound.
+obstacle primitives, start pose, goal position and, for uneven terrain
+only, a heightmap.  Scenarios 1 and 2 are flat ground with no heightmap;
+scenario 1 places no obstacles and scenario 2 adds trees and walls.
+Scenario 3 builds rolling terrain from seeded Gaussian hills rescaled so
+the total elevation gain stays within the configured bound.
 """
 
 import math
@@ -44,7 +44,6 @@ class WorldGenConfig:
     wall_thickness: tuple[float, float] = (0.2, 0.6)
     # terrain
     cell_size: float = 0.5
-    ripple_amplitude: float = 0.15
     n_hills: int = 24
     hill_sigma: tuple[float, float] = (1.2, 7.0)
     hill_amplitude: tuple[float, float] = (0.5, 3.5)
@@ -58,8 +57,8 @@ class WorldGenConfig:
         rules = [
             (("cell_size", "retries"), lambda v: 0 < v and finite(v), "positive and finite"),
             (
-                ("margin", "obstacle_clearance", "min_start_misalignment", "ripple_amplitude",
-                 "n_hills", "max_elevation_gain", "max_spawn_slope"),
+                ("margin", "obstacle_clearance", "min_start_misalignment", "n_hills",
+                 "max_elevation_gain", "max_spawn_slope"),
                 lambda v: 0 <= v and finite(v),
                 ">= 0 and finite",
             ),
@@ -84,7 +83,7 @@ class WorldGenConfig:
 
 @dataclass
 class World:
-    heightmap: Heightmap
+    heightmap: Heightmap | None  # on uneven_terrain only; None on flat ground
     obstacles: list[Obstacle]
     start_pose: tuple[float, float, float]
     goal: tuple[float, float]
@@ -94,6 +93,9 @@ class World:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
+        uneven = self.scenario == "uneven_terrain"
+        if (self.heightmap is not None) != uneven:
+            raise ValueError(f"heightmap must be {'given' if uneven else 'None'} on {self.scenario}")
 
 
 def _hill_field(xs, ys, centers, sigmas, amps) -> np.ndarray:
@@ -114,35 +116,27 @@ def _hill_field(xs, ys, centers, sigmas, amps) -> np.ndarray:
     return z
 
 
-def _rescale_gain(z: np.ndarray, target: float) -> np.ndarray:
-    gain = float(z.max() - z.min())
-    if gain <= 0.0:
-        return z
-    return z * (target / gain)
-
-
-def _make_heightmap(scenario: str, cfg: WorldGenConfig, rng: np.random.Generator) -> Heightmap:
+def _make_heightmap(scenario: str, cfg: WorldGenConfig, rng: np.random.Generator) -> Heightmap | None:
+    if scenario != "uneven_terrain":
+        # flat ground has no heightmap, but the stream still advances by the
+        # 24 doubles a 6-hill ripple field once drew here, so the start, goal
+        # and obstacles that follow keep the bits every flat pin was made on
+        rng.random(24)
+        return None
     x0, y0, x1, y1 = cfg.bounds
     nx = int(round((x1 - x0) / cfg.cell_size)) + 1
     ny = int(round((y1 - y0) / cfg.cell_size)) + 1
     xs = x0 + np.arange(nx) * cfg.cell_size
     ys = y0 + np.arange(ny) * cfg.cell_size
-    if scenario == "uneven_terrain":
-        n = cfg.n_hills
-        centers = np.column_stack([rng.uniform(x0, x1, n), rng.uniform(y0, y1, n)])
-        sigmas = rng.uniform(*cfg.hill_sigma, n)
-        amps = rng.uniform(*cfg.hill_amplitude, n)
-        z = _hill_field(xs, ys, centers, sigmas, amps)
-        target = min(rng.uniform(*cfg.elevation_gain), cfg.max_elevation_gain)
-        z = _rescale_gain(z, target)
-    else:
-        # gentle ripple so flat-ground scenarios still have realistic z traces
-        n = 6
-        centers = np.column_stack([rng.uniform(x0, x1, n), rng.uniform(y0, y1, n)])
-        sigmas = rng.uniform(8.0, 25.0, n)
-        amps = rng.uniform(-1.0, 1.0, n)
-        z = _hill_field(xs, ys, centers, sigmas, amps)
-        z = _rescale_gain(z, cfg.ripple_amplitude)
+    n = cfg.n_hills
+    centers = np.column_stack([rng.uniform(x0, x1, n), rng.uniform(y0, y1, n)])
+    sigmas = rng.uniform(*cfg.hill_sigma, n)
+    amps = rng.uniform(*cfg.hill_amplitude, n)
+    z = _hill_field(xs, ys, centers, sigmas, amps)
+    target = min(rng.uniform(*cfg.elevation_gain), cfg.max_elevation_gain)
+    gain = float(z.max() - z.min())
+    if gain > 0.0:
+        z = z * (target / gain)
     return Heightmap(cell_size=cfg.cell_size, elevations=z, origin=(x0, y0))
 
 
@@ -172,14 +166,9 @@ def _clearance_ok(p, obstacles, clearance: float) -> bool:
     return all(point_obstacle_clearance(p, ob) >= clearance for ob in obstacles)
 
 
-def _spawn_slope_ok(hm: Heightmap, p, limit: float) -> bool:
-    gx, gy = terrain_gradient(hm, p[0], p[1])
-    return math.hypot(gx, gy) <= limit
-
-
 def _place_start_goal(
     scenario: str,
-    hm: Heightmap,
+    hm: Heightmap | None,
     obstacles: list[Obstacle],
     cfg: WorldGenConfig,
     rng: np.random.Generator,
@@ -203,11 +192,9 @@ def _place_start_goal(
         alpha = wrap_angle(math.atan2(gy - sy, gx - sx) - psi)
         if abs(alpha) < cfg.min_start_misalignment:
             continue
-        if scenario == "uneven_terrain":
-            if not _spawn_slope_ok(hm, (sx, sy), cfg.max_spawn_slope):
-                continue
-            if not _spawn_slope_ok(hm, (gx, gy), cfg.max_spawn_slope):
-                continue
+        slopes = (math.hypot(*terrain_gradient(hm, x, y)) for x, y in ((sx, sy), (gx, gy)))
+        if hm is not None and not all(slope <= cfg.max_spawn_slope for slope in slopes):
+            continue
         return (sx, sy, psi), (gx, gy)
     raise GenerationError(
         f"could not place start/goal after {cfg.retries} attempts ({scenario})"

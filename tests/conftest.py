@@ -84,20 +84,13 @@ def world_fields(world):
     """Everything that makes a world, for field-by-field equality.
 
     Elevations enter as the grid shape plus their raw bytes, so one ulp or
-    a -0.0 counts as a difference.
+    a -0.0 counts as a difference; flat ground has no heightmap.
     """
     hm = world.heightmap
-    return (
-        world.scenario,
-        world.bounds,
-        world.start_pose,
-        world.goal,
-        world.obstacles,
-        hm.cell_size,
-        hm.origin,
-        hm.elevations.shape,
-        hm.elevations.tobytes(),
-    )
+    terrain = None
+    if hm is not None:
+        terrain = (hm.cell_size, hm.origin, hm.elevations.shape, hm.elevations.tobytes())
+    return (world.scenario, world.bounds, world.start_pose, world.goal, world.obstacles, terrain)
 
 
 def assert_manifest_lists_dir(out):

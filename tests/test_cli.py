@@ -239,6 +239,49 @@ def test_eval_rejects_family_mismatch(tmp_path):
     assert code == 2
 
 
+# a policy no flag default describes
+POLICY = ["--family", "gaussian", "--set", "sigma=0.5", "--set", "hidden_layers=[3]"]
+
+
+def _train_one(tmp_path, *policy):
+    """Train one 1-episode seed with ``policy``; returns its checkpoint path."""
+    out = tmp_path / "train"
+    argv = ["train", "--episodes", "1", "--seeds", "0", "--set", "max_steps=20", *policy]
+    assert run([*argv, "--out", str(out)]) == 0
+    return str(out / "checkpoint_seed0.json")
+
+
+def test_eval_manifest_records_the_checkpoint_policy(tmp_path):
+    checkpoint = _train_one(tmp_path, *POLICY)
+    # no policy flags, or flags that agree with the checkpoint
+    for name, flags in (("bare", []), ("agreeing", POLICY[2:])):
+        out = tmp_path / name
+        argv = ["eval", checkpoint, "-n", "1", "--mode", "stochastic", "--set", "max_steps=20"]
+        assert run([*argv, *flags, "--out", str(out)]) == 0
+        config = assert_manifest_lists_dir(out)["config"]
+        assert (config["family"], config["sigma"], config["hidden_layers"]) == ("gaussian", 0.5, [3])
+
+
+@pytest.mark.parametrize(
+    "policy, flags, key",
+    [
+        (POLICY, ["--set", "sigma=0.25"], "sigma"),
+        (POLICY, ["--set", "hidden_layers=[]"], "hidden_layers"),
+        (POLICY, ["--family", "cauchy"], "family"),
+        ([], ["--set", "sigma=0.5"], "sigma"),
+        ([], ["--set", "hidden_layers=[3]"], "hidden_layers"),
+        ([], ["--set", "family=gaussian"], "family"),
+    ],
+    ids=["sigma", "hidden_layers", "family", "default-sigma", "default-hidden_layers", "default-family"],
+)
+def test_eval_rejects_policy_flags_that_disagree_with_checkpoint(tmp_path, caplog, policy, flags, key):
+    checkpoint = _train_one(tmp_path, *policy)
+    out = tmp_path / "out"
+    assert run(["eval", checkpoint, "-n", "1", *flags, "--out", str(out)]) == 2
+    assert f"error: checkpoint has {key} " in caplog.text
+    assert not out.exists()
+
+
 def test_compare_writes_aligned_curves(tmp_path):
     out = tmp_path / "cmp"
     code = run(["compare", "--episodes", "2", "--seeds", "0", "--set", "max_steps=20", "--out", str(out)])

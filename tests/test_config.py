@@ -58,11 +58,17 @@ def test_unknown_top_level_key_rejected():
         config_from_dict({"learning_rate": 0.1})
 
 
-@pytest.mark.parametrize("key", ["plateau_patience", "fixed_world", "bias_correction"])
+@pytest.mark.parametrize(
+    "key", ["plateau_patience", "fixed_world", "bias_correction", "worldgen.ripple_amplitude"]
+)
 def test_removed_keys_rejected_by_name(key):
     # config files written before these knobs were removed must fail, not be ignored
-    with pytest.raises(ConfigError, match=key):
-        config_from_dict({key: 1})
+    *blocks, leaf = key.split(".")
+    data = {leaf: 1}
+    for block in reversed(blocks):
+        data = {block: data}
+    with pytest.raises(ConfigError, match=leaf):
+        config_from_dict(data)
     with pytest.raises(ConfigError, match=key):
         apply_overrides(TrainConfig(), {key: "1"})
 
@@ -194,7 +200,6 @@ CHANGED = {
     "worldgen.wall_length": [2.0, 4.0],
     "worldgen.wall_thickness": [0.1, 0.2],
     "worldgen.cell_size": 1.0,
-    "worldgen.ripple_amplitude": 0.0,
     "worldgen.n_hills": 3,
     "worldgen.hill_sigma": [2.0, 3.0],
     "worldgen.hill_amplitude": [1.0, 2.0],

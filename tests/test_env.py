@@ -17,8 +17,9 @@ from conftest import flat_heightmap
 
 
 def flat_world(scenario="goal_reaching", start=(5.0, 5.0, 0.0), goal=(15.0, 5.0), obstacles=()):
+    """A 40 m world; on ``uneven_terrain`` its heightmap is all zeros."""
     bounds = (0.0, 0.0, 40.0, 40.0)
-    hm = flat_heightmap(40.0, cell_size=1.0)
+    hm = flat_heightmap(40.0, cell_size=1.0) if scenario == "uneven_terrain" else None
     return World(
         heightmap=hm,
         obstacles=list(obstacles),

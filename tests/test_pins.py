@@ -80,12 +80,12 @@ EVAL_VARIANT_PINS = {
         "eval_summary.json": "5368a61606a44e75d158467a3f1d25b11a9e6942cec2a7d2dee44f5aa26e83b5",
     },
     ("obstacle_avoidance", "deterministic", 0): {
-        "eval_rows.csv": "d01ee9dfa004b564d3fafead81257d7e758791e8f7710d822812d7a6262e28bd",
-        "eval_summary.json": "ef8c1a07e4e1c93cba67d60c8d7b76c9d3ce80ec3b75661f8993e6d72485d921",
+        "eval_rows.csv": "e7e489f221628e69c5a1c27532ab99a471d2fd731343492251a893d0954beaf0",
+        "eval_summary.json": "279fff02b9b34d71cdc959b3c4ce1541c9a737676120d73692bd8937b9d56aa4",
     },
     ("obstacle_avoidance", "stochastic", 1): {
-        "eval_rows.csv": "417189f9bb01b22eabaf826026ddf8fab402092bef88305257d4744543a2e683",
-        "eval_summary.json": "bbf15a9cd0ab79c42ebb5ad4c06482c290c427e9b18d3f36226d87080f99a702",
+        "eval_rows.csv": "d70d293fc3c4c17ec51d7ee5cfec3eebf5c8dacd2ee5d2fc276f91defecc5a4c",
+        "eval_summary.json": "cdea484b67603ebce599a4fa5ec64eb8b73c4858b50d0a311680f720dd0c1118",
     },
 }
 

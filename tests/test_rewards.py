@@ -115,14 +115,15 @@ def test_r_dist_requires_episode_state():
 
 
 def test_total_reward_per_scenario():
-    # a tree beside the start on a 1.5 slope: the collision and tilt terms
-    # would both fire, but each scenario pays only the terms it has
+    # a tree beside the start in every scenario and a 1.5 slope on uneven
+    # terrain: the collision term would fire everywhere, but each scenario
+    # pays only the terms it has
     xs = np.arange(41.0)
     hm = Heightmap(cell_size=1.0, elevations=np.tile(1.5 * xs, (41, 1)))
     paid = {}
     for scenario in SCENARIOS:
         world = World(
-            heightmap=hm,
+            heightmap=hm if scenario == "uneven_terrain" else None,
             obstacles=[Circle(center=(5.6, 5.0), radius=0.1)],
             start_pose=(5.0, 5.0, 0.0),
             goal=(5.0, 25.0),

@@ -1,5 +1,6 @@
 """Smoke tests: the reproduction scripts run end to end at a tiny size."""
 
+import csv
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,6 @@ from conftest import assert_manifest_lists_dir
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 FAMILIES = ("cauchy", "gaussian")
-DEFAULT_SEEDS = range(6)
 
 
 def _compare_files(seeds):
@@ -52,20 +52,30 @@ def test_reproduce_curves_with_no_episodes(tmp_path):
 
 
 def test_reproduce_elevation(tmp_path):
-    out, proc = _run("reproduce_elevation.py", tmp_path, "--episodes", "2", "--eval-episodes", "2")
-    assert {p.name for p in out.iterdir()} == _compare_files(DEFAULT_SEEDS)
+    args = ["--episodes", "2", "--eval-episodes", "2", "--seeds", "0,2"]
+    out, proc = _run("reproduce_elevation.py", tmp_path, *args)
+    assert {p.name for p in out.iterdir()} == _compare_files([0, 2]) | {"eval_seeds.csv"}
     manifest = assert_manifest_lists_dir(out)
+    assert "eval_seeds.csv" in manifest["files"]
     # the script's own settings, which no CLI default gives, are on record
     assert manifest["config"]["eta"] == 0.05
     assert manifest["config"]["env"]["v_max"] == 2.0
+    assert manifest["seeds"] == [0, 2]
+    with open(out / "eval_seeds.csv", newline="") as fh:
+        seed_rows = list(csv.reader(fh))
+    assert seed_rows[0] == ["family", "seed", "success_rate", "avg_traj_length_all", "elevation_cost_all"]
+    assert [row[:2] for row in seed_rows[1:]] == [[f, s] for f in FAMILIES for s in ("0", "2")]
     # family, success %, mean steps, mean elevation cost
     rows = [line.split() for line in proc.stdout.splitlines()]
     table = [row for row in rows if row[:1] in (["cauchy"], ["gaussian"])]
     assert [row[0] for row in table] == list(FAMILIES)
-    for _, success, steps, elevation in table:
+    for family, success, steps, elevation in table:
         assert 0.0 <= float(success) <= 100.0
         assert 0.0 < float(steps) <= 300.0
         assert float(elevation) >= 0.0
+        # the printed table is the per-family mean of the CSV's rows
+        costs = [float(row[4]) for row in seed_rows[1:] if row[0] == family]
+        assert elevation == f"{sum(costs) / len(costs):.4f}"
 
 
 def test_reproduce_elevation_rejects_no_eval_episodes_before_training(tmp_path):
@@ -83,6 +93,7 @@ def test_reproduce_elevation_rejects_no_eval_episodes_before_training(tmp_path):
         ("reproduce_curves.py", ["--episodes", "-1", "--seeds", "0"], "episodes must be >= 0, got -1"),
         ("reproduce_curves.py", ["--seeds", "x"], "seeds must be a list of integers"),
         ("reproduce_elevation.py", ["--episodes", "-2"], "episodes must be >= 0, got -2"),
+        ("reproduce_elevation.py", ["--seeds", "x"], "seeds must be a list of integers"),
     ],
 )
 def test_scripts_report_config_errors(tmp_path, script, args, message):

@@ -6,7 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import htnav.env
 import htnav.policy
+import htnav.world
 from htnav.cli import write_comparison_csv, write_curves_csv, write_diagnostics_csv
 from htnav.config import ConfigError, TrainConfig, apply_overrides
 from htnav.env import NavEnv
@@ -24,9 +26,9 @@ from htnav.training import (
     world_for_episode,
 )
 
-from htnav.world import GenerationError
+from htnav.world import SCENARIOS, GenerationError
 
-from conftest import LIVELY, flat_heightmap, use_workers, world_fields
+from conftest import LIVELY, use_workers, world_fields
 
 TINY = TrainConfig(episodes=4, max_steps=40, seeds=(0, 1))
 # TINY earns 0 reward, so its weights never leave initial_params; on
@@ -106,6 +108,29 @@ def test_rollout_poses_start_at_reset(scenario):
     assert traj.final_distance == env.d_goal
 
 
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_only_uneven_terrain_reads_terrain(monkeypatch, scenario):
+    # flat worlds build no hill field, flat steps ground no pose, and their
+    # z, roll and pitch are all 0.0
+    calls = {"_hill_field": 0, "pose_from_terrain": 0}
+    for owner, name in ((htnav.world, "_hill_field"), (htnav.env, "pose_from_terrain")):
+
+        def counting(*args, _real=getattr(owner, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(owner, name, counting)
+    cfg = replace(LIVELY_TINY, scenario=scenario)
+    world = world_for_episode(cfg, 0, 1)
+    traj = rollout(world, initial_params(cfg, 0), cfg, episode_rng(0, 1), horizon=12)
+    if scenario == "uneven_terrain":
+        assert calls == {"_hill_field": 1, "pose_from_terrain": len(traj) + 1}
+        assert traj.poses[:, 3:].any()
+    else:
+        assert calls == {"_hill_field": 0, "pose_from_terrain": 0}
+        np.testing.assert_array_equal(traj.poses[:, 3:], 0.0)
+
+
 def test_rollout_mean_never_touches_rng():
     cfg = LIVELY_TINY
     world = world_for_episode(cfg, 0, 0)
@@ -132,7 +157,7 @@ def test_rollout_terminal_cause_sticks():
     from htnav.world import World
 
     world = World(
-        heightmap=flat_heightmap(40.0),
+        heightmap=None,
         obstacles=[],
         start_pose=(5.0, 5.0, 0.0),
         goal=(6.05, 5.0),

@@ -1,4 +1,6 @@
+import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +11,14 @@ from htnav.geometry import point_obstacle_clearance, wrap_angle
 from htnav.world import SCENARIOS, GenerationError, WorldGenConfig, _hill_field, generate_world
 
 from conftest import world_fields
+
+# sha256 over repr((start_pose, goal, obstacles)) for seeds 0-19, recorded
+# while flat worlds still built a 6-hill ripple heightmap.  Its 24 draws
+# are still taken from the world stream; a slip there fails here first.
+FLAT_WORLD_PINS = {
+    "goal_reaching": "6e4f3f177008edefc6d4ee9bc197c5858575c1399694bcc03a855ebbf66ddf89",
+    "obstacle_avoidance": "bc2c0cf58b4e4c7505a6e68f4139984ceeec46e60c62ebfcef2fbfb6d7db4e11",
+}
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
@@ -65,11 +75,24 @@ def test_start_goal_constraints(seed, scenario):
     assert abs(alpha) >= cfg.min_start_misalignment
 
 
-def test_flat_scenarios_are_nearly_flat():
-    for scenario in ("goal_reaching", "obstacle_avoidance"):
-        world = generate_world(scenario, 11)
-        z = world.heightmap.elevations
-        assert float(z.max() - z.min()) <= 2 * WorldGenConfig().ripple_amplitude + 1e-9
+@pytest.mark.parametrize("scenario", sorted(FLAT_WORLD_PINS))
+def test_flat_worlds_pinned(scenario):
+    digest = hashlib.sha256()
+    for seed in range(20):
+        world = generate_world(scenario, seed)
+        digest.update(repr((world.start_pose, world.goal, world.obstacles)).encode())
+    assert digest.hexdigest() == FLAT_WORLD_PINS[scenario]
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_heightmap_exactly_on_uneven_terrain(scenario):
+    world = generate_world(scenario, 11)
+    uneven = scenario == "uneven_terrain"
+    assert (world.heightmap is not None) == uneven
+    other = None if uneven else generate_world("uneven_terrain", 11).heightmap
+    message = f"heightmap must be {'given' if uneven else 'None'} on {scenario}"
+    with pytest.raises(ValueError, match=message):
+        replace(world, heightmap=other)
 
 
 def test_generation_error_when_unsatisfiable():
@@ -101,7 +124,7 @@ def _hills(draw):
     """Non-square grids at offset origins with 0-30 hills.
 
     Sigmas down to 0.05 cells push most nodes deep into exp's underflow
-    and subnormal range; negative amplitudes are the flat scenarios' ripple.
+    and subnormal range; negative amplitudes make hills that cancel.
     """
     cell = draw(st.floats(0.05, 2.0))
     x0, y0 = draw(st.floats(-100.0, 100.0)), draw(st.floats(-100.0, 100.0))
