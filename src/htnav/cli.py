@@ -9,6 +9,7 @@ manifest is the only file that carries a timestamp.
 """
 
 import argparse
+import hashlib
 import logging
 import math
 import os
@@ -94,7 +95,8 @@ def _run_dir(args, default_name: str) -> Path:
     return out
 
 
-def _write_manifest(out_dir: Path, command: str, cfg: TrainConfig | None, files) -> None:
+def _write_manifest(out_dir: Path, command: str, cfg: TrainConfig | None, files, **blocks) -> None:
+    """Write ``manifest.json``; ``blocks`` are extra top-level entries."""
     manifest = {
         "format": MANIFEST_FORMAT,
         "command": command,
@@ -103,6 +105,7 @@ def _write_manifest(out_dir: Path, command: str, cfg: TrainConfig | None, files)
         "config": config_to_dict(cfg) if cfg is not None else None,
         "seeds": list(cfg.seeds) if cfg is not None else None,
         "files": sorted(files),
+        **blocks,
     }
     write_json(out_dir / "manifest.json", manifest)
 
@@ -219,7 +222,14 @@ def cmd_eval(args) -> int:
     out = _run_dir(args, f"eval-{cfg.scenario}-{cfg.family}")
     write_eval_rows_csv(report, out / "eval_rows.csv")
     write_eval_summary_json(report, out / "eval_summary.json")
-    _write_manifest(out, "eval", cfg, ["eval_rows.csv", "eval_summary.json"])
+    eval_block = {
+        "checkpoint": args.checkpoint,
+        "checkpoint_sha256": hashlib.sha256(Path(args.checkpoint).read_bytes()).hexdigest(),
+        "eval_seed": args.eval_seed,
+        "episodes": args.n,
+        "mode": args.mode,
+    }
+    _write_manifest(out, "eval", cfg, ["eval_rows.csv", "eval_summary.json"], eval=eval_block)
     log.info("success_rate: %.1f%%", report.success_rate)
     log.info("avg_traj_length (successful): %s", report.avg_traj_length)
     log.info("elevation_cost (all episodes): %s", report.elevation_cost)

@@ -9,6 +9,7 @@ which spreads them over the CPUs this process may use.
 
 import math
 import os
+import pickle
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,6 +29,10 @@ WORLD_SALT = 11
 INIT_SALT = 13
 ACTION_SALT = 19
 EVAL_SALT = 23
+
+# bytes of one job index in the claim pipe; the parent writes only whole
+# records and a worker reads exactly one, so no record is split between two
+CLAIM_BYTES = 4
 
 # episodes in the trailing window behind every "final mean return" and the
 # half-rise statistic
@@ -51,31 +56,102 @@ def usable_cpus() -> int:
 def map_jobs(fn, jobs: list[tuple]) -> list:
     """``[fn(*job) for job in jobs]``, with the jobs spread over the usable CPUs.
 
-    ``fn`` must be a module-level function and each call a pure function
-    of its job, so the results do not depend on which process made them;
-    they come back in job order.  With one worker, or where ``fork`` is
-    missing, the jobs run in a plain loop in this process.  Otherwise a
-    ``fork`` pool takes one job per task, so long and short jobs balance;
-    an exception raised in a worker is raised here with its own type, and
-    the pool is shut down before this returns.
+    Each call must be a pure function of its job, so the results do not
+    depend on which process made them; they come back in job order.  With
+    one worker, or where ``fork`` is missing, the jobs run in a plain loop
+    in this process.  Otherwise forked workers, which inherit ``fn`` and
+    ``jobs``, claim job indices one at a time from a pipe, so long and
+    short jobs balance.  An exception raised in a worker is raised here
+    with its own type, and every worker is reaped before this returns.
     """
     workers = min(len(jobs), usable_cpus())
-    if workers > 1:
-        # imported here: at module level they would add to every start-up
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # fork, not spawn: a spawned worker re-imports numpy and htnav, which
-        # costs more than a short run gains.  Nothing here has started a
-        # thread before the fork, and OpenBLAS's own pool has fork hooks.
-        if "fork" in multiprocessing.get_all_start_methods():
-            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    if workers < 2 or not hasattr(os, "fork"):
+        return [fn(*job) for job in jobs]
+    # Forking is safe here: nothing has started a thread before it, and
+    # OpenBLAS's own thread pool has fork hooks.
+    results = [None] * len(jobs)
+    claims = b"".join(i.to_bytes(CLAIM_BYTES, "little") for i in range(len(jobs)))
+    claim_r, claim_w = os.pipe()
+    pipes = {}  # worker pid -> the read end of its result pipe
+    finished = False
+    try:
+        try:
+            for _ in range(workers):
+                result_r, result_w = os.pipe()
+                pid = os.fork()
+                if pid == 0:
+                    os.close(claim_w)  # else no worker ever sees the end of the claims
+                    _work(fn, jobs, claim_r, result_w)
+                os.close(result_w)
+                pipes[pid] = open(result_r, "rb")
+        finally:
+            # even after a failed fork, closing claim_w ends the claims of
+            # the workers already started
+            os.close(claim_r)
             try:
-                futures = [pool.submit(fn, *job) for job in jobs]
-                return [future.result() for future in futures]
-            finally:
-                pool.shutdown(wait=True, cancel_futures=True)
-    return [fn(*job) for job in jobs]
+                _write_and_close(claim_w, claims)
+            except BrokenPipeError:
+                pass  # every worker is gone; their result pipes say how
+        for pid, pipe in list(pipes.items()):
+            with pipe:
+                payload = pipe.read()
+            if not payload:
+                del pipes[pid]
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                raise RuntimeError(f"a worker process died without a result (exit code {code})")
+            ok, value = pickle.loads(payload)
+            if not ok:
+                exc, trace = value
+                raise exc from RuntimeError(f"in a worker process:\n{trace}")
+            for i, result in value:
+                results[i] = result
+        finished = True
+    finally:
+        for pid, pipe in pipes.items():
+            pipe.close()
+            if not finished:
+                import signal  # here, not at the top: only a failure needs it
+
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return results
+
+
+def _work(fn, jobs: list[tuple], claim_r: int, result_w: int) -> None:
+    """A worker's whole life: run the claimed jobs, send the results, exit.
+
+    Sends ``(True, [(index, result), ...])``, or ``(False, (exception,
+    traceback text))`` for the first job that raised, pickled once down
+    ``result_w``.  It leaves with ``os._exit``, so it never returns into
+    the caller's code or flushes the stdio buffers it shares with the
+    parent.
+    """
+    code = 1
+    try:
+        try:
+            done = []
+            while record := os.read(claim_r, CLAIM_BYTES):
+                i = int.from_bytes(record, "little")
+                done.append((i, fn(*jobs[i])))
+            payload = pickle.dumps((True, done))
+        except BaseException as exc:
+            import traceback  # here, not at the top: only a failure needs it
+
+            payload = pickle.dumps((False, (exc, traceback.format_exc())))
+        _write_and_close(result_w, payload)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _write_and_close(fd: int, data: bytes) -> None:
+    """Write all of ``data`` to the pipe end ``fd``, then close it."""
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view) :]
+    finally:
+        os.close(fd)
 
 
 def policy_spec(cfg: TrainConfig) -> ApproximatorSpec:

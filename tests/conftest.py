@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -78,6 +79,16 @@ def use_workers(monkeypatch, n):
     process are not seen here.
     """
     monkeypatch.setattr("htnav.training.usable_cpus", lambda: n)
+
+
+def assert_no_child_left():
+    """No child process of this one is left, running or unreaped.
+
+    ``os.waitpid(-1, WNOHANG)`` sees every child, raw forks included: it
+    raises ``ChildProcessError`` only when there is none.
+    """
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def world_fields(world):

@@ -1,6 +1,6 @@
+import hashlib
 import json
 import math
-import multiprocessing
 from pathlib import Path
 
 import pytest
@@ -9,7 +9,7 @@ from htnav.atomic import write_json
 from htnav.cli import main
 from htnav.config import TrainConfig, config_to_dict
 
-from conftest import LIVELY, assert_manifest_lists_dir, use_workers
+from conftest import LIVELY, assert_manifest_lists_dir, assert_no_child_left, use_workers
 
 BENCH_CHECKPOINT = Path(__file__).parents[1] / "perfbench" / "eval_checkpoint.json"
 
@@ -149,6 +149,37 @@ def test_eval_round_trip(tmp_path):
     summary = json.loads((eval_out / "eval_summary.json").read_text())
     assert summary["episodes"] == 2
     assert summary["mode"] == "deterministic"
+
+
+def test_eval_manifest_records_how_to_rerun_it(tmp_path):
+    argv = ["eval", str(BENCH_CHECKPOINT), "--scenario", "uneven_terrain", "-n", "2",
+            "--mode", "stochastic", "--set", "max_steps=20"]
+    outs = {seed: tmp_path / f"seed{seed}" for seed in (0, 3)}
+    for seed, out in outs.items():
+        assert run([*argv, "--eval-seed", str(seed), "--out", str(out)]) == 0
+    manifests = {seed: assert_manifest_lists_dir(out) for seed, out in outs.items()}
+    assert [manifests[seed]["eval"]["eval_seed"] for seed in outs] == [0, 3]
+    rows = {seed: (out / "eval_rows.csv").read_bytes() for seed, out in outs.items()}
+    assert rows[0] != rows[3]
+
+    # the manifest alone is enough to rerun the evaluation
+    manifest = manifests[3]
+    run_block = manifest["eval"]
+    assert run_block == {
+        "checkpoint": str(BENCH_CHECKPOINT),
+        "checkpoint_sha256": hashlib.sha256(BENCH_CHECKPOINT.read_bytes()).hexdigest(),
+        "eval_seed": 3,
+        "episodes": 2,
+        "mode": "stochastic",
+    }
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(manifest["config"]))
+    rerun = tmp_path / "rerun"
+    code = run(["eval", run_block["checkpoint"], "--config", str(config),
+                "-n", str(run_block["episodes"]), "--mode", run_block["mode"],
+                "--eval-seed", str(run_block["eval_seed"]), "--out", str(rerun)])
+    assert code == 0
+    assert (rerun / "eval_rows.csv").read_bytes() == rows[3]
 
 
 def test_eval_rejects_corrupt_checkpoint(tmp_path):
@@ -344,7 +375,7 @@ def test_run_directory_same_with_one_or_two_workers(tmp_path, monkeypatch, argv)
     for n, out in zip((1, 2), outs):
         use_workers(monkeypatch, n)
         assert run([*argv, "--out", str(out)]) == 0
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
     _assert_same_run_dirs(*outs)
 
 

@@ -1,7 +1,6 @@
 import csv
 import json
 import math
-import multiprocessing
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +14,7 @@ from htnav.evaluation import elevation_cost, evaluate
 from htnav.training import initial_params
 from htnav.world import GenerationError
 
-from conftest import use_workers
+from conftest import assert_no_child_left, use_workers
 
 
 def test_elevation_cost_examples():
@@ -137,7 +136,7 @@ def test_generation_error_in_eval_worker_keeps_its_type(monkeypatch):
     cfg = TrainConfig(episodes=1, max_steps=10)
     with pytest.raises(GenerationError, match="no placement"):
         evaluate(_zero_policy(cfg), cfg, n_episodes=3)
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_eval_seed_changes_worlds():

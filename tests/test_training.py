@@ -1,7 +1,10 @@
 import csv
-import multiprocessing
 import os
+import subprocess
+import sys
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +31,7 @@ from htnav.training import (
 
 from htnav.world import SCENARIOS, GenerationError
 
-from conftest import LIVELY, use_workers, world_fields
+from conftest import LIVELY, assert_no_child_left, use_workers, world_fields
 
 TINY = TrainConfig(episodes=4, max_steps=40, seeds=(0, 1))
 # TINY earns 0 reward, so its weights never leave initial_params; on
@@ -369,7 +372,7 @@ def test_map_jobs_keeps_job_order_in_and_out_of_process(monkeypatch):
     use_workers(monkeypatch, 2)
     assert map_jobs(abs, jobs) == [5, 3, 0, 12, 7]
     assert os.getpid() not in map_jobs(os.getpid, [(), ()])
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
     assert map_jobs(abs, []) == []
 
 
@@ -381,7 +384,7 @@ def test_training_abort_in_worker_keeps_its_type(monkeypatch):
     monkeypatch.setattr(tr, "estimate", lambda *a, **k: bad)
     with pytest.raises(TrainingAbort, match="non-finite gradient"):
         train(replace(TINY, episodes=1, seeds=(0, 1)))
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_generation_error_in_worker_keeps_its_type(monkeypatch):
@@ -392,6 +395,58 @@ def test_generation_error_in_worker_keeps_its_type(monkeypatch):
 
     use_workers(monkeypatch, 2)
     monkeypatch.setattr(tr, "generate_world", no_world)
-    with pytest.raises(GenerationError, match="no placement"):
+    with pytest.raises(GenerationError, match="no placement") as raised:
         run_comparison(replace(TINY, episodes=1, seeds=(0, 1)))
-    assert multiprocessing.active_children() == []
+    # the worker's own traceback comes along as the cause
+    assert "in no_world" in str(raised.value.__cause__)
+    assert_no_child_left()
+
+
+def _exit_on_three(k):
+    if k == 3:
+        os._exit(3)
+    return k
+
+
+def test_worker_death_is_an_error(monkeypatch):
+    use_workers(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match=r"died without a result \(exit code 3\)"):
+        map_jobs(_exit_on_three, [(1,), (3,), (2,)])
+    assert_no_child_left()
+
+
+def _sleep_then_pid(seconds):
+    time.sleep(seconds)
+    return seconds, os.getpid()
+
+
+def test_workers_claim_jobs_as_they_free_up(monkeypatch):
+    # while one worker sleeps through job 0, the other claims jobs 1-3; a
+    # static split would hand job 2 to the sleeping worker
+    use_workers(monkeypatch, 2)
+    results = map_jobs(_sleep_then_pid, [(1.0,), (0,), (0,), (0,)])
+    assert [seconds for seconds, _ in results] == [1.0, 0, 0, 0]
+    first_pid = results[0][1]
+    assert all(pid != first_pid for _, pid in results[1:])
+    assert os.getpid() not in {pid for _, pid in results}
+    assert_no_child_left()
+
+
+def test_workers_need_no_pool_modules():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys\n"
+        "import htnav.training as tr\n"
+        "tr.usable_cpus = lambda: 2\n"
+        "assert tr.map_jobs(abs, [(-1,), (2,), (-3,)]) == [1, 2, 3]\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
