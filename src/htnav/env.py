@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import rewards as rw
-from .geometry import bounds_walls, scan_ranges, wrap_angle
+from .geometry import bounds_walls, obstacles_in_range, scan_ranges, wrap_angle
 from .terrain import pose_from_terrain
 from .typecheck import check_field_types
 from .world import World
@@ -22,6 +22,13 @@ from .world import World
 # feature scaling constants: the policy consumes O(1) inputs
 D_GOAL_SCALE = 20.0
 TILT_SCALE = math.pi / 2
+
+# The scan reads the obstacles that a cull with this slack keeps around an
+# anchor, re-culled when the robot is more than this far from it (20 steps
+# at v_max * dt = 0.1 m).  The scan stays exact: scan_ranges still applies
+# the exact cull, and a slack this far above rounding keeps everything
+# that cull could keep from within the slack (geometry._beyond_range).
+SCAN_CULL_SLACK = 2.0
 
 
 @dataclass
@@ -102,6 +109,8 @@ class NavEnv:
         self.max_steps = max_steps
         self.scenario = world.scenario
         self._scan_obstacles = list(world.obstacles) + bounds_walls(world.bounds)
+        self._cull_anchor = (math.nan, math.nan)
+        self._near_obstacles: list = []
         self.pose: tuple[float, float, float, float, float, float] | None = None
         self.steps = 0
         self.reward_state: rw.EpisodeRewardState | None = None
@@ -125,10 +134,16 @@ class NavEnv:
             float(prev_action[1]),
         ]
         if self.scenario == "obstacle_avoidance":
+            ax, ay = self._cull_anchor
+            if not math.hypot(x - ax, y - ay) <= SCAN_CULL_SLACK:
+                self._cull_anchor = (x, y)
+                self._near_obstacles = obstacles_in_range(
+                    x, y, self._scan_obstacles, self.cfg.scan_max_range, SCAN_CULL_SLACK
+                )
             self.scan = scan_ranges(
                 (x, y),
                 psi,
-                self._scan_obstacles,
+                self._near_obstacles,
                 n_rays=self.cfg.n_scan_rays,
                 max_range=self.cfg.scan_max_range,
             )
@@ -174,8 +189,10 @@ class NavEnv:
             self.d_goal, self.reward_state, self.reward_cfg, self.cfg.goal_radius
         )
         obs_pen = 0.0
+        closest = math.inf
         if self.scenario == "obstacle_avoidance":
-            obs_pen = rw.r_obs(self.scan, self.cfg.d_collision, self.reward_cfg)
+            closest = float(self.scan.min())
+            obs_pen = rw.r_obs(closest, self.cfg.d_collision, self.reward_cfg)
         stable_pen = 0.0
         if self.scenario == "uneven_terrain":
             stable_pen = rw.r_stable(roll, pitch, self.reward_cfg)
@@ -186,7 +203,7 @@ class NavEnv:
         cause = "running"
         if self.d_goal <= self.cfg.goal_radius:
             cause = "goal"
-        elif self.scenario == "obstacle_avoidance" and float(self.scan.min()) <= self.cfg.d_collision:
+        elif closest <= self.cfg.d_collision:
             cause = "collision"
         elif self.scenario == "uneven_terrain" and (
             abs(roll) >= self.cfg.flip_threshold or abs(pitch) >= self.cfg.flip_threshold

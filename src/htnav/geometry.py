@@ -1,7 +1,21 @@
 """Planar geometry: obstacle primitives, raycasting, and the range scanner.
 
-All raycasts are vectorized over the ray fan.  Ray directions are unit
-vectors, so the parametric hit value is the metric distance.
+All raycasts are vectorized over the rays they test.  Ray directions are
+unit vectors, so the parametric hit value is the metric distance.
+
+The scanner's result is bit for bit that of ray-testing every obstacle on
+every ray of the fan.  It skips three kinds of work that cannot change a
+bit:
+
+- obstacles beyond max_range, whose hits would all clamp to max_range;
+  callers that scan often from nearby origins pre-cull once with a slack
+  (obstacles_in_range), and the scan still applies the exact cull;
+- the fan itself when no obstacle is left: the scan is then max_range on
+  every ray, as the clamp of "no hit" gives;
+- the rays outside an obstacle's angular window (_window_rays): they
+  report no hit on it, and a no-hit leaves the fold as it is.  Each
+  ray's direction and ray test are computed for that ray alone, so a ray
+  gets the same bits in a window as in the whole fan.
 """
 
 import math
@@ -25,6 +39,13 @@ _PARALLEL_EPS = 1e-12
 # kept whenever its line, or a capsule's side line, passes within the
 # margin.
 _CULL_REL_MARGIN = 1e-6
+
+# The same margin bounds an obstacle's ray window: a ray that passes every
+# point of the outline by more than it reports no hit.  The window is then
+# padded by this many ray spacings, which covers the rounding of the
+# window's bounds and of the ray angles (ulps of a few radians, far below
+# one spacing of any fan that fits in memory).
+_WINDOW_PAD_RAYS = 2
 
 
 def wrap_angle(a: float) -> float:
@@ -116,20 +137,27 @@ def ray_obstacle_distances(origin: np.ndarray, dirs: np.ndarray, obstacle: Obsta
     return np.minimum(d, ray_circle_distances(origin, dirs, b, r))
 
 
-def _beyond_range(ox: float, oy: float, obstacle: Obstacle, max_range: float) -> bool:
-    """True when no ray from (ox, oy) can report a hit on ``obstacle`` within max_range.
+def _margin(ox: float, oy: float, obstacle: Obstacle, max_range: float, slack: float) -> float:
+    """The cull and ray-window tolerance: _CULL_REL_MARGIN times the size of the numbers.
 
-    A NaN coordinate or range makes the comparisons false, so the obstacle
-    is scanned.
+    The size is max_range plus the absolute coordinates of the origin and
+    the obstacle plus its radius or half thickness, plus 2 * slack: an
+    origin within slack of (ox, oy) has |x| + |y| at most sqrt(2) * slack
+    larger, so its own margin is smaller than this one by at least
+    (2 - sqrt(2)) * slack * _CULL_REL_MARGIN.
     """
-    size = max_range + abs(ox) + abs(oy)
+    size = max_range + 2.0 * slack + abs(ox) + abs(oy)
     if isinstance(obstacle, Circle):
         (cx, cy), r = obstacle.center, obstacle.radius
-        margin = _CULL_REL_MARGIN * (size + abs(cx) + abs(cy) + r)
-        return math.hypot(ox - cx, oy - cy) - r > max_range + margin
+        return _CULL_REL_MARGIN * (size + abs(cx) + abs(cy) + r)
     (ax, ay), (bx, by) = obstacle.p1, obstacle.p2
     r = obstacle.thickness / 2.0
-    margin = _CULL_REL_MARGIN * (size + abs(ax) + abs(ay) + abs(bx) + abs(by) + r)
+    return _CULL_REL_MARGIN * (size + abs(ax) + abs(ay) + abs(bx) + abs(by) + r)
+
+
+def _segment_reach(ox: float, oy: float, wall: Wall) -> tuple[float, float]:
+    """Distance from (ox, oy) to the wall's segment and to the line through it."""
+    (ax, ay), (bx, by) = wall.p1, wall.p2
     ex, ey = bx - ax, by - ay
     px, py = ox - ax, oy - ay
     # hypot, unlike ex*ex + ey*ey, stays non-zero on the shortest walls
@@ -137,12 +165,91 @@ def _beyond_range(ox: float, oy: float, obstacle: Obstacle, max_range: float) ->
     along = (px * ex + py * ey) / length
     line = abs(px * ey - py * ex) / length
     if along <= 0.0:
-        nearest = math.hypot(px, py)
-    elif along >= length:
-        nearest = math.hypot(ox - bx, oy - by)
+        return math.hypot(px, py), line
+    if along >= length:
+        return math.hypot(ox - bx, oy - by), line
+    return line, line
+
+
+def _beyond_range(ox: float, oy: float, obstacle: Obstacle, max_range: float, slack: float = 0.0) -> bool:
+    """True when no ray from within ``slack`` of (ox, oy) can report a hit on
+    ``obstacle`` within max_range.
+
+    Moving the origin by at most slack moves its distance to the outline
+    and to a wall's line by at most slack, and lowers the margin by more
+    than the rounding of those distances (see _margin) while slack is
+    above about 1e-8 of the coordinates, so an obstacle this culls is
+    culled by the slack-0 test from every such origin.  With slack 0 it is
+    that test.  A NaN coordinate or range makes the comparisons false, so
+    the obstacle is kept.
+    """
+    margin = _margin(ox, oy, obstacle, max_range, slack)
+    if isinstance(obstacle, Circle):
+        (cx, cy), r = obstacle.center, obstacle.radius
+        return math.hypot(ox - cx, oy - cy) - r > max_range + slack + margin
+    nearest, line = _segment_reach(ox, oy, obstacle)
+    r = obstacle.thickness / 2.0
+    return nearest - r > max_range + slack + margin and abs(line - r) > slack + margin
+
+
+def obstacles_in_range(ox: float, oy: float, obstacles, max_range: float, slack: float = 0.0) -> list:
+    """The obstacles a scan of max_range may see from some origin within slack of (ox, oy)."""
+    return [ob for ob in obstacles if not _beyond_range(ox, oy, ob, max_range, slack)]
+
+
+def _window_rays(
+    ox: float, oy: float, heading: float, obstacle: Obstacle, n_rays: int, max_range: float
+) -> np.ndarray | None:
+    """Indices of the rays that can report a hit on ``obstacle``; None for every ray.
+
+    A ray whose bearing is more than asin((r + margin) / dist) off the
+    bearings of a circle, or off the arc between a wall's endpoint
+    bearings, passes every point of the outline by more than margin, so
+    its ray test reports no hit (see _CULL_REL_MARGIN).  The window is
+    padded by _WINDOW_PAD_RAYS ray spacings.  All rays are tested when the
+    origin is within margin of the outline (or inside it), when the window
+    would cover the fan, when a bound is not finite (a NaN origin or
+    heading), and when the heading is outside [-2pi, 2pi], where the ray
+    angles round by more than the pad allows for.
+    """
+    if not abs(heading) <= 2.0 * math.pi:
+        return None
+    margin = _margin(ox, oy, obstacle, max_range, 0.0)
+    if isinstance(obstacle, Circle):
+        (cx, cy), r = obstacle.center, obstacle.radius
+        dist = math.hypot(cx - ox, cy - oy)
+        lo = hi = math.atan2(cy - oy, cx - ox)
     else:
-        nearest = line
-    return nearest - r > max_range + margin and abs(line - r) > margin
+        (ax, ay), (bx, by) = obstacle.p1, obstacle.p2
+        r = obstacle.thickness / 2.0
+        dist = _segment_reach(ox, oy, obstacle)[0]
+        # the origin is off the segment, which it sees under less than pi
+        lo = math.atan2(ay - oy, ax - ox)
+        span = wrap_angle(math.atan2(by - oy, bx - ox) - lo)
+        hi = lo + span
+        if span < 0.0:
+            lo, hi = hi, lo
+    if not dist > r + margin:
+        return None
+    widen = math.asin((r + margin) / dist)
+    step = 2.0 * math.pi / n_rays
+    first = (lo - widen - heading) / step - _WINDOW_PAD_RAYS
+    last = (hi + widen - heading) / step + _WINDOW_PAD_RAYS
+    if not last - first < n_rays:
+        return None
+    first, last = math.floor(first), math.ceil(last)
+    if last - first + 1 >= n_rays:
+        return None
+    return np.arange(first, last + 1) % n_rays
+
+
+def _fan(heading: float, rays: np.ndarray, n_rays: int) -> np.ndarray:
+    """Unit directions of the given rays; ray k points at heading + k * (2*pi / n_rays)."""
+    angles = heading + rays * (2.0 * math.pi / n_rays)
+    dirs = np.empty((len(angles), 2))
+    dirs[:, 0] = np.cos(angles)
+    dirs[:, 1] = np.sin(angles)
+    return dirs
 
 
 def scan_ranges(
@@ -155,18 +262,22 @@ def scan_ranges(
     """Simulated 360-degree range scan in the robot frame.
 
     Ray k points at heading + k * (2*pi / n_rays); ranges are clamped to
-    [0, max_range] with max_range standing in for "no hit".  Obstacles
-    wholly beyond max_range are not ray-tested: every hit on one would
-    clamp to max_range, so skipping it leaves the scan bit for bit the same.
+    [0, max_range] with max_range standing in for "no hit".  The result
+    is bit for bit that of ray-testing every obstacle on every ray; the
+    module docstring lists the work skipped and why each skip is exact.
     """
     origin = np.asarray(origin, dtype=float)
     ox, oy = origin.tolist()
-    angles = heading + np.arange(n_rays) * (2.0 * math.pi / n_rays)
-    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    kept = obstacles_in_range(ox, oy, obstacles, max_range)
+    if not kept:
+        return np.full(n_rays, max_range, dtype=float)
     best = np.full(n_rays, np.inf)
-    for obstacle in obstacles:
-        if not _beyond_range(ox, oy, obstacle, max_range):
-            best = np.minimum(best, ray_obstacle_distances(origin, dirs, obstacle))
+    for obstacle in kept:
+        rays = _window_rays(ox, oy, heading, obstacle, n_rays, max_range)
+        if rays is None:
+            rays = np.arange(n_rays)
+        dirs = _fan(heading, rays, n_rays)
+        best[rays] = np.minimum(best[rays], ray_obstacle_distances(origin, dirs, obstacle))
     return np.clip(best, 0.0, max_range)
 
 

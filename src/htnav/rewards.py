@@ -95,13 +95,12 @@ def r_dist(
     return reward, state
 
 
-def r_obs(scan: np.ndarray, d_collision: float, cfg: RewardConfig | None = None) -> float:
+def r_obs(closest: float, d_collision: float, cfg: RewardConfig | None = None) -> float:
     """Collision penalty when the closest scan return is at or inside the clearance."""
     cfg = cfg or RewardConfig()
-    scan = np.asarray(scan, dtype=float)
-    if scan.size == 0:
-        raise ValueError("scan must be non-empty")
-    return cfg.r_collision if float(scan.min()) <= d_collision else 0.0
+    if math.isnan(closest):
+        raise ValueError("closest scan range must not be NaN")
+    return cfg.r_collision if closest <= d_collision else 0.0
 
 
 def r_stable(roll: float, pitch: float, cfg: RewardConfig | None = None) -> float:
@@ -148,6 +147,6 @@ def reward_surface(
         values = dist_vals[:, None] + head_vals[None, :]
     else:
         other_axis = np.linspace(0.0, scan_max, n_other)
-        obs_vals = np.array([r_obs(np.array([s]), d_collision, cfg) for s in other_axis])
+        obs_vals = np.array([r_obs(s, d_collision, cfg) for s in other_axis])
         values = dist_vals[:, None] + obs_vals[None, :]
     return d_axis, other_axis, values

@@ -3,10 +3,15 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from htnav.net import ApproximatorSpec, backward_batch, forward_batch
 from htnav.policy import PolicyParameters, dlogp_dmean, forward_mean
 from htnav.terrain import Heightmap, _elevations
+
+# `pytest --hypothesis-profile=scan-oracle tests/test_geometry.py` runs the
+# scan oracle tests on ten times their usual number of examples (a CI step).
+settings.register_profile("scan-oracle", max_examples=1000)
 
 # A wide heading cone, long steps, a big collision radius and a low tilt
 # threshold make the heading, collision and tilt terms fire within 40

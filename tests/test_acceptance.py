@@ -238,9 +238,9 @@ def test_criterion_06_reward_boundary_examples(capsys):
         ("r_heading(0)", r_heading(0.0, cfg), 1.0),
         ("r_heading(pi/4)", r_heading(math.pi / 4, cfg), 1.0),
         ("r_heading(pi/3)", r_heading(math.pi / 3, cfg), 0.0),
-        ("r_obs(min 0.3)", r_obs(np.array([0.3, 2.0]), 0.5, cfg), -100.0),
-        ("r_obs(min 5.0)", r_obs(np.array([5.0, 9.0]), 0.5, cfg), 0.0),
-        ("r_obs(min 0.5)", r_obs(np.array([0.5, 2.0]), 0.5, cfg), -100.0),
+        ("r_obs(min 0.3)", r_obs(0.3, 0.5, cfg), -100.0),
+        ("r_obs(min 5.0)", r_obs(5.0, 0.5, cfg), 0.0),
+        ("r_obs(min 0.5)", r_obs(0.5, 0.5, cfg), -100.0),
         ("r_stable(0,0)", r_stable(0.0, 0.0, cfg), 0.0),
         ("r_stable(pitch pi/3)", r_stable(0.0, math.pi / 3, cfg), -100.0),
         ("r_stable(roll pi/4)", r_stable(math.pi / 4, 0.0, cfg), -100.0),

@@ -6,16 +6,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from htnav import geometry
+from htnav.env import SCAN_CULL_SLACK, EnvConfig, NavEnv
 from htnav.geometry import (
     Circle,
     Wall,
     bounds_walls,
+    obstacles_in_range,
     point_obstacle_clearance,
     ray_circle_distances,
     ray_obstacle_distances,
     scan_ranges,
     wrap_angle,
 )
+from htnav.world import generate_world
 
 
 def test_wrap_angle_range_and_fixed_points():
@@ -125,10 +128,22 @@ def test_point_clearance():
     assert point_obstacle_clearance((2.0, 2.0), wall) == pytest.approx(1.5)
 
 
-# --- the range cull ------------------------------------------------------
+# --- the range cull, the empty scan and the ray windows -----------------
 #
-# scan_ranges skips obstacles wholly beyond max_range.  The oracle below
-# ray-tests every obstacle, and the culled scan must match it byte for byte.
+# scan_ranges skips obstacles wholly beyond max_range, builds no fan when
+# none is left, and ray-tests each obstacle only on the rays of its
+# window.  The oracle below ray-tests every obstacle on every ray, and the
+# scan must match it byte for byte.
+
+
+def _oracle_settings(max_examples):
+    """``max_examples`` examples, times the loaded profile's over hypothesis's default of 100.
+
+    The default profile runs each oracle test at its own count; the
+    ``scan-oracle`` profile (tests/conftest.py) runs ten times as many.
+    """
+    scale = max(1, settings.default.max_examples // 100)
+    return settings(max_examples=max_examples * scale, deadline=None)
 
 
 def _oracle_scan_ranges(origin, heading, obstacles, n_rays=720, max_range=10.0):
@@ -200,13 +215,13 @@ def _near_threshold_scenes(draw):
     return tuple(origin.tolist()), heading, obstacles, draw(N_RAYS), max_range
 
 
-@settings(max_examples=300, deadline=None)
+@_oracle_settings(300)
 @given(_near_threshold_scenes())
 def test_scan_matches_oracle_near_max_range(scene):
     _assert_scan_matches_oracle(*scene)
 
 
-@settings(max_examples=100, deadline=None)
+@_oracle_settings(100)
 @given(
     st.floats(-1e6, 1e6),
     st.floats(-1e6, 1e6),
@@ -262,3 +277,230 @@ def test_far_obstacles_are_not_ray_tested(monkeypatch):
     ranges = scan_ranges((50.0, 50.0), 0.0, [near, *far] + bounds_walls((0.0, 0.0, 100.0, 100.0)))
     assert tested == [near]
     assert ranges[0] == pytest.approx(4.0)
+
+
+def test_nan_origin_and_heading_match_oracle():
+    """A NaN origin or heading gives no finite window bound: every ray is tested."""
+    circle = Circle((2.0, 1.0), 0.5)
+    capsule = Wall((3.0, -2.0), (3.0, 2.0), thickness=0.4)
+    for origin, heading in (((math.nan, 1.0), 0.0), ((0.0, math.nan), 0.3), ((0.0, 0.0), math.nan)):
+        for n_rays in (1, 7, 720):
+            _assert_scan_matches_oracle(origin, heading, [circle, capsule], n_rays, 10.0)
+    np.testing.assert_array_equal(scan_ranges((math.nan, 1.0), 0.0, [circle]), 10.0)
+
+
+@pytest.mark.parametrize("heading", [1e300, -1e17, 1e6, -100.0, 7.0])
+def test_far_out_headings_match_oracle(heading):
+    """Far from [-2pi, 2pi] the ray angles round to coarse steps; every ray is tested."""
+    obstacles = [Circle((2.0, 1.0), 0.5), Wall((-3.0, -2.0), (-3.0, 2.0), thickness=0.4), Wall((0.0, 4.0), (1.0, 4.0))]
+    for n_rays in (7, 720):
+        _assert_scan_matches_oracle((0.0, 0.0), heading, obstacles, n_rays, 10.0)
+
+
+def test_empty_scan_builds_no_fan(monkeypatch):
+    def no_fan(*args):
+        raise AssertionError("a scan with nothing in range built a fan")
+
+    monkeypatch.setattr(geometry, "_fan", no_fan)
+    far = [Circle((70.0, 50.0), 1.0), Wall((50.0, 70.0), (60.0, 70.0), thickness=0.4)]
+    for max_range in (10.0, 10, 0.5):
+        got = scan_ranges((50.0, 50.0), 0.3, far + bounds_walls((0.0, 0.0, 100.0, 100.0)), max_range=max_range)
+        want = _oracle_scan_ranges((50.0, 50.0), 0.3, [], max_range=max_range)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_obstacles_are_ray_tested_only_inside_their_window(monkeypatch):
+    tested = []
+    real = geometry.ray_obstacle_distances
+
+    def counting(origin, dirs, obstacle):
+        tested.append(len(dirs))
+        return real(origin, dirs, obstacle)
+
+    monkeypatch.setattr(geometry, "ray_obstacle_distances", counting)
+    # a 0.5 m circle 5 m away subtends about 11.5 degrees: 23 rays of 720,
+    # plus the rounding allowance and 2 rays of pad on each side
+    scan_ranges((0.0, 0.0), 0.0, [Circle((5.0, 0.0), 0.5)])
+    assert 23 <= tested[0] <= 30
+
+
+HEADINGS = [math.pi, -math.pi, 0.0, math.pi / 2, -3.0]
+
+
+@pytest.mark.parametrize("n_rays", [1, 2, 3, 7, 720])
+@pytest.mark.parametrize("heading", HEADINGS)
+def test_windows_around_ray_zero_match_oracle(heading, n_rays):
+    """Obstacles straddling ray 0 (their windows wrap past index 0) and around the fan."""
+    origin = np.array([20.0, 30.0])
+    shapes = []
+    for offset in (0.0, 0.01, -0.01, math.pi, 2.0):
+        u = np.array([math.cos(heading + offset), math.sin(heading + offset)])
+        n = np.array([-u[1], u[0]])
+        shapes += [
+            Circle(tuple((origin + 4.0 * u).tolist()), 0.5),
+            Wall(tuple((origin + 6.0 * u - 2.0 * n).tolist()), tuple((origin + 6.0 * u + 2.0 * n).tolist())),
+            Wall(tuple((origin + 3.0 * u + n).tolist()), tuple((origin + 8.0 * u + n).tolist()), thickness=0.3),
+        ]
+    for obstacle in shapes:
+        _assert_scan_matches_oracle(tuple(origin.tolist()), heading, [obstacle], n_rays, 10.0)
+    _assert_scan_matches_oracle(tuple(origin.tolist()), heading, shapes, n_rays, 10.0)
+
+
+@pytest.mark.parametrize("n_rays", [7, 360, 720])
+@pytest.mark.parametrize("heading", HEADINGS)
+def test_grazing_rays_at_window_edge_match_oracle(n_rays, heading):
+    """Ray k passes a circle at its radius, give or take: the circle's tangent
+    bearing, the edge of its unpadded window, lies on a ray."""
+    origin = np.array([-7.0, 12.0])
+    for k in (0, 1, n_rays // 2, n_rays - 1):
+        a = heading + k * (2.0 * math.pi / n_rays)
+        u = np.array([math.cos(a), math.sin(a)])
+        n = np.array([-u[1], u[0]])
+        for radius in (1e-6, 0.05, 0.5, 3.0):
+            for side in (1.0, 1.0 - 1e-12, 1.0 + 1e-12, 1.0 - 1e-6, -1.0, -1.0 - 1e-12):
+                for along in (radius + 0.2, 6.0):
+                    center = origin + along * u + side * radius * n
+                    circle = Circle(tuple(center.tolist()), radius)
+                    _assert_scan_matches_oracle(tuple(origin.tolist()), heading, [circle], n_rays, 10.0)
+
+
+@pytest.mark.parametrize("n_rays", [1, 2, 3, 7, 720])
+@pytest.mark.parametrize("where", [(0.0, 0.0), (2.9, 0.3), (-3.1, -0.35), (0.0, 0.399999)])
+def test_origin_inside_capsule_matches_oracle(where, n_rays):
+    """Inside the capsule (or on its outline) the window is the whole fan."""
+    capsule = Wall((-3.0, 0.0), (3.0, 0.0), thickness=0.8)
+    circle = Circle((5.0, 0.5), 0.5)
+    for heading in HEADINGS:
+        _assert_scan_matches_oracle(where, heading, [capsule], n_rays, 10.0)
+        _assert_scan_matches_oracle(where, heading, [capsule, circle], n_rays, 10.0)
+
+
+# --- the slack cull ------------------------------------------------------
+#
+# NavEnv culls once with SCAN_CULL_SLACK around an anchor and scans the
+# survivors from every origin within that slack of it.  The slack cull
+# must keep whatever the exact cull keeps at any such origin.
+
+
+def _shifted(obstacle, v):
+    """The obstacle moved by the vector v."""
+    if isinstance(obstacle, Circle):
+        return Circle(tuple((np.asarray(obstacle.center) + v).tolist()), obstacle.radius)
+    p1, p2 = (tuple((np.asarray(p) + v).tolist()) for p in (obstacle.p1, obstacle.p2))
+    return Wall(p1, p2, obstacle.thickness)
+
+
+@st.composite
+def _slack_scenes(draw):
+    """An anchor, an origin within slack of it, and obstacles near a cull threshold.
+
+    Obstacles sit at max_range + slack from the anchor or at max_range
+    from the origin, or that plus the cull margin, give or take some ulps,
+    often straight across the anchor-origin line.  Walls include in-line
+    ones, ones whose line passes within 1e-9 of the origin, ones whose
+    line passes at slack plus the margin from the anchor, and 1e-160 m
+    ones; coordinates reach 1e6.
+    """
+    coord = st.one_of(st.floats(-100.0, 100.0), st.floats(1e6 - 50.0, 1e6 + 50.0), st.floats(-1e6, 1e6))
+    anchor = np.array([draw(coord), draw(coord)])
+    slack = draw(st.one_of(st.just(SCAN_CULL_SLACK), st.floats(0.1, 10.0)))
+    max_range = draw(st.floats(0.5, 50.0))
+    phi = draw(ANGLES)
+    rho = slack * draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0)))
+    origin = anchor + rho * np.array([math.cos(phi), math.sin(phi)])
+    assume(math.hypot(*(origin - anchor).tolist()) <= slack)
+    ulp = math.ulp(max(max_range + slack, *np.abs(anchor).tolist()))
+    obstacles = []
+    for _ in range(draw(st.integers(1, 4))):
+        theta = draw(st.one_of(st.just(phi), ANGLES))
+        u = np.array([math.cos(theta), math.sin(theta)])
+        n = np.array([-u[1], u[0]])
+        jitter = draw(
+            st.one_of(
+                st.integers(-8, 8).map(lambda k: k * ulp),
+                st.tuples(st.integers(-8, 8), st.sampled_from([1e4, 1e8, 1e10])).map(lambda t: t[0] * t[1] * ulp),
+                st.floats(-1e-3, 1e-3).map(lambda f: f * slack),
+            )
+        )
+        kind = draw(st.sampled_from(["from_anchor", "from_origin", "line_from_anchor", "near_line", "tiny"]))
+        if kind in ("from_anchor", "from_origin"):
+            base, reach, pad = (anchor, max_range + slack, slack) if kind == "from_anchor" else (origin, max_range, 0.0)
+            obstacle = draw(_obstacle_at(base, reach + jitter, theta))
+            if draw(st.booleans()):
+                obstacle = _shifted(obstacle, geometry._margin(*base.tolist(), obstacle, max_range, pad) * u)
+            obstacles.append(obstacle)
+            continue
+        thickness = draw(st.sampled_from([0.0, 0.0, 0.4]))
+        if kind == "line_from_anchor":
+            # the line runs along n at slack + margin from the anchor, toward u
+            start = anchor + draw(st.floats(-3.0, 3.0)) * (max_range + slack) * n
+            wall = Wall(tuple(start.tolist()), tuple((start + 1e3 * n).tolist()), thickness)
+            reach = slack + thickness / 2.0 + jitter
+            reach += geometry._margin(*anchor.tolist(), wall, max_range, slack)
+            obstacles.append(_shifted(wall, reach * u))
+            continue
+        offset = draw(st.floats(-1e-9, 1e-9))
+        start = origin + offset * n + draw(st.floats(0.0, 3.0 * (max_range + slack))) * u
+        length = 1e-160 if kind == "tiny" else draw(st.floats(1e-3, 1e4))
+        end = start + length * u
+        assume(tuple(start) != tuple(end))
+        obstacles.append(Wall(tuple(start.tolist()), tuple(end.tolist()), thickness=thickness))
+    return tuple(anchor.tolist()), tuple(origin.tolist()), obstacles, max_range, slack
+
+
+@_oracle_settings(300)
+@given(_slack_scenes())
+def test_slack_cull_keeps_what_exact_cull_keeps_nearby(scene):
+    (ax, ay), (ox, oy), obstacles, max_range, slack = scene
+    near = obstacles_in_range(ax, ay, obstacles, max_range, slack)
+    exact = obstacles_in_range(ox, oy, obstacles, max_range)
+    assert all(any(ob is kept for kept in near) for ob in exact)
+
+
+@pytest.mark.parametrize("corner", [50.0, -1e3, 1e6])
+def test_slack_cull_from_the_worst_origin(corner):
+    """The origin moves slack along the diagonal away from (0, 0), where its
+    own margin grows most, straight toward a circle and a capsule's line
+    placed a little either side of the slack cull's thresholds."""
+    slack, max_range, r = SCAN_CULL_SLACK, 10.0, 0.3
+    d = np.array([1.0, 1.0]) * math.copysign(1.0 / math.sqrt(2.0), corner)
+    n = np.array([-d[1], d[0]])
+    anchor = np.array([corner, corner])
+    ox, oy = (anchor + slack * (1.0 - 1e-15) * d).tolist()
+
+    def circle(reach):
+        return Circle(tuple((anchor + (reach + r) * d).tolist()), r)
+
+    def capsule(reach):
+        # only its line comes near the anchor: the segment starts far to the side
+        start = anchor + (reach + r) * d + 3.0 * (max_range + slack) * n
+        return Wall(tuple(start.tolist()), tuple((start + 100.0 * n).tolist()), thickness=2.0 * r)
+
+    offsets = [k * 2e-7 for k in range(-20, 41)] + [-1e-4, -5e-4, -1e-3, -1.9e-3]
+    for make, threshold in ((circle, max_range + slack), (capsule, slack)):
+        for offset in offsets:
+            # reach = threshold + margin + offset, with the margin taken where the obstacle ends up
+            reach = threshold + offset
+            for _ in range(3):
+                reach = threshold + geometry._margin(*anchor.tolist(), make(reach), max_range, slack) + offset
+            obstacle = make(reach)
+            if not obstacles_in_range(*anchor.tolist(), [obstacle], max_range, slack):
+                assert not obstacles_in_range(ox, oy, [obstacle], max_range), (make.__name__, offset)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3, 5])
+def test_env_scans_match_oracle_across_reculls(seed):
+    """A robot driving through a generated obstacle world re-culls its scan
+    list many times; every scan still equals the all-obstacle oracle."""
+    world = generate_world("obstacle_avoidance", seed)
+    env = NavEnv(world, EnvConfig(dt=0.2), max_steps=10_000)
+    everything = list(world.obstacles) + bounds_walls(world.bounds)
+    env.reset()
+    anchors = set()
+    for k in range(400):
+        x, y, psi = env.pose[:3]
+        want = _oracle_scan_ranges((x, y), psi, everything)
+        assert env.scan.tobytes() == want.tobytes(), (seed, k)
+        anchors.add(env._cull_anchor)
+        env.step((1.0, 0.6 * math.sin(k / 15.0)))
+    assert len(anchors) >= 5

@@ -36,13 +36,12 @@ def test_heading_indicator_boundaries(alpha, expected):
     [(0.3, -100.0), (0.5, -100.0), (0.5001, 0.0), (5.0, 0.0)],
 )
 def test_collision_penalty_boundaries(closest, expected):
-    scan = np.array([9.0, closest, 7.5])
-    assert r_obs(scan, 0.5, CFG) == expected
+    assert r_obs(closest, 0.5, CFG) == expected
 
 
-def test_collision_penalty_rejects_empty_scan():
+def test_collision_penalty_rejects_nan_closest_range():
     with pytest.raises(ValueError):
-        r_obs(np.array([]), 0.5, CFG)
+        r_obs(math.nan, 0.5, CFG)
 
 
 @pytest.mark.parametrize(
