@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .config import ConfigError, TrainConfig, load_config
 from .env import EnvConfig, NavEnv
 from .evaluation import EvalReport, elevation_cost, evaluate
-from .policy import PolicyParameters, init_policy, sample_action
+from .policy import PolicyParameters, init_policy
 from .rewards import RewardConfig, reward_surface
 from .training import RunRecord, rollout, run_comparison, train, train_seed
 from .world import World, WorldGenConfig, generate_world
@@ -36,7 +36,6 @@ __all__ = [
     "reward_surface",
     "rollout",
     "run_comparison",
-    "sample_action",
     "train",
     "train_seed",
 ]

@@ -20,6 +20,13 @@ from .typecheck import fits
 
 CHECKPOINT_FORMAT = "htnav-checkpoint-v1"
 
+# every key a checkpoint block may hold, as checkpoint_to_dict writes them
+_KEYS = {
+    "checkpoint": ("format", "spec", "family", "sigma", "weights", "optimizer"),
+    "spec": ("input_dim", "hidden_layers", "activation", "output_dim"),
+    "optimizer": ("m", "v", "step_count", "eta", "beta1", "beta2", "epsilon", "bias_correction"),
+}
+
 
 class CheckpointError(ValueError):
     """The checkpoint file is missing keys, malformed, or inconsistent."""
@@ -66,6 +73,13 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
+def _reject_unknown(block, where: str) -> None:
+    """Name the keys of the mapping ``block`` that no checkpoint has, as configs do."""
+    bad = set(block) - set(_KEYS[where]) if isinstance(block, dict) else set()
+    if bad:
+        raise CheckpointError(f"unknown {where} keys: {sorted(bad)}")
+
+
 def _require_finite(**fields) -> None:
     for name, value in fields.items():
         if not np.all(np.isfinite(value)):
@@ -87,7 +101,9 @@ def checkpoint_from_dict(doc: dict) -> tuple[PolicyParameters, OptimizerState | 
     fmt = _require(doc, "format")
     if fmt != CHECKPOINT_FORMAT:
         raise CheckpointError(f"unsupported checkpoint format {fmt!r}")
+    _reject_unknown(doc, "checkpoint")
     spec_doc = _require(doc, "spec")
+    _reject_unknown(spec_doc, "spec")
     try:
         spec = ApproximatorSpec(
             input_dim=spec_doc["input_dim"], hidden_layers=spec_doc["hidden_layers"]
@@ -116,6 +132,7 @@ def checkpoint_from_dict(doc: dict) -> tuple[PolicyParameters, OptimizerState | 
     opt_state = None
     if "optimizer" in doc:
         o = doc["optimizer"]
+        _reject_unknown(o, "optimizer")
         try:
             opt_state = OptimizerState(
                 m=_numbers(o, "m"),

@@ -332,8 +332,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        log.error("error: file not found: %s", exc.filename or exc)
+    except OSError as exc:  # a missing file, a directory where a file belongs, ...
+        where = "" if exc.filename is None else f": {exc.filename}"
+        log.error("error: %s%s", exc.strerror or exc, where)
         return 2
     except (TrainingAbort, GenerationError) as exc:
         log.error("error: %s", exc)

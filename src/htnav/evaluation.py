@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TrainConfig
-from .policy import PolicyParameters
+from .policy import PolicyParameters, action_noise
 from .training import EVAL_SALT, map_jobs, rollout
 from .world import generate_world
 
@@ -62,14 +62,17 @@ class EvalReport:
 
 
 def eval_episode(
-    params: PolicyParameters, cfg: TrainConfig, seed: int, i: int, act: str
+    params: PolicyParameters, cfg: TrainConfig, seed: int, i: int, mode: str
 ) -> EpisodeResult:
     """Episode ``i`` of the evaluation stream of ``seed``; a pure function of its arguments."""
     world = generate_world(
         cfg.scenario, np.random.SeedSequence((seed, EVAL_SALT, i)), cfg.worldgen
     )
-    rng = np.random.default_rng(np.random.SeedSequence((seed, EVAL_SALT, i, 1)))
-    traj = rollout(world, params, cfg, rng, cfg.max_steps, act=act)
+    noise = None  # not zeros: mu + 0.0 would turn a -0.0 into +0.0
+    if mode == "stochastic":
+        rng = np.random.default_rng(np.random.SeedSequence((seed, EVAL_SALT, i, 1)))
+        noise = action_noise(params, rng, cfg.max_steps)
+    traj = rollout(world, params, cfg, cfg.max_steps, noise)
     # summed step by step, left to right, unlike the training return
     total = 0.0
     for r in traj.rewards.tolist():
@@ -94,7 +97,7 @@ def evaluate(
     """Run n_episodes on worlds drawn from the evaluation stream of ``seed``.
 
     Deterministic mode executes the projected location parameter mu(s);
-    stochastic mode samples exactly as during training.  Either way an
+    stochastic mode adds noise drawn as during training.  Either way an
     episode runs until it ends or reaches ``cfg.max_steps``: no horizon is
     drawn.
     """
@@ -102,8 +105,7 @@ def evaluate(
         raise ValueError(f"n_episodes must be >= 1, got {n_episodes}")
     if mode not in EVAL_MODES:
         raise ValueError(f"mode must be one of {EVAL_MODES}, got {mode!r}")
-    act = "mean" if mode == "deterministic" else "sample"
-    rows = map_jobs(eval_episode, [(params, cfg, seed, i, act) for i in range(n_episodes)])
+    rows = map_jobs(eval_episode, [(params, cfg, seed, i, mode) for i in range(n_episodes)])
     successes = [r for r in rows if r.success]
     n_success = len(successes)
     success_rate = 100.0 * n_success / n_episodes

@@ -281,20 +281,11 @@ def scan_ranges(
     return np.clip(best, 0.0, max_range)
 
 
-def point_segment_distance(p, a, b) -> float:
-    p = np.asarray(p, dtype=float)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    e = b - a
-    t = float(np.clip((p - a) @ e / (e @ e), 0.0, 1.0))
-    return float(np.hypot(*(p - (a + t * e))))
-
-
 def point_obstacle_clearance(p, obstacle: Obstacle) -> float:
     """Distance from a point to the obstacle outline (negative inside)."""
     if isinstance(obstacle, Circle):
         return float(math.dist(p, obstacle.center) - obstacle.radius)
-    return point_segment_distance(p, obstacle.p1, obstacle.p2) - obstacle.thickness / 2.0
+    return _segment_reach(*p, obstacle)[0] - obstacle.thickness / 2.0
 
 
 def bounds_walls(bounds: tuple[float, float, float, float]) -> list[Wall]:

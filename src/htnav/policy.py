@@ -4,16 +4,17 @@ Two families share one parametrization: a heavy-tailed Cauchy policy
 (location = approximator output, fixed scale sigma) and a light-tailed
 Gaussian policy (mean = approximator output, fixed standard deviation
 sigma).  Action dimensions are sampled independently with the shared
-scalar sigma.  Sampling and the analytic score function operate on the
-raw (pre-projection) action; the infinity-norm projection only constrains
-what gets executed.
+scalar sigma.  A raw action is mu(s) plus noise drawn for the whole
+episode at once; the analytic score function operates on that raw
+(pre-projection) action, and the infinity-norm projection only
+constrains what gets executed.
 """
 
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .net import ApproximatorSpec, backward_batch, forward_batch, init_weights, unpack_weights
+from .net import OUTPUT_DIM, ApproximatorSpec, backward_batch, forward_batch, init_weights, unpack_weights
 from .typecheck import check_field_types
 
 FAMILIES = ("cauchy", "gaussian")
@@ -83,24 +84,16 @@ def project_action(raw: np.ndarray, delta: float) -> np.ndarray:
     return np.array([lo if v < lo else delta if v > delta else v for v in values], dtype=float)
 
 
-def sample_action(
-    params: PolicyParameters,
-    obs: np.ndarray,
-    rng: np.random.Generator,
-    delta: float = 1.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw one raw action and return it with its projection: ``(raw, projected)``.
+def action_noise(params: PolicyParameters, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Noise for n steps, one row per step: a raw action is mu(s) plus its row.
 
-    Cauchy sampling uses the inverse CDF (tangent transform) so the draw
-    is an exact deterministic function of the uniform stream.
+    Cauchy noise uses the inverse CDF (tangent transform), so it is an
+    exact function of the uniform stream.  Either family draws the same
+    stream in one call as in n successive draws of one row.
     """
-    mu = forward_mean(params, obs)
     if params.family == "cauchy":
-        u = rng.random(mu.shape[0])
-        raw = mu + params.sigma * np.tan(np.pi * (u - 0.5))
-    else:
-        raw = mu + params.sigma * rng.standard_normal(mu.shape[0])
-    return raw, project_action(raw, delta)
+        return params.sigma * np.tan(np.pi * (rng.random((n, OUTPUT_DIM)) - 0.5))
+    return params.sigma * rng.standard_normal((n, OUTPUT_DIM))
 
 
 def dlogp_dmean(params: PolicyParameters, mu: np.ndarray, action: np.ndarray) -> np.ndarray:

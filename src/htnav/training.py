@@ -19,7 +19,7 @@ from .env import NavEnv, observation_dim
 from .estimator import estimate, sample_horizon
 from .net import ApproximatorSpec
 from .optimizer import OptimizerState, ascent_step
-from .policy import PolicyParameters, forward_mean, init_policy, project_action, sample_action
+from .policy import PolicyParameters, action_noise, forward_mean, init_policy, project_action
 from .trajectory import Trajectory
 from .world import World, generate_world
 
@@ -179,33 +179,27 @@ def rollout(
     world: World,
     params: PolicyParameters,
     cfg: TrainConfig,
-    rng: np.random.Generator,
-    horizon: int,
-    act: str = "sample",
+    steps: int,
+    noise: np.ndarray | None = None,
 ) -> Trajectory:
-    """Run one episode for at most ``min(horizon + 1, cfg.max_steps)`` steps.
+    """Run one episode for at most ``steps`` steps.
 
-    ``act="sample"`` draws every action from the policy with ``rng``;
-    ``act="mean"`` executes the projected location mu(s) and leaves ``rng``
-    untouched.  Training and evaluation both step episodes through here.
+    The raw action at step t is mu(s) plus ``noise[t]``, or mu(s) alone
+    when ``noise`` is None; its projection is what the robot executes.
+    Training and evaluation both step episodes through here.
     """
-    if act not in ("sample", "mean"):
-        raise ValueError(f"act must be 'sample' or 'mean', got {act!r}")
     env = NavEnv(world, cfg.env, cfg.rewards, max_steps=cfg.max_steps)
     x = env.reset()
     poses = [env.pose]
-    feats, raws, projs, rewards = [], [], [], []
+    feats, raws, rewards = [], [], []
     cause = "running"
-    for _ in range(min(horizon + 1, cfg.max_steps)):
-        if act == "mean":
-            raw = forward_mean(params, x)
-            projected = project_action(raw, cfg.delta)
-        else:
-            raw, projected = sample_action(params, x, rng, cfg.delta)
+    for t in range(steps):
+        raw = forward_mean(params, x)
+        if noise is not None:
+            raw = raw + noise[t]
         feats.append(x)
         raws.append(raw)
-        projs.append(projected)
-        x, reward, cause = env.step(projected)
+        x, reward, cause = env.step(project_action(raw, cfg.delta))
         rewards.append(reward.total)
         poses.append(env.pose)
         if cause != "running":
@@ -213,7 +207,6 @@ def rollout(
     return Trajectory(
         features=np.asarray(feats),
         raw_actions=np.asarray(raws),
-        projected_actions=np.asarray(projs),
         rewards=np.asarray(rewards),
         poses=np.asarray(poses),
         final_cause=cause,
@@ -275,7 +268,8 @@ def train_seed(cfg: TrainConfig, seed: int) -> SeedRun:
         world = world_for_episode(cfg, seed, k)
         rng = episode_rng(seed, k)
         horizon = sample_horizon(cfg.gamma, rng)
-        traj = rollout(world, params, cfg, rng, horizon)
+        n = min(horizon + 1, cfg.max_steps)
+        traj = rollout(world, params, cfg, n, action_noise(params, rng, n))
         raw, clipped = estimate(params, traj, cfg.gamma, cfg.phi)
         if not np.all(np.isfinite(raw)):
             raise TrainingAbort(
@@ -292,7 +286,7 @@ def train_seed(cfg: TrainConfig, seed: int) -> SeedRun:
         clip_infs.append(float(np.abs(clipped).max()))
         h_sampled.append(horizon)
         h_used.append(len(traj) - 1)
-        max_acts.append(float(np.abs(traj.projected_actions).max()))
+        max_acts.append(float(np.abs(np.clip(traj.raw_actions, -cfg.delta, cfg.delta)).max()))
     return SeedRun(
         seed=seed,
         family=cfg.family,

@@ -17,8 +17,7 @@ class Trajectory:
     """
 
     features: np.ndarray          # (T, obs_dim)
-    raw_actions: np.ndarray       # (T, 2)
-    projected_actions: np.ndarray  # (T, 2)
+    raw_actions: np.ndarray       # (T, 2), before projection
     rewards: np.ndarray           # (T,)
     poses: np.ndarray             # (T + 1, 6): x, y, psi, z, roll, pitch
     final_cause: str = "running"

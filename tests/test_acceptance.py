@@ -19,7 +19,7 @@ from htnav.estimator import estimate_gradient, sample_horizon
 from htnav.evaluation import evaluate
 from htnav.net import ApproximatorSpec
 from htnav.optimizer import OptimizerState, ascent_step
-from htnav.policy import PolicyParameters, forward_mean, sample_action
+from htnav.policy import PolicyParameters, action_noise, forward_mean
 from htnav.rewards import RewardConfig, r_heading, r_obs, r_stable, reward_surface
 from htnav.trajectory import Trajectory
 from htnav.training import half_rise_episode, run_comparison
@@ -101,7 +101,7 @@ def test_criterion_01_score_matches_finite_differences(capsys):
                 family=family,
             )
             x = rng.normal(0.0, 1.0, 4)
-            a, _ = sample_action(params, x, rng, 1.0)
+            a = forward_mean(params, x) + action_noise(params, rng, 1)[0]
             analytic = score(params, x, a)
             fd = _fd_score(params, x, a)
             rel = float(np.max(np.abs(analytic - fd)) / max(1.0, np.max(np.abs(fd))))
@@ -135,14 +135,15 @@ def test_criterion_02_estimator_unbiased_on_bandit(capsys):
     true_grad = np.concatenate([de_dmu * x, np.zeros(3)])
 
     n = 200_000
+    mu = forward_mean(params, x)
+    noise = action_noise(params, rng, n)
     estimates = np.empty((n, spec.num_weights))
     for i in range(n):
-        raw, projected = sample_action(params, x, rng, 1.0)
+        raw = mu + noise[i]
         r = math.exp(-float(raw[0]) ** 2)
         traj = Trajectory(
             features=x[None, :],
             raw_actions=raw[None, :],
-            projected_actions=projected[None, :],
             rewards=np.array([r]),
             poses=np.zeros((2, 6)),
         )
@@ -167,11 +168,7 @@ def _draw_raws(family, n, seed):
         spec=spec, weights=np.zeros(spec.num_weights), sigma=SIGMA, family=family
     )
     rng = np.random.default_rng(seed)
-    x = np.zeros(2)
-    out = np.empty((n, 2))
-    for i in range(n):
-        out[i], _ = sample_action(params, x, rng, 1.0)
-    return out
+    return forward_mean(params, np.zeros(2)) + action_noise(params, rng, n)
 
 
 def test_criterion_03_distribution_statistics(capsys):

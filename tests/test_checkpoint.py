@@ -132,6 +132,26 @@ def test_rejects_non_finite_field(block, key, value):
         checkpoint_from_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "block, key, typo",
+    [
+        # misspelt, the optimizer block used to load as no optimizer state
+        # and the activation as the default
+        (None, "optimizer", "optimiser"),
+        ("spec", "activation", "activaton"),
+        ("optimizer", "beta1", "beta_1"),
+    ],
+)
+def test_rejects_unknown_key_by_name(block, key, typo):
+    params = make_params()
+    doc = checkpoint_to_dict(params, OptimizerState.fresh(params.spec.num_weights))
+    owner = doc if block is None else doc[block]
+    owner[typo] = owner.pop(key)
+    where = block or "checkpoint"
+    with pytest.raises(CheckpointError, match=rf"^unknown {where} keys: \['{typo}'\]$"):
+        checkpoint_from_dict(doc)
+
+
 BENCH_CHECKPOINT = Path(__file__).parents[1] / "perfbench" / "eval_checkpoint.json"
 
 

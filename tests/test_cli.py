@@ -61,6 +61,25 @@ def test_missing_config_file_names_path(tmp_path, caplog):
     assert "nope.json" in caplog.text
 
 
+@pytest.mark.parametrize("case", ["checkpoint_is_dir", "config_is_dir", "out_is_file"])
+def test_os_errors_exit_2_naming_the_path(tmp_path, caplog, case):
+    # exit 1 is kept for TrainingAbort and GenerationError
+    here = tmp_path / "here"
+    if case == "checkpoint_is_dir":
+        here.mkdir()
+        argv = ["eval", str(here), "-n", "1", "--out", str(tmp_path / "out")]
+    elif case == "config_is_dir":
+        here.mkdir()
+        argv = ["train", "--config", str(here), "--out", str(tmp_path / "out")]
+    else:
+        here.write_text("")
+        argv = ["train", "--episodes", "0", "--seeds", "0", "--out", str(here)]
+    assert run(argv) == 2
+    assert caplog.records[-1].getMessage().startswith("error: ")
+    assert caplog.records[-1].getMessage().endswith(f": {here}")
+    assert "Traceback" not in caplog.text
+
+
 def test_config_file_then_set_precedence(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     write_json(cfg_path, config_to_dict(TrainConfig(episodes=7, eta=0.03)))

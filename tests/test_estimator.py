@@ -16,7 +16,6 @@ def _traj(params, rng, n):
     return Trajectory(
         features=feats,
         raw_actions=raws,
-        projected_actions=np.clip(raws, -1, 1),
         rewards=rewards,
         poses=np.zeros((n + 1, 6)),
     )

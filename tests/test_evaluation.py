@@ -125,6 +125,19 @@ def test_stochastic_eval_draws_no_horizon(monkeypatch):
     assert all(r.cause == "timeout" for r in report.rows)
 
 
+def test_deterministic_eval_draws_no_noise(monkeypatch):
+    import htnav.evaluation as ev
+
+    def no_noise(*args):
+        raise AssertionError("deterministic eval drew noise")
+
+    use_workers(monkeypatch, 1)
+    monkeypatch.setattr(ev, "action_noise", no_noise)
+    cfg = TrainConfig(episodes=1, max_steps=10)
+    report = evaluate(_zero_policy(cfg), cfg, n_episodes=2, mode="deterministic")
+    assert [r.steps for r in report.rows] == [10, 10]
+
+
 def test_generation_error_in_eval_worker_keeps_its_type(monkeypatch):
     import htnav.evaluation as ev
 

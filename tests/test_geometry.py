@@ -126,6 +126,24 @@ def test_point_clearance():
     assert point_obstacle_clearance((0.0, 0.0), circle) == pytest.approx(-1.0)
     wall = Wall(p1=(0.0, 0.0), p2=(4.0, 0.0), thickness=1.0)
     assert point_obstacle_clearance((2.0, 2.0), wall) == pytest.approx(1.5)
+    # past either end, the distance is to that endpoint
+    assert point_obstacle_clearance((-3.0, 4.0), wall) == pytest.approx(4.5)
+    assert point_obstacle_clearance((7.0, -4.0), wall) == pytest.approx(4.5)
+
+
+_coord = st.floats(-50, 50)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_coord, _coord, _coord, _coord, _coord, _coord, st.floats(0.0, 2.0))
+def test_wall_clearance_matches_projection_onto_segment(px, py, ax, ay, bx, by, thickness):
+    # reference: project the point onto the segment, clamp, measure
+    assume(math.dist((ax, ay), (bx, by)) > 1e-3)
+    p, a, e = np.array([px, py]), np.array([ax, ay]), np.array([bx - ax, by - ay])
+    t = min(max((p - a) @ e / (e @ e), 0.0), 1.0)
+    expected = math.hypot(*(p - (a + t * e))) - thickness / 2.0
+    got = point_obstacle_clearance((px, py), Wall((ax, ay), (bx, by), thickness))
+    assert got == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
 
 # --- the range cull, the empty scan and the ray windows -----------------

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from htnav.net import ApproximatorSpec
 from htnav.policy import (
     PolicyParameters,
+    action_noise,
     dlogp_dmean,
     forward_mean,
     init_policy,
     project_action,
-    sample_action,
     weighted_score_sum,
 )
 
@@ -85,12 +85,30 @@ def test_project_action_matches_np_clip_bits(raw, delta):
 
 def test_sampling_is_reproducible():
     params = make_params()
-    obs = np.array([0.5, -0.2, 0.0, 0.1])
-    raw1, projected1 = sample_action(params, obs, np.random.default_rng(7))
-    raw2, projected2 = sample_action(params, obs, np.random.default_rng(7))
-    np.testing.assert_array_equal(raw1, raw2)
-    np.testing.assert_array_equal(projected1, projected2)
-    np.testing.assert_array_equal(projected1, project_action(raw1, 1.0))
+    noise = action_noise(params, np.random.default_rng(7), 5)
+    assert noise.shape == (5, 2)
+    assert noise.tobytes() == action_noise(params, np.random.default_rng(7), 5).tobytes()
+    assert not np.array_equal(noise, action_noise(params, np.random.default_rng(8), 5))
+
+
+def _step_noise(params, rng):
+    """One step's noise as the policy drew it when it sampled one action per step."""
+    if params.family == "cauchy":
+        return params.sigma * np.tan(np.pi * (rng.random(2) - 0.5))
+    return params.sigma * rng.standard_normal(2)
+
+
+@pytest.mark.parametrize("family", ["cauchy", "gaussian"])
+@pytest.mark.parametrize("n", [1, 2, 7, 300])
+def test_noise_for_an_episode_is_the_per_step_stream(family, n):
+    # one call draws, byte for byte, what n one-step draws would
+    params = make_params(family=family)
+    rng = np.random.default_rng(5)
+    per_step = np.stack([_step_noise(params, rng) for _ in range(n)])
+    one_call = np.random.default_rng(5)
+    assert action_noise(params, one_call, n).tobytes() == per_step.tobytes()
+    # and leaves the generator where the n draws left it
+    assert one_call.bit_generator.state == rng.bit_generator.state
 
 
 def test_cauchy_log_density_at_mode():
@@ -128,7 +146,7 @@ def test_dlogp_dmean_at_one_sigma():
 def test_cauchy_empirical_quartiles_and_median():
     params = make_params(sigma=0.25, family="cauchy", scale=0.0)
     rng = np.random.default_rng(42)
-    draws = np.array([sample_action(params, np.zeros(4), rng)[0] for _ in range(20000)])
+    draws = action_noise(params, rng, 20000)
     q1, q2, q3 = np.quantile(draws[:, 0], [0.25, 0.5, 0.75])
     assert q2 == pytest.approx(0.0, abs=0.02)
     assert q1 == pytest.approx(-0.25, abs=0.02)

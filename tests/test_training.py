@@ -16,7 +16,7 @@ from htnav.cli import write_comparison_csv, write_curves_csv, write_diagnostics_
 from htnav.config import ConfigError, TrainConfig, apply_overrides
 from htnav.env import NavEnv
 from htnav.estimator import sample_horizon
-from htnav.policy import forward_mean
+from htnav.policy import action_noise, forward_mean
 from htnav.training import (
     TrainingAbort,
     episode_rng,
@@ -55,20 +55,13 @@ def world_requests(monkeypatch):
     return calls
 
 
-class _NoRng:
-    """Stands in for a generator that must not be used at all."""
-
-    def __getattr__(self, name):
-        raise AssertionError(f"rng.{name} was accessed")
-
-
 def test_rollout_respects_horizon_budget():
     world = world_for_episode(TINY, 0, 0)
     params = initial_params(TINY, 0)
-    traj = rollout(world, params, TINY, np.random.default_rng(0), horizon=0)
+    traj = rollout(world, params, TINY, 1, action_noise(params, np.random.default_rng(0), 1))
     assert len(traj) == 1
     assert traj.final_cause == "running"
-    traj = rollout(world, params, TINY, np.random.default_rng(0), horizon=6)
+    traj = rollout(world, params, TINY, 7, action_noise(params, np.random.default_rng(0), 7))
     assert len(traj) == 7
 
 
@@ -76,7 +69,8 @@ def test_rollout_caps_at_max_steps():
     cfg = replace(TINY, max_steps=5)
     world = world_for_episode(cfg, 0, 0)
     params = initial_params(cfg, 0)
-    traj = rollout(world, params, cfg, np.random.default_rng(0), horizon=10_000)
+    noise = action_noise(params, np.random.default_rng(0), 10_000)
+    traj = rollout(world, params, cfg, 10_000, noise)
     assert len(traj) == 5
     assert traj.final_cause == "timeout"
 
@@ -84,28 +78,31 @@ def test_rollout_caps_at_max_steps():
 def test_rollout_shapes_consistent():
     world = world_for_episode(TINY, 1, 2)
     params = initial_params(TINY, 1)
-    traj = rollout(world, params, TINY, episode_rng(1, 2), horizon=30)
+    noise = action_noise(params, episode_rng(1, 2), 31)
+    traj = rollout(world, params, TINY, 31, noise)
     n = len(traj)
     assert traj.features.shape == (n, 4)
     assert traj.raw_actions.shape == (n, 2)
-    assert traj.projected_actions.shape == (n, 2)
     assert traj.rewards.shape == (n,)
     assert traj.poses.shape == (n + 1, 6)
-    assert np.all(np.abs(traj.projected_actions) <= TINY.delta)
+    # each raw action is the mean plus that step's noise row
+    mu = np.stack([forward_mean(params, x) for x in traj.features])
+    assert traj.raw_actions.tobytes() == (mu + noise[:n]).tobytes()
 
 
 @pytest.mark.parametrize("scenario", ("goal_reaching", "uneven_terrain"))
 def test_rollout_poses_start_at_reset(scenario):
     cfg = replace(LIVELY_TINY, scenario=scenario)
     world = world_for_episode(cfg, 0, 1)
-    traj = rollout(world, initial_params(cfg, 0), cfg, episode_rng(0, 1), horizon=12)
+    params = initial_params(cfg, 0)
+    traj = rollout(world, params, cfg, 13, action_noise(params, episode_rng(0, 1), 13))
     assert traj.poses.shape == (len(traj) + 1, 6)
     env = NavEnv(world, cfg.env, cfg.rewards, max_steps=cfg.max_steps)
     np.testing.assert_array_equal(traj.features[0], env.reset())
     np.testing.assert_array_equal(traj.poses[0], env.pose)
     # replaying the executed actions retraces every later pose
-    for t, action in enumerate(traj.projected_actions):
-        features, reward, _ = env.step(action)
+    for t, raw in enumerate(traj.raw_actions):
+        features, reward, _ = env.step(np.clip(raw, -cfg.delta, cfg.delta))
         np.testing.assert_array_equal(traj.poses[t + 1], env.pose)
         assert reward.total == traj.rewards[t]
     assert traj.final_distance == env.d_goal
@@ -125,7 +122,8 @@ def test_only_uneven_terrain_reads_terrain(monkeypatch, scenario):
         monkeypatch.setattr(owner, name, counting)
     cfg = replace(LIVELY_TINY, scenario=scenario)
     world = world_for_episode(cfg, 0, 1)
-    traj = rollout(world, initial_params(cfg, 0), cfg, episode_rng(0, 1), horizon=12)
+    params = initial_params(cfg, 0)
+    traj = rollout(world, params, cfg, 13, action_noise(params, episode_rng(0, 1), 13))
     if scenario == "uneven_terrain":
         assert calls == {"_hill_field": 1, "pose_from_terrain": len(traj) + 1}
         assert traj.poses[:, 3:].any()
@@ -139,20 +137,20 @@ def test_rollout_mean_never_touches_rng():
     world = world_for_episode(cfg, 0, 0)
     params = initial_params(cfg, 0)
     params = params.with_weights(np.random.default_rng(3).normal(0.0, 0.5, params.weights.shape))
-    traj = rollout(world, params, cfg, _NoRng(), horizon=cfg.max_steps, act="mean")
+    traj = rollout(world, params, cfg, cfg.max_steps)
     assert len(traj) == cfg.max_steps or traj.final_cause != "running"
-    # the executed action is the projected location parameter, step by step
+    # with no noise the raw action is the location parameter itself, bit for
+    # bit (adding zeros would turn a -0.0 into +0.0), and its projection is
+    # what ran: replaying it retraces every pose
     mu = np.stack([forward_mean(params, x) for x in traj.features])
-    np.testing.assert_array_equal(traj.raw_actions, mu)
-    np.testing.assert_array_equal(traj.projected_actions, np.clip(mu, -cfg.delta, cfg.delta))
-    again = rollout(world, params, cfg, _NoRng(), horizon=cfg.max_steps, act="mean")
+    assert traj.raw_actions.tobytes() == mu.tobytes()
+    env = NavEnv(world, cfg.env, cfg.rewards, max_steps=cfg.max_steps)
+    env.reset()
+    for t, m in enumerate(mu):
+        env.step(np.clip(m, -cfg.delta, cfg.delta))
+        np.testing.assert_array_equal(traj.poses[t + 1], env.pose)
+    again = rollout(world, params, cfg, cfg.max_steps)
     np.testing.assert_array_equal(again.poses, traj.poses)
-
-
-def test_rollout_rejects_unknown_act():
-    world = world_for_episode(TINY, 0, 0)
-    with pytest.raises(ValueError, match="act must be"):
-        rollout(world, initial_params(TINY, 0), TINY, _NoRng(), horizon=3, act="greedy")
 
 
 def test_rollout_terminal_cause_sticks():
@@ -169,20 +167,13 @@ def test_rollout_terminal_cause_sticks():
     )
     cfg = replace(TINY, max_steps=300)
 
-    class _Forward:
-        def random(self, n):
-            return np.full(n, 0.5)
-
-        def standard_normal(self, n):
-            return np.zeros(n)
-
     # action mean is zero at init, so drive with a biased policy instead
     params = initial_params(cfg, 0)
     w = params.weights.copy()
     w[:] = 0.0
     w[0] = 20.0  # v responds to d/20: full speed ahead
     params = params.with_weights(w)
-    traj = rollout(world, params, cfg, _Forward(), horizon=299)
+    traj = rollout(world, params, cfg, cfg.max_steps)
     assert traj.final_cause == "goal"
     assert len(traj) < cfg.max_steps
     assert traj.final_distance <= cfg.env.goal_radius
@@ -228,6 +219,7 @@ def test_train_seed_lengths_and_logs(world_requests):
     np.testing.assert_array_equal(run.horizon_sampled, drawn)
     np.testing.assert_array_equal(run.horizon_used, run.steps - 1)
     assert np.all(run.horizon_used <= run.horizon_sampled)
+    assert np.all(run.steps <= np.minimum(run.horizon_sampled + 1, TINY.max_steps))
     assert np.all(run.max_abs_action <= TINY.delta + 1e-12)
 
 
