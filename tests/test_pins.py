@@ -137,3 +137,56 @@ def test_eval_variant_outputs_pinned(trained, tmp_path, variant):
     args = [*EVAL_ARGS, "--mode", mode, "--eval-seed", str(eval_seed)]
     assert main([*argv, *args, "--out", str(out)]) == 0
     assert _digests(out, ("eval_rows.csv", "eval_summary.json")) == EVAL_VARIANT_PINS[variant]
+
+
+
+# Every pin above trains a bias-free linear policy with latched rewards.
+# These each train and evaluate one setting away from that: a tanh hidden
+# layer, and the literal (unlatched Gaussian-bump) distance term.  The
+# bumps vanish more than 2 m from half the start distance, so the literal
+# pin spawns 4-6 m from the goal, where its runs do reach them.
+# setting -> (scenario, family, eval mode, more --set pairs, digests)
+SETTING_PINS = {
+    "hidden_layers=[3]": (
+        "uneven_terrain",
+        "gaussian",
+        "deterministic",
+        [],
+        {
+            "curve.csv": "02b72cebe913fc1eb5c26d31f9863f56fca14497c825ea3fa5ceb684c7a649ef",
+            "diagnostics.csv": "669c453da36d17b4ba0d30329938dca5d4b325ef4bba0278c654aa5780473037",
+            "checkpoint_seed0.json": "a2f77752f3afafb75c581555278a838c4967855009f64d67da540b9757e1dbef",
+            "checkpoint_seed1.json": "6c059234afd5a99aa2954e3c4479938dcbf53227bf6413429dabf8e0e7b08916",
+            "eval_rows.csv": "44111d9909e5529721e7e39b12d2dc65256fbe87e3c02ecc0a7822c4460951e4",
+            "eval_summary.json": "84c3e1cdfe3ecd1e9dfc7d72e5cea617edda8fa13b0d74fbedff11e18218652e",
+        },
+    ),
+    "rewards.dist_mode=literal": (
+        "goal_reaching",
+        "cauchy",
+        "stochastic",
+        ["--set", "worldgen.separation=[4.0,6.0]"],
+        {
+            "curve.csv": "3b8306f20c4c0b37c779ac8888edb49951d318864832e403580383a3e363a0c3",
+            "diagnostics.csv": "85411687c0e3531d33643484bfe9d524704e74adbb8e3cfe173916450b1f45df",
+            "checkpoint_seed0.json": "b911ac15a37f4a215927f4e421f2bd231bec8ff2e0795149273274c99c80f2b1",
+            "checkpoint_seed1.json": "01066aae47964482bad85547ca4b29ca67bc2a9b094643f8cb9282983e9c737d",
+            "eval_rows.csv": "e68d95c9ebe0c1775424d17d313236e660fde692a5b6a74b42c005bfddf17cd9",
+            "eval_summary.json": "e07f3633fa3160d143b43bf91ee5881ed69f15a89ba11acb7e69b549861354a3",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("setting", sorted(SETTING_PINS))
+def test_setting_outputs_pinned(tmp_path, setting):
+    scenario, family, mode, more, pins = SETTING_PINS[setting]
+    common = ["--scenario", scenario, "--family", family, "--set", setting, *more]
+    train_out = tmp_path / "train"
+    assert main(["train", *common, *TRAIN_ARGS, "--out", str(train_out)]) == 0
+    eval_out = tmp_path / "eval"
+    checkpoint = str(train_out / "checkpoint_seed0.json")
+    args = [*common, *EVAL_ARGS, "--mode", mode, "--out", str(eval_out)]
+    assert main(["eval", checkpoint, *args]) == 0
+    eval_files = ("eval_rows.csv", "eval_summary.json")
+    assert {**_digests(train_out, TRAIN_FILES), **_digests(eval_out, eval_files)} == pins
