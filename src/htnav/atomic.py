@@ -35,10 +35,13 @@ def atomic_open(path, newline=None):
 
 
 def write_json(path, doc) -> None:
-    """Write ``doc`` as indented JSON with sorted keys and a final newline."""
+    """Write ``doc`` as indented JSON with sorted keys and a final newline.
+
+    The text is encoded whole and written in one call: ``json.dump`` would
+    issue one write per token.
+    """
     with atomic_open(path) as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def write_csv(path, header, rows) -> None:

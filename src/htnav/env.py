@@ -9,7 +9,6 @@ randomness in a rollout comes from the policy.
 
 import math
 from dataclasses import dataclass, fields
-from typing import NamedTuple
 
 import numpy as np
 
@@ -51,36 +50,8 @@ class EnvConfig:
                 raise ValueError(f"{f.name} must be positive and finite, got {value}")
 
 
-class RewardBreakdown(NamedTuple):
-    heading: float
-    dist: float
-    obs: float
-    stable: float
-    total: float
-
-
 def observation_dim(scenario: str, n_scan_rays: int = 720) -> int:
     return {"goal_reaching": 4, "obstacle_avoidance": 4 + n_scan_rays, "uneven_terrain": 6}[scenario]
-
-
-def goal_geometry(x: float, y: float, psi: float, goal) -> tuple[float, float]:
-    """Planar distance to the goal and the signed heading offset in (-pi, pi]."""
-    dx = goal[0] - x
-    dy = goal[1] - y
-    d = math.hypot(dx, dy)
-    alpha = wrap_angle(math.atan2(dy, dx) - psi)
-    return d, alpha
-
-
-def kinematic_step(
-    x: float, y: float, psi: float, action, cfg: EnvConfig
-) -> tuple[float, float, float]:
-    """Unicycle update: commands are the projected action scaled by the limits."""
-    v = float(action[0]) * cfg.v_max
-    w = float(action[1]) * cfg.omega_max
-    nx = x + v * math.cos(psi) * cfg.dt
-    ny = y + v * math.sin(psi) * cfg.dt
-    return nx, ny, wrap_angle(psi + w * cfg.dt)
 
 
 class NavEnv:
@@ -118,21 +89,20 @@ class NavEnv:
         self.alpha_goal = math.nan
         self.scan: np.ndarray | None = None
 
-    def _observe(self, prev_action) -> np.ndarray:
-        """Refresh d_goal, alpha_goal (and scan) at the pose; return the scaled features.
+    def _observe(self, pose, a0: float, a1: float) -> np.ndarray:
+        """Refresh d_goal, alpha_goal (and scan) at ``pose``; return the scaled features.
 
-        Features are d/20, alpha/pi and the previous action, followed by
-        the scan over 10 (obstacle_avoidance) or roll and pitch over pi/2
-        (uneven_terrain).
+        Features are d/20, alpha/pi and the previous action ``(a0, a1)``,
+        followed by the scan over 10 (obstacle_avoidance) or roll and pitch
+        over pi/2 (uneven_terrain).
         """
-        x, y, psi, _, roll, pitch = self.pose
-        self.d_goal, self.alpha_goal = goal_geometry(x, y, psi, self.world.goal)
-        base = [
-            self.d_goal / D_GOAL_SCALE,
-            self.alpha_goal / math.pi,
-            float(prev_action[0]),
-            float(prev_action[1]),
-        ]
+        x, y, psi, _, roll, pitch = pose
+        gx, gy = self.world.goal
+        dx = gx - x
+        dy = gy - y
+        self.d_goal = d = math.hypot(dx, dy)
+        self.alpha_goal = alpha = wrap_angle(math.atan2(dy, dx) - psi)
+        base = [d / D_GOAL_SCALE, alpha / math.pi, a0, a1]
         if self.scenario == "obstacle_avoidance":
             ax, ay = self._cull_anchor
             if not math.hypot(x - ax, y - ay) <= SCAN_CULL_SLACK:
@@ -149,8 +119,8 @@ class NavEnv:
             )
             return np.concatenate([base, self.scan / 10.0])
         if self.scenario == "uneven_terrain":
-            return np.asarray(base + [roll / TILT_SCALE, pitch / TILT_SCALE])
-        return np.asarray(base)
+            base += [roll / TILT_SCALE, pitch / TILT_SCALE]
+        return np.array(base)
 
     def _ground(self, x: float, y: float, psi: float) -> tuple[float, float, float, float, float, float]:
         """The full pose at a planar pose: level on flat ground, else from the terrain."""
@@ -162,54 +132,62 @@ class NavEnv:
         """Place the robot at the start pose; returns the first feature vector."""
         self.pose = self._ground(*self.world.start_pose)
         self.steps = 0
-        features = self._observe((0.0, 0.0))
+        features = self._observe(self.pose, 0.0, 0.0)
         self.reward_state = rw.EpisodeRewardState(initial_distance=self.d_goal)
         return features
 
-    def step(self, projected_action) -> tuple[np.ndarray, RewardBreakdown, str]:
-        """Advance one tick with an already-projected action in [-delta, delta]^2.
+    def step(self, action) -> tuple[np.ndarray, float, str]:
+        """Advance one tick with an already-projected action ``(v, omega)`` in [-delta, delta]^2.
 
-        Returns the next feature vector, the reward terms and the cause,
-        which is "running" until the episode ends.
+        Returns the next feature vector, the reward (the sum of the
+        scenario's terms) and the cause, which is "running" until the
+        episode ends.
         """
         if self.pose is None:
             raise RuntimeError("call reset() before step()")
-        action = (float(projected_action[0]), float(projected_action[1]))
-        x, y, psi = kinematic_step(*self.pose[:3], action, self.cfg)
+        a0, a1 = action
+        cfg = self.cfg
+        x, y, psi = self.pose[0], self.pose[1], self.pose[2]
+        # unicycle kinematics: the commands are the action scaled by the limits
+        v = a0 * cfg.v_max
+        x = x + v * math.cos(psi) * cfg.dt
+        y = y + v * math.sin(psi) * cfg.dt
+        psi = wrap_angle(psi + a1 * cfg.omega_max * cfg.dt)
+        # the boundary is a wall: clamp as min(max(x, x0), x1) does
         x0, y0, x1, y1 = self.world.bounds
-        x = min(max(x, x0), x1)
-        y = min(max(y, y0), y1)
-        self.pose = self._ground(x, y, psi)
-        roll, pitch = self.pose[4:]
+        x = x0 if x0 > x else x
+        x = x1 if x1 < x else x
+        y = y0 if y0 > y else y
+        y = y1 if y1 < y else y
+        self.pose = pose = self._ground(x, y, psi)
         self.steps += 1
+        features = self._observe(pose, a0, a1)
 
-        features = self._observe(action)
-        heading = rw.r_heading(self.alpha_goal, self.reward_cfg)
-        dist, self.reward_state = rw.r_dist(
-            self.d_goal, self.reward_state, self.reward_cfg, self.cfg.goal_radius
-        )
-        obs_pen = 0.0
+        rcfg = self.reward_cfg
+        heading = rw.r_heading(self.alpha_goal, rcfg)
+        dist, self.reward_state = rw.r_dist(self.d_goal, self.reward_state, rcfg, cfg.goal_radius)
+        obs_pen = stable_pen = 0.0
         closest = math.inf
+        roll, pitch = pose[4], pose[5]
         if self.scenario == "obstacle_avoidance":
-            closest = float(self.scan.min())
-            obs_pen = rw.r_obs(closest, self.cfg.d_collision, self.reward_cfg)
-        stable_pen = 0.0
-        if self.scenario == "uneven_terrain":
-            stable_pen = rw.r_stable(roll, pitch, self.reward_cfg)
+            closest = self.scan.min().item()
+            obs_pen = rw.r_obs(closest, cfg.d_collision, rcfg)
+        elif self.scenario == "uneven_terrain":
+            stable_pen = rw.r_stable(roll, pitch, rcfg)
         # a scenario's missing terms are +0.0; heading (+0.0 or 1.0) comes
         # first, so the sum is never -0.0 and adding them changes no bits
-        total = heading + dist + obs_pen + stable_pen
+        reward = heading + dist + obs_pen + stable_pen
 
-        cause = "running"
-        if self.d_goal <= self.cfg.goal_radius:
+        if self.d_goal <= cfg.goal_radius:
             cause = "goal"
-        elif closest <= self.cfg.d_collision:
+        elif closest <= cfg.d_collision:
             cause = "collision"
         elif self.scenario == "uneven_terrain" and (
-            abs(roll) >= self.cfg.flip_threshold or abs(pitch) >= self.cfg.flip_threshold
+            abs(roll) >= cfg.flip_threshold or abs(pitch) >= cfg.flip_threshold
         ):
             cause = "flip_over"
         elif self.steps >= self.max_steps:
             cause = "timeout"
-
-        return features, RewardBreakdown(heading, dist, obs_pen, stable_pen, total), cause
+        else:
+            cause = "running"
+        return features, reward, cause

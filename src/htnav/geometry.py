@@ -67,7 +67,13 @@ class Circle:
 
 @dataclass(frozen=True)
 class Wall:
-    """Segment obstacle with an optional thickness (a capsule footprint)."""
+    """Segment obstacle with an optional thickness (a capsule footprint).
+
+    The primitives a ray is tested on are cut once, here, as non-field
+    attributes: ``_sides``, the segment itself or a capsule's two offset
+    sides, and for a capsule ``_caps``, the centres of its end caps of
+    radius ``_radius``.
+    """
 
     p1: tuple[float, float]
     p2: tuple[float, float]
@@ -78,6 +84,18 @@ class Wall:
             raise ValueError(f"wall thickness must be >= 0, got {self.thickness}")
         if math.dist(self.p1, self.p2) == 0.0:
             raise ValueError("wall endpoints must be distinct")
+        a = np.asarray(self.p1, dtype=float)
+        b = np.asarray(self.p2, dtype=float)
+        r = self.thickness / 2.0
+        sides, caps = ((a, b),), ()
+        if r != 0.0:
+            # capsule = two offset sides plus end caps
+            e = b - a
+            n = np.array([-e[1], e[0]]) / np.hypot(e[0], e[1])
+            sides, caps = ((a + n * r, b + n * r), (a - n * r, b - n * r)), (a, b)
+        object.__setattr__(self, "_sides", sides)
+        object.__setattr__(self, "_caps", caps)
+        object.__setattr__(self, "_radius", r)
 
 
 Obstacle = Circle | Wall
@@ -121,18 +139,12 @@ def ray_obstacle_distances(origin: np.ndarray, dirs: np.ndarray, obstacle: Obsta
     """Distance along each unit ray to the obstacle outline; inf if missed."""
     if isinstance(obstacle, Circle):
         return ray_circle_distances(origin, dirs, obstacle.center, obstacle.radius)
-    a = np.asarray(obstacle.p1, dtype=float)
-    b = np.asarray(obstacle.p2, dtype=float)
-    r = obstacle.thickness / 2.0
-    if r == 0.0:
-        return ray_segment_distances(origin, dirs, a, b)
-    # capsule = two offset sides plus end caps
-    e = b - a
-    n = np.array([-e[1], e[0]]) / np.hypot(e[0], e[1])
-    d = np.minimum(
-        ray_segment_distances(origin, dirs, a + n * r, b + n * r),
-        ray_segment_distances(origin, dirs, a - n * r, b - n * r),
-    )
+    if not obstacle._caps:
+        return ray_segment_distances(origin, dirs, *obstacle._sides[0])
+    (a1, b1), (a2, b2) = obstacle._sides
+    a, b = obstacle._caps
+    r = obstacle._radius
+    d = np.minimum(ray_segment_distances(origin, dirs, a1, b1), ray_segment_distances(origin, dirs, a2, b2))
     d = np.minimum(d, ray_circle_distances(origin, dirs, a, r))
     return np.minimum(d, ray_circle_distances(origin, dirs, b, r))
 

@@ -62,26 +62,33 @@ def init_policy(
     return PolicyParameters(spec=spec, weights=init_weights(spec, rng), sigma=sigma, family=family)
 
 
-def forward_mean(params: PolicyParameters, obs: np.ndarray) -> np.ndarray:
-    """Location parameter mu(s) per action dimension; deterministic.
+def forward_mean(params: PolicyParameters, obs: np.ndarray) -> list[float]:
+    """Location parameter mu(s) per action dimension, as Python floats; deterministic.
 
-    ``obs`` is a 1-d float64 array, as ``NavEnv`` returns it.
+    ``obs`` is a 1-d float64 array, as ``NavEnv`` returns it.  Each layer
+    is ``forward_batch``'s arithmetic on the one ``(1, d)`` row.
     """
-    mu, _ = forward_batch(params.layers, obs[None, :])
-    return mu[0]
+    h = obs[None, :]
+    *hidden, (w, b) = params.layers
+    for hw, hb in hidden:
+        h = np.tanh(h @ hw.T + hb)
+    mu = h @ w.T
+    if b is not None:
+        mu = mu + b
+    return mu.tolist()[0]
 
 
-def project_action(raw: np.ndarray, delta: float) -> np.ndarray:
-    """Clamp one action vector component-wise to [-delta, delta] (the infinity-norm ball).
+def project_action(raw, delta: float) -> tuple[float, float]:
+    """Clamp one ``(v, omega)`` action component-wise to [-delta, delta] (the infinity-norm ball).
 
     Clamps each component as ``np.clip`` does, in Python floats: NaN and
-    -0.0 pass through unchanged.
+    -0.0 pass through unchanged.  ``delta`` is positive (``TrainConfig``
+    checks it) and may be an int.
     """
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    lo = -delta
-    values = np.asarray(raw, dtype=float).tolist()
-    return np.array([lo if v < lo else delta if v > delta else v for v in values], dtype=float)
+    v, w = raw
+    hi = float(delta)
+    lo = -hi
+    return (lo if v < lo else hi if v > hi else v), (lo if w < lo else hi if w > hi else w)
 
 
 def action_noise(params: PolicyParameters, rng: np.random.Generator, n: int) -> np.ndarray:

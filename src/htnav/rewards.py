@@ -52,6 +52,10 @@ class EpisodeRewardState:
     half_awarded: bool = False
     goal_awarded: bool = False
 
+    def __post_init__(self):
+        if not math.isfinite(self.initial_distance):
+            raise ValueError(f"initial_distance must be finite, got {self.initial_distance}")
+
 
 def r_heading(alpha_goal: float, cfg: RewardConfig | None = None) -> float:
     cfg = cfg or RewardConfig()
@@ -76,8 +80,6 @@ def r_dist(
     may fire in the same step).  Literal mode returns the two Gaussian
     bumps of the printed form at every step, unlatched.
     """
-    if state is None or not math.isfinite(state.initial_distance):
-        raise ValueError("episode reward state with a finite initial distance is required")
     if cfg.dist_mode == "literal":
         value = cfg.beta_g / 2.0 * _normal_pdf(d_goal, state.initial_distance / 2.0, cfg.sigma_g)
         value += cfg.beta_g * _normal_pdf(d_goal, 0.0, cfg.sigma_g)

@@ -192,15 +192,17 @@ def rollout(
     x = env.reset()
     poses = [env.pose]
     feats, raws, rewards = [], [], []
+    rows = noise.tolist() if noise is not None else None
     cause = "running"
     for t in range(steps):
-        raw = forward_mean(params, x)
-        if noise is not None:
-            raw = raw + noise[t]
+        m0, m1 = forward_mean(params, x)
+        if rows is not None:
+            n0, n1 = rows[t]
+            m0, m1 = m0 + n0, m1 + n1
         feats.append(x)
-        raws.append(raw)
-        x, reward, cause = env.step(project_action(raw, cfg.delta))
-        rewards.append(reward.total)
+        raws.append((m0, m1))
+        x, reward, cause = env.step(project_action((m0, m1), cfg.delta))
+        rewards.append(reward)
         poses.append(env.pose)
         if cause != "running":
             break

@@ -1,17 +1,33 @@
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from htnav import rewards as rw
+from htnav.env import D_GOAL_SCALE, TILT_SCALE
+from htnav.geometry import bounds_walls, scan_ranges, wrap_angle
 from htnav.net import ApproximatorSpec, backward_batch, forward_batch
 from htnav.policy import PolicyParameters, dlogp_dmean, forward_mean
-from htnav.terrain import Heightmap, _elevations
+from htnav.terrain import Heightmap, _elevations, pose_from_terrain
+from htnav.trajectory import Trajectory
 
-# `pytest --hypothesis-profile=scan-oracle tests/test_geometry.py` runs the
-# scan oracle tests on ten times their usual number of examples (a CI step).
+# `pytest --hypothesis-profile=scan-oracle` runs the oracle tests (the
+# scans of tests/test_geometry.py and the rollout of tests/test_training.py)
+# on ten times their usual number of examples (a CI step).
 settings.register_profile("scan-oracle", max_examples=1000)
+
+
+def oracle_settings(max_examples):
+    """``max_examples`` examples, times the loaded profile's over hypothesis's default of 100.
+
+    The default profile runs each oracle test at its own count; the
+    ``scan-oracle`` profile runs ten times as many.
+    """
+    scale = max(1, settings.default.max_examples // 100)
+    return settings(max_examples=max_examples * scale, deadline=None)
 
 # A wide heading cone, long steps, a big collision radius and a low tilt
 # threshold make the heading, collision and tilt terms fire within 40
@@ -114,3 +130,104 @@ def assert_manifest_lists_dir(out):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["files"] == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
     return manifest
+
+
+# The reference rollout: the step arithmetic written out plainly, one
+# helper per stage, as rollout and NavEnv.step ran it before their lean
+# rewrite.  The lean loop must match it byte for byte.
+
+
+def kinematic_step(x: float, y: float, psi: float, action, cfg) -> tuple[float, float, float]:
+    """Unicycle update: commands are the projected action scaled by the limits."""
+    v = float(action[0]) * cfg.v_max
+    w = float(action[1]) * cfg.omega_max
+    nx = x + v * math.cos(psi) * cfg.dt
+    ny = y + v * math.sin(psi) * cfg.dt
+    return nx, ny, wrap_angle(psi + w * cfg.dt)
+
+
+def goal_geometry(x: float, y: float, psi: float, goal) -> tuple[float, float]:
+    """Planar distance to the goal and the signed heading offset in (-pi, pi]."""
+    dx = goal[0] - x
+    dy = goal[1] - y
+    return math.hypot(dx, dy), wrap_angle(math.atan2(dy, dx) - psi)
+
+
+def _reference_pose(world, x, y, psi):
+    if world.heightmap is None:
+        return x, y, psi, 0.0, 0.0, 0.0
+    return pose_from_terrain(world.heightmap, x, y, psi)
+
+
+def _reference_observe(world, cfg, pose, prev_action):
+    """(features, d_goal, alpha_goal, scan); the scan ray-tests every obstacle
+    and boundary wall, with no pre-cull."""
+    x, y, psi, _, roll, pitch = pose
+    d, alpha = goal_geometry(x, y, psi, world.goal)
+    base = [d / D_GOAL_SCALE, alpha / math.pi, float(prev_action[0]), float(prev_action[1])]
+    scan = None
+    if world.scenario == "obstacle_avoidance":
+        obstacles = list(world.obstacles) + bounds_walls(world.bounds)
+        scan = scan_ranges(
+            (x, y), psi, obstacles, n_rays=cfg.env.n_scan_rays, max_range=cfg.env.scan_max_range
+        )
+        return np.concatenate([base, scan / 10.0]), d, alpha, scan
+    if world.scenario == "uneven_terrain":
+        base += [roll / TILT_SCALE, pitch / TILT_SCALE]
+    return np.asarray(base), d, alpha, scan
+
+
+def reference_rollout(world, params, cfg, steps, noise=None) -> Trajectory:
+    """``training.rollout`` for the same arguments, from the reference step."""
+    env, rcfg = cfg.env, cfg.rewards
+    pose = _reference_pose(world, *world.start_pose)
+    x, d, alpha, scan = _reference_observe(world, cfg, pose, (0.0, 0.0))
+    state = rw.EpisodeRewardState(initial_distance=d)
+    poses = [pose]
+    feats, raws, rewards = [], [], []
+    cause = "running"
+    for t in range(steps):
+        mu, _ = forward_batch(params.layers, x[None, :])
+        raw = mu[0]
+        if noise is not None:
+            raw = raw + noise[t]
+        feats.append(x)
+        raws.append(raw)
+        lo = -cfg.delta
+        action = np.array([lo if v < lo else cfg.delta if v > cfg.delta else v for v in raw.tolist()])
+        nx, ny, npsi = kinematic_step(*pose[:3], action, env)
+        x0, y0, x1, y1 = world.bounds
+        pose = _reference_pose(world, min(max(nx, x0), x1), min(max(ny, y0), y1), npsi)
+        roll, pitch = pose[4:]
+        x, d, alpha, scan = _reference_observe(world, cfg, pose, action)
+        heading = rw.r_heading(alpha, rcfg)
+        dist, state = rw.r_dist(d, state, rcfg, env.goal_radius)
+        obs_pen = stable_pen = 0.0
+        closest = math.inf
+        if world.scenario == "obstacle_avoidance":
+            closest = float(scan.min())
+            obs_pen = rw.r_obs(closest, env.d_collision, rcfg)
+        if world.scenario == "uneven_terrain":
+            stable_pen = rw.r_stable(roll, pitch, rcfg)
+        rewards.append(heading + dist + obs_pen + stable_pen)
+        poses.append(pose)
+        if d <= env.goal_radius:
+            cause = "goal"
+        elif closest <= env.d_collision:
+            cause = "collision"
+        elif world.scenario == "uneven_terrain" and (
+            abs(roll) >= env.flip_threshold or abs(pitch) >= env.flip_threshold
+        ):
+            cause = "flip_over"
+        elif t + 1 >= cfg.max_steps:
+            cause = "timeout"
+        if cause != "running":
+            break
+    return Trajectory(
+        features=np.asarray(feats),
+        raw_actions=np.asarray(raws),
+        rewards=np.asarray(rewards),
+        poses=np.asarray(poses),
+        final_cause=cause,
+        final_distance=d,
+    )

@@ -1,15 +1,18 @@
 """Every file htnav writes goes through atomic_open: whole or not at all."""
 
 import ast
+import json
 import os
+from contextlib import contextmanager
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import htnav.atomic
 import htnav.checkpoint
-from htnav.atomic import atomic_open
+from htnav.atomic import atomic_open, write_json
 from htnav.checkpoint import save_checkpoint
 from htnav.cli import write_curves_csv
 
@@ -77,12 +80,29 @@ def test_csv_writer_failing_mid_write_keeps_previous_file(tmp_path):
 def test_checkpoint_failing_mid_write_keeps_previous_file(tmp_path, monkeypatch):
     path = tmp_path / "checkpoint_seed0.json"
     before = _write_old(path)
-    # json.dump writes the keys in order and fails on the last one
+    # the last key cannot be encoded
     monkeypatch.setattr(htnav.checkpoint, "checkpoint_to_dict", lambda p, o: {"a": 1, "z": object()})
     with pytest.raises(TypeError):
         save_checkpoint(path, make_params())
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["checkpoint_seed0.json"]
+
+
+def test_write_json_is_one_write(tmp_path, monkeypatch):
+    writes = []
+    real = htnav.atomic.atomic_open
+
+    @contextmanager
+    def recording(path, newline=None):
+        with real(path, newline) as fh:
+            yield SimpleNamespace(write=lambda text: writes.append(text) or fh.write(text))
+
+    monkeypatch.setattr(htnav.atomic, "atomic_open", recording)
+    doc = {"b": [1.0, 2.5, float("nan")], "a": {"z": None, "y": "x"}}
+    write_json(tmp_path / "doc.json", doc)
+    assert len(writes) == 1
+    # the bytes json.dump would have written token by token
+    assert (tmp_path / "doc.json").read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _write_mode_opens(source: str) -> list[int]:

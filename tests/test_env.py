@@ -3,17 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from htnav.env import (
-    EnvConfig,
-    NavEnv,
-    goal_geometry,
-    kinematic_step,
-    observation_dim,
-)
+from htnav.env import EnvConfig, NavEnv, observation_dim
 from htnav.geometry import Circle
 from htnav.world import World, generate_world
 
-from conftest import flat_heightmap
+from conftest import flat_heightmap, goal_geometry, kinematic_step
 
 
 def flat_world(scenario="goal_reaching", start=(5.0, 5.0, 0.0), goal=(15.0, 5.0), obstacles=()):
@@ -130,8 +124,9 @@ def test_collision_termination():
     # scan from x=5.1 sees the circle face at 0.3 <= d_collision
     assert float(env.scan.min()) == pytest.approx(0.3)
     assert cause == "collision"
-    assert reward.obs == -100.0
-    assert reward.total == reward.heading + reward.dist - 100.0
+    # facing the goal pays the heading's 1.0, no milestone pays, and the
+    # collision costs 100
+    assert reward == 1.0 - 100.0
 
 
 def test_goal_beats_collision():
@@ -158,19 +153,33 @@ def test_bounds_clamp():
     assert cause == "running"
 
 
+@pytest.mark.parametrize(
+    "start,parked",
+    [
+        ((0.05, 5.0, math.pi), (0.0, 5.0)),
+        ((39.95, 5.0, 0.0), (40.0, 5.0)),
+        ((5.0, 0.05, -math.pi / 2), (5.0, 0.0)),
+        ((5.0, 39.95, math.pi / 2), (5.0, 40.0)),
+    ],
+)
+def test_every_wall_clamps(start, parked):
+    env = NavEnv(flat_world(start=start, goal=(20.0, 20.0)))
+    env.reset()
+    env.step((1.0, 0.0))
+    assert env.pose[:2] == parked
+
+
 def test_heading_reward_tracks_cone():
     world = flat_world(start=(5.0, 5.0, 0.0), goal=(15.0, 5.0))
     env = NavEnv(world)
     env.reset()
     _, reward, _ = env.step((0.0, 0.0))
-    assert reward.heading == 1.0
-    assert reward.total == 1.0
+    assert reward == 1.0
     aimed_away = flat_world(start=(5.0, 5.0, math.pi), goal=(15.0, 5.0))
     env = NavEnv(aimed_away)
     env.reset()
     _, reward, _ = env.step((0.0, 0.0))
-    assert reward.heading == 0.0
-    assert reward.total == 0.0
+    assert reward == 0.0
 
 
 def test_distance_milestones_latch_once():
@@ -181,8 +190,9 @@ def test_distance_milestones_latch_once():
     paid = []
     for _ in range(120):
         _, reward, cause = env.step((1.0, 0.0))
-        if reward.dist:
-            paid.append(reward.dist)
+        # facing the goal, every step pays the heading's 1.0
+        if reward != 1.0:
+            paid.append(reward - 1.0)
         if cause != "running":
             break
     assert paid == [50.0, 100.0]
@@ -195,7 +205,7 @@ def test_flat_world_never_flips():
     env.reset()
     features, reward, cause = env.step((1.0, 0.5))
     np.testing.assert_array_equal(features[4:], [0.0, 0.0])
-    assert reward.stable == 0.0
+    assert reward == 1.0  # the heading alone: no tilt penalty
     assert cause == "running"
 
 

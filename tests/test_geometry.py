@@ -20,6 +20,8 @@ from htnav.geometry import (
 )
 from htnav.world import generate_world
 
+from conftest import oracle_settings
+
 
 def test_wrap_angle_range_and_fixed_points():
     assert wrap_angle(0.0) == 0.0
@@ -154,16 +156,6 @@ def test_wall_clearance_matches_projection_onto_segment(px, py, ax, ay, bx, by, 
 # scan must match it byte for byte.
 
 
-def _oracle_settings(max_examples):
-    """``max_examples`` examples, times the loaded profile's over hypothesis's default of 100.
-
-    The default profile runs each oracle test at its own count; the
-    ``scan-oracle`` profile (tests/conftest.py) runs ten times as many.
-    """
-    scale = max(1, settings.default.max_examples // 100)
-    return settings(max_examples=max_examples * scale, deadline=None)
-
-
 def _oracle_scan_ranges(origin, heading, obstacles, n_rays=720, max_range=10.0):
     origin = np.asarray(origin, dtype=float)
     angles = heading + np.arange(n_rays) * (2.0 * math.pi / n_rays)
@@ -233,13 +225,13 @@ def _near_threshold_scenes(draw):
     return tuple(origin.tolist()), heading, obstacles, draw(N_RAYS), max_range
 
 
-@_oracle_settings(300)
+@oracle_settings(300)
 @given(_near_threshold_scenes())
 def test_scan_matches_oracle_near_max_range(scene):
     _assert_scan_matches_oracle(*scene)
 
 
-@_oracle_settings(100)
+@oracle_settings(100)
 @given(
     st.floats(-1e6, 1e6),
     st.floats(-1e6, 1e6),
@@ -466,7 +458,7 @@ def _slack_scenes(draw):
     return tuple(anchor.tolist()), tuple(origin.tolist()), obstacles, max_range, slack
 
 
-@_oracle_settings(300)
+@oracle_settings(300)
 @given(_slack_scenes())
 def test_slack_cull_keeps_what_exact_cull_keeps_nearby(scene):
     (ax, ay), (ox, oy), obstacles, max_range, slack = scene

@@ -107,18 +107,21 @@ def test_literal_mode_matches_gaussian_bumps():
 
 
 def test_r_dist_requires_episode_state():
-    with pytest.raises(ValueError):
-        r_dist(5.0, None, CFG)
-    with pytest.raises(ValueError):
-        r_dist(5.0, EpisodeRewardState(initial_distance=math.nan), CFG)
+    # the state is checked once, when it is made, not on every r_dist call
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="initial_distance"):
+            r_dist(5.0, EpisodeRewardState(initial_distance=bad), CFG)
 
 
 def test_total_reward_per_scenario():
     # a tree beside the start in every scenario and a 1.5 slope on uneven
     # terrain: the collision term would fire everywhere, but each scenario
-    # pays only the terms it has
+    # pays only the terms it has.  The goal is off to the left and far, so
+    # the heading and distance terms pay 0, and a tilt penalty unlike the
+    # collision penalty tells the two apart.
     xs = np.arange(41.0)
     hm = Heightmap(cell_size=1.0, elevations=np.tile(1.5 * xs, (41, 1)))
+    cfg = RewardConfig(r_stable_penalty=-25.0)
     paid = {}
     for scenario in SCENARIOS:
         world = World(
@@ -129,16 +132,10 @@ def test_total_reward_per_scenario():
             scenario=scenario,
             bounds=(0.0, 0.0, 40.0, 40.0),
         )
-        env = NavEnv(world)
+        env = NavEnv(world, reward_cfg=cfg)
         env.reset()
-        _, r, _ = env.step((1.0, 0.0))
-        assert r.total == r.heading + r.dist + r.obs + r.stable
-        paid[scenario] = (r.obs, r.stable)
-    assert paid == {
-        "goal_reaching": (0.0, 0.0),
-        "obstacle_avoidance": (-100.0, 0.0),
-        "uneven_terrain": (0.0, -100.0),
-    }
+        _, paid[scenario], _ = env.step((1.0, 0.0))
+    assert paid == {"goal_reaching": 0.0, "obstacle_avoidance": -100.0, "uneven_terrain": -25.0}
 
 
 @settings(max_examples=50, deadline=None)

@@ -8,13 +8,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import htnav.env
 import htnav.policy
 import htnav.world
 from htnav.cli import write_comparison_csv, write_curves_csv, write_diagnostics_csv
 from htnav.config import ConfigError, TrainConfig, apply_overrides
-from htnav.env import NavEnv
+from htnav.env import NavEnv, observation_dim
 from htnav.estimator import sample_horizon
 from htnav.policy import action_noise, forward_mean
 from htnav.training import (
@@ -29,9 +31,17 @@ from htnav.training import (
     world_for_episode,
 )
 
-from htnav.world import SCENARIOS, GenerationError
+from htnav.world import SCENARIOS, GenerationError, generate_world
 
-from conftest import LIVELY, assert_no_child_left, use_workers, world_fields
+from conftest import (
+    LIVELY,
+    assert_no_child_left,
+    make_params,
+    oracle_settings,
+    reference_rollout,
+    use_workers,
+    world_fields,
+)
 
 TINY = TrainConfig(episodes=4, max_steps=40, seeds=(0, 1))
 # TINY earns 0 reward, so its weights never leave initial_params; on
@@ -104,7 +114,7 @@ def test_rollout_poses_start_at_reset(scenario):
     for t, raw in enumerate(traj.raw_actions):
         features, reward, _ = env.step(np.clip(raw, -cfg.delta, cfg.delta))
         np.testing.assert_array_equal(traj.poses[t + 1], env.pose)
-        assert reward.total == traj.rewards[t]
+        assert reward == traj.rewards[t]
     assert traj.final_distance == env.d_goal
 
 
@@ -177,6 +187,70 @@ def test_rollout_terminal_cause_sticks():
     assert traj.final_cause == "goal"
     assert len(traj) < cfg.max_steps
     assert traj.final_distance <= cfg.env.goal_radius
+
+
+# world layouts for the rollout oracle: the default, starts near the goal,
+# where the literal distance bumps and the goal fire, and a small world
+# with a few obstacles, whose boundary is never far
+LAYOUTS = [
+    {},
+    {"worldgen.separation": [4.0, 6.0]},
+    {"worldgen.separation": [2.0, 3.0]},
+    {
+        "worldgen.separation": [2.0, 4.0],
+        "worldgen.bounds": [0.0, 0.0, 6.0, 6.0],
+        "worldgen.n_trees": [0, 2],
+        "worldgen.n_walls": [0, 1],
+        "worldgen.obstacle_clearance": 0.5,
+        "worldgen.elevation_gain": [0.5, 1.0],
+        "worldgen.margin": 0.5,
+    },
+]
+
+
+@oracle_settings(60)
+@given(
+    scenario=st.sampled_from(SCENARIOS),
+    hidden=st.sampled_from([(), (3,)]),
+    dist_mode=st.sampled_from(["latched", "literal"]),
+    lively=st.booleans(),
+    layout=st.sampled_from(LAYOUTS),
+    fast=st.booleans(),
+    flip=st.booleans(),
+    family=st.sampled_from(["cauchy", "gaussian"]),
+    noisy=st.booleans(),
+    scale=st.sampled_from([0.05, 0.5, 3.0]),
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.integers(1, 40),
+    max_steps=st.integers(1, 40),
+)
+def test_rollout_matches_reference(
+    scenario, hidden, dist_mode, lively, layout, fast, flip, family, noisy, scale, seed, steps,
+    max_steps,
+):
+    # every output of the lean loop, byte for byte, against the step
+    # arithmetic written out plainly (conftest.reference_rollout).  A fast
+    # robot meets the boundary and the goal more often, and its limits
+    # round (1.0 does not); a low flip threshold makes flip-overs.
+    overrides = {"rewards.dist_mode": dist_mode, **layout, **(LIVELY if lively else {})}
+    if fast:
+        overrides["env.v_max"] = 5.3
+        overrides["env.omega_max"] = 2.9
+    if flip:
+        overrides["env.flip_threshold"] = 0.05
+    cfg = apply_overrides(
+        TrainConfig(scenario=scenario, hidden_layers=hidden, max_steps=max_steps), overrides
+    )
+    world = generate_world(scenario, np.random.SeedSequence(seed), cfg.worldgen)
+    params = make_params(observation_dim(scenario), hidden, family=family, seed=seed, scale=scale)
+    noise = action_noise(params, np.random.default_rng(seed), steps) if noisy else None
+    got = rollout(world, params, cfg, steps, noise)
+    want = reference_rollout(world, params, cfg, steps, noise)
+    for name in ("features", "raw_actions", "rewards", "poses"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes()), name
+    assert got.final_cause == want.final_cause
+    assert np.float64(got.final_distance).tobytes() == np.float64(want.final_distance).tobytes()
 
 
 def _assert_learned(run, cfg):
