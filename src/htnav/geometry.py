@@ -144,7 +144,9 @@ def ray_obstacle_distances(origin: np.ndarray, dirs: np.ndarray, obstacle: Obsta
     (a1, b1), (a2, b2) = obstacle._sides
     a, b = obstacle._caps
     r = obstacle._radius
-    d = np.minimum(ray_segment_distances(origin, dirs, a1, b1), ray_segment_distances(origin, dirs, a2, b2))
+    d = np.minimum(
+        ray_segment_distances(origin, dirs, a1, b1), ray_segment_distances(origin, dirs, a2, b2)
+    )
     d = np.minimum(d, ray_circle_distances(origin, dirs, a, r))
     return np.minimum(d, ray_circle_distances(origin, dirs, b, r))
 

@@ -132,9 +132,9 @@ def assert_manifest_lists_dir(out):
     return manifest
 
 
-# The reference rollout: the step arithmetic written out plainly, one
-# helper per stage, as rollout and NavEnv.step ran it before their lean
-# rewrite.  The lean loop must match it byte for byte.
+# The reference rollout: the step arithmetic of training.rollout and
+# NavEnv.step written out plainly, one helper per stage, with numpy
+# actions and no pre-culled scan.  The rollout must match it byte for byte.
 
 
 def kinematic_step(x: float, y: float, psi: float, action, cfg) -> tuple[float, float, float]:
