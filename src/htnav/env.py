@@ -170,7 +170,7 @@ class NavEnv:
         closest = math.inf
         roll, pitch = pose[4], pose[5]
         if self.scenario == "obstacle_avoidance":
-            closest = self.scan.min().item()
+            closest = float(self.scan.min())
             obs_pen = rw.r_obs(closest, cfg.d_collision, rcfg)
         elif self.scenario == "uneven_terrain":
             stable_pen = rw.r_stable(roll, pitch, rcfg)
@@ -178,6 +178,7 @@ class NavEnv:
         # first, so the sum is never -0.0 and adding them changes no bits
         reward = heading + dist + obs_pen + stable_pen
 
+        cause = "running"
         if self.d_goal <= cfg.goal_radius:
             cause = "goal"
         elif closest <= cfg.d_collision:
@@ -188,6 +189,4 @@ class NavEnv:
             cause = "flip_over"
         elif self.steps >= self.max_steps:
             cause = "timeout"
-        else:
-            cause = "running"
         return features, reward, cause

@@ -29,6 +29,7 @@ def oracle_settings(max_examples):
     scale = max(1, settings.default.max_examples // 100)
     return settings(max_examples=max_examples * scale, deadline=None)
 
+
 # A wide heading cone, long steps, a big collision radius and a low tilt
 # threshold make the heading, collision and tilt terms fire within 40
 # steps.  At the defaults, runs that short earn 0 reward in every

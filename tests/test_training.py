@@ -228,10 +228,10 @@ def test_rollout_matches_reference(
     scenario, hidden, dist_mode, lively, layout, fast, flip, family, noisy, scale, seed, steps,
     max_steps,
 ):
-    # every output of the lean loop, byte for byte, against the step
-    # arithmetic written out plainly (conftest.reference_rollout).  A fast
-    # robot meets the boundary and the goal more often, and its limits
-    # round (1.0 does not); a low flip threshold makes flip-overs.
+    # every output of rollout, byte for byte, against the step arithmetic
+    # written out plainly (conftest.reference_rollout).  A fast robot meets
+    # the boundary and the goal more often, and its limits round (1.0 does
+    # not); a low flip threshold makes flip-overs.
     overrides = {"rewards.dist_mode": dist_mode, **layout, **(LIVELY if lively else {})}
     if fast:
         overrides["env.v_max"] = 5.3
