@@ -9,6 +9,7 @@ false); others are rejected.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 
@@ -163,10 +164,10 @@ def checkpoint_from_dict(doc: dict) -> tuple[PolicyParameters, OptimizerState | 
     return params, opt_state
 
 
-def load_checkpoint(path) -> tuple[PolicyParameters, OptimizerState | None]:
+def load_checkpoint(path, data: bytes | None = None) -> tuple[PolicyParameters, OptimizerState | None]:
+    """The checkpoint in the file ``path``, parsed from ``data`` when the caller has read it."""
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
+        doc = json.loads(Path(path).read_bytes() if data is None else data)
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"checkpoint {path} is not valid JSON: {exc}") from exc
     return checkpoint_from_dict(doc)

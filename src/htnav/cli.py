@@ -210,7 +210,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    params, _ = load_checkpoint(args.checkpoint)
+    data = Path(args.checkpoint).read_bytes()  # parsed and hashed from this one read
+    params, _ = load_checkpoint(args.checkpoint, data)
     cfg = _eval_config(args, params)
     expected = observation_dim(cfg.scenario, cfg.env.n_scan_rays)
     if params.spec.input_dim != expected:
@@ -224,7 +225,7 @@ def cmd_eval(args) -> int:
     write_eval_summary_json(report, out / "eval_summary.json")
     eval_block = {
         "checkpoint": args.checkpoint,
-        "checkpoint_sha256": hashlib.sha256(Path(args.checkpoint).read_bytes()).hexdigest(),
+        "checkpoint_sha256": hashlib.sha256(data).hexdigest(),
         "eval_seed": args.eval_seed,
         "episodes": args.n,
         "mode": args.mode,

@@ -59,10 +59,13 @@ def map_jobs(fn, jobs: list[tuple]) -> list:
     Each call must be a pure function of its job, so the results do not
     depend on which process made them; they come back in job order.  With
     one worker, or where ``fork`` is missing, the jobs run in a plain loop
-    in this process.  Otherwise forked workers, which inherit ``fn`` and
-    ``jobs``, claim job indices one at a time from a pipe, so long and
-    short jobs balance.  An exception raised in a worker is raised here
-    with its own type, and every worker is reaped before this returns.
+    in this process.  Otherwise this process is one of the workers: it
+    forks the others, which inherit ``fn`` and ``jobs``, and every worker
+    claims job indices one at a time from a pipe, so long and short jobs
+    balance.  An exception raised in a forked worker is raised here with
+    its own type; so is one raised in this process's own job, once the
+    forked workers are killed.  Every forked worker is reaped before this
+    returns; a job that exits the process here ends the caller.
     """
     workers = min(len(jobs), usable_cpus())
     if workers < 2 or not hasattr(os, "fork"):
@@ -70,13 +73,13 @@ def map_jobs(fn, jobs: list[tuple]) -> list:
     # Forking is safe here: nothing has started a thread before it, and
     # OpenBLAS's own thread pool has fork hooks.
     results = [None] * len(jobs)
-    claims = b"".join(i.to_bytes(CLAIM_BYTES, "little") for i in range(len(jobs)))
+    claims = memoryview(b"".join(i.to_bytes(CLAIM_BYTES, "little") for i in range(len(jobs))))
     claim_r, claim_w = os.pipe()
     pipes = {}  # worker pid -> the read end of its result pipe
     finished = False
     try:
         try:
-            for _ in range(workers):
+            for _ in range(workers - 1):
                 result_r, result_w = os.pipe()
                 pid = os.fork()
                 if pid == 0:
@@ -84,14 +87,21 @@ def map_jobs(fn, jobs: list[tuple]) -> list:
                     _work(fn, jobs, claim_r, result_w)
                 os.close(result_w)
                 pipes[pid] = open(result_r, "rb")
+            # A pipe holds only so many claims (16384 on Linux); while the
+            # rest wait for room, this process runs them from the back.
+            done = []
+            os.set_blocking(claim_w, False)
+            while claims:
+                try:
+                    claims = claims[os.write(claim_w, claims) :]
+                except BlockingIOError:
+                    i = int.from_bytes(claims[-CLAIM_BYTES:], "little")
+                    done.append((i, fn(*jobs[i])))
+                    claims = claims[:-CLAIM_BYTES]
         finally:
-            # even after a failed fork, closing claim_w ends the claims of
-            # the workers already started
-            os.close(claim_r)
-            try:
-                _write_and_close(claim_w, claims)
-            except BrokenPipeError:
-                pass  # every worker is gone; their result pipes say how
+            os.close(claim_w)  # the end of the claims
+        for i, result in done + _run_claims(fn, jobs, claim_r):
+            results[i] = result
         for pid, pipe in list(pipes.items()):
             with pipe:
                 payload = pipe.read()
@@ -107,6 +117,7 @@ def map_jobs(fn, jobs: list[tuple]) -> list:
                 results[i] = result
         finished = True
     finally:
+        os.close(claim_r)
         for pid, pipe in pipes.items():
             pipe.close()
             if not finished:
@@ -117,8 +128,17 @@ def map_jobs(fn, jobs: list[tuple]) -> list:
     return results
 
 
+def _run_claims(fn, jobs: list[tuple], claim_r: int) -> list[tuple]:
+    """``[(index, result), ...]`` of the jobs this process claims from ``claim_r``."""
+    done = []
+    while claim := os.read(claim_r, CLAIM_BYTES):
+        i = int.from_bytes(claim, "little")
+        done.append((i, fn(*jobs[i])))
+    return done
+
+
 def _work(fn, jobs: list[tuple], claim_r: int, result_w: int) -> None:
-    """A worker's whole life: run the claimed jobs, send the results, exit.
+    """A forked worker's whole life: run the claimed jobs, send the results, exit.
 
     Sends ``(True, [(index, result), ...])``, or ``(False, (exception,
     traceback text))`` for the first job that raised, pickled once down
@@ -129,29 +149,18 @@ def _work(fn, jobs: list[tuple], claim_r: int, result_w: int) -> None:
     code = 1
     try:
         try:
-            done = []
-            while record := os.read(claim_r, CLAIM_BYTES):
-                i = int.from_bytes(record, "little")
-                done.append((i, fn(*jobs[i])))
-            payload = pickle.dumps((True, done))
+            payload = pickle.dumps((True, _run_claims(fn, jobs, claim_r)))
         except BaseException as exc:
             import traceback  # here, not at the top: only a failure needs it
 
             payload = pickle.dumps((False, (exc, traceback.format_exc())))
-        _write_and_close(result_w, payload)
+        view = memoryview(payload)
+        while view:
+            view = view[os.write(result_w, view) :]
+        os.close(result_w)
         code = 0
     finally:
         os._exit(code)
-
-
-def _write_and_close(fd: int, data: bytes) -> None:
-    """Write all of ``data`` to the pipe end ``fd``, then close it."""
-    try:
-        view = memoryview(data)
-        while view:
-            view = view[os.write(fd, view) :]
-    finally:
-        os.close(fd)
 
 
 def policy_spec(cfg: TrainConfig) -> ApproximatorSpec:
@@ -191,7 +200,9 @@ def rollout(
     env = NavEnv(world, cfg.env, cfg.rewards, max_steps=cfg.max_steps)
     x = env.reset()
     poses = [env.pose]
-    feats, raws, rewards = [], [], []
+    # the env ends every episode by its max_steps-th step
+    feats = np.empty((min(steps, cfg.max_steps), x.shape[0]))
+    raws, rewards = [], []
     rows = noise.tolist() if noise is not None else None
     cause = "running"
     for t in range(steps):
@@ -199,7 +210,7 @@ def rollout(
         if rows is not None:
             n0, n1 = rows[t]
             m0, m1 = m0 + n0, m1 + n1
-        feats.append(x)
+        feats[t] = x
         raws.append((m0, m1))
         x, reward, cause = env.step(project_action((m0, m1), cfg.delta))
         rewards.append(reward)
@@ -207,7 +218,7 @@ def rollout(
         if cause != "running":
             break
     return Trajectory(
-        features=np.asarray(feats),
+        features=feats[: len(rewards)],
         raw_actions=np.asarray(raws),
         rewards=np.asarray(rewards),
         poses=np.asarray(poses),
@@ -289,6 +300,7 @@ def train_seed(cfg: TrainConfig, seed: int) -> SeedRun:
         h_sampled.append(horizon)
         h_used.append(len(traj) - 1)
         max_acts.append(float(np.abs(np.clip(traj.raw_actions, -cfg.delta, cfg.delta)).max()))
+        del traj  # else it is still alive while the next rollout fills its own
     return SeedRun(
         seed=seed,
         family=cfg.family,
@@ -319,14 +331,14 @@ class ComparisonResult:
 def run_comparison(cfg: TrainConfig) -> ComparisonResult:
     """Train both families on ``cfg``'s seeds and worlds; ``cfg.family`` is not read.
 
-    All ``2 x len(cfg.seeds)`` runs share one ``map_jobs`` call.
+    All ``2 x len(cfg.seeds)`` runs share one ``map_jobs`` call, seed by seed:
+    a seed's twin runs draw the same horizons, so they run side by side.
     """
     cauchy, gaussian = replace(cfg, family="cauchy"), replace(cfg, family="gaussian")
-    runs = map_jobs(train_seed, [(c, seed) for c in (cauchy, gaussian) for seed in cfg.seeds])
-    n = len(cfg.seeds)
+    runs = map_jobs(train_seed, [(c, seed) for seed in cfg.seeds for c in (cauchy, gaussian)])
     return ComparisonResult(
-        cauchy=RunRecord(family="cauchy", seed_runs=runs[:n]),
-        gaussian=RunRecord(family="gaussian", seed_runs=runs[n:]),
+        cauchy=RunRecord(family="cauchy", seed_runs=runs[0::2]),
+        gaussian=RunRecord(family="gaussian", seed_runs=runs[1::2]),
     )
 
 

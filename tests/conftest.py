@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import os
@@ -101,6 +102,33 @@ def use_workers(monkeypatch, n):
     process are not seen here.
     """
     monkeypatch.setattr("htnav.training.usable_cpus", lambda: n)
+
+
+@contextlib.contextmanager
+def worker_only(fault, real):
+    """Yield a function that calls ``fault`` in a forked worker and ``real`` in this process.
+
+    Its first call in this process waits until a forked worker has called
+    ``fault``, so with two usable CPUs and at least two jobs the fault is
+    certain to happen in the forked worker, and only there.
+    """
+    parent = os.getpid()
+    signal_r, signal_w = os.pipe()
+    waited = []
+
+    def fn(*args):
+        if os.getpid() != parent:
+            os.write(signal_w, b"x")
+            return fault(*args)
+        if not waited:
+            waited.append(os.read(signal_r, 1))
+        return real(*args)
+
+    try:
+        yield fn
+    finally:
+        os.close(signal_r)
+        os.close(signal_w)
 
 
 def assert_no_child_left():

@@ -201,6 +201,27 @@ def test_eval_manifest_records_how_to_rerun_it(tmp_path):
     assert (rerun / "eval_rows.csv").read_bytes() == rows[3]
 
 
+def test_eval_manifest_hashes_the_checkpoint_it_evaluated(tmp_path, monkeypatch):
+    import htnav.cli
+
+    checkpoint = tmp_path / "checkpoint.json"
+    evaluated = BENCH_CHECKPOINT.read_bytes()
+    checkpoint.write_bytes(evaluated)
+    real = htnav.cli.evaluate
+
+    def overwriting(*args, **kwargs):
+        # another run replaces the checkpoint while this one evaluates it
+        checkpoint.write_bytes(evaluated.replace(b"\n", b"\n\n"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(htnav.cli, "evaluate", overwriting)
+    out = tmp_path / "eval"
+    argv = ["eval", str(checkpoint), "--scenario", "uneven_terrain", "-n", "1"]
+    assert run([*argv, "--set", "max_steps=5", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["eval"]["checkpoint_sha256"] == hashlib.sha256(evaluated).hexdigest()
+
+
 def test_eval_rejects_corrupt_checkpoint(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")

@@ -14,7 +14,7 @@ from htnav.evaluation import elevation_cost, evaluate
 from htnav.training import initial_params
 from htnav.world import GenerationError
 
-from conftest import assert_no_child_left, use_workers
+from conftest import assert_no_child_left, use_workers, worker_only
 
 
 def test_elevation_cost_examples():
@@ -145,10 +145,12 @@ def test_generation_error_in_eval_worker_keeps_its_type(monkeypatch):
         raise GenerationError("no placement satisfies the constraints")
 
     use_workers(monkeypatch, 2)
-    monkeypatch.setattr(ev, "generate_world", no_world)
     cfg = TrainConfig(episodes=1, max_steps=10)
-    with pytest.raises(GenerationError, match="no placement"):
-        evaluate(_zero_policy(cfg), cfg, n_episodes=3)
+    with worker_only(no_world, ev.generate_world) as generate:
+        monkeypatch.setattr(ev, "generate_world", generate)
+        with pytest.raises(GenerationError, match="no placement") as raised:
+            evaluate(_zero_policy(cfg), cfg, n_episodes=3)
+    assert "in no_world" in str(raised.value.__cause__)
     assert_no_child_left()
 
 

@@ -5,12 +5,14 @@ prove that a refactor kept behaviour.  Each (scenario, family) trains
 2 seeds x 8 episodes through the CLI, and one deterministic eval runs
 on ``uneven_terrain`` from the pinned cauchy checkpoint, as do a
 stochastic ``uneven_terrain`` eval and two ``obstacle_avoidance`` evals
-(one sampled on an eval seed where an episode ends in a collision).  A
-pin may only be re-recorded by a change that means to alter
-trajectories, and that change says why in CHANGES.md.
+(one sampled on an eval seed where an episode ends in a collision).
+``compare`` runs the same seeds and episodes on ``goal_reaching`` and
+``obstacle_avoidance``.  A pin may only be re-recorded by a change that
+means to alter trajectories, and that change says why in CHANGES.md.
 """
 
 import hashlib
+import re
 
 import pytest
 
@@ -116,6 +118,27 @@ def trained(tmp_path_factory):
 def test_train_outputs_pinned(trained, scenario, family):
     out = trained(scenario, family)
     assert _digests(out, TRAIN_FILES) == PINS[f"{scenario}/{family}"]
+
+
+# compare writes each family's train files, named with the family after the
+# first word (curve_cauchy.csv, checkpoint_cauchy_seed0.json) and holding
+# the same bytes as that family's train pin, plus comparison.csv
+COMPARISON_PINS = {
+    "goal_reaching": "87b63f1be245fe9800bcd8062fbdf6b9706ad76cc630446b8155b85aaa88bd73",
+    "obstacle_avoidance": "dde45c840ee29b4885c3e0b8c3c5c9805941d98eea3abfb4aa2915cc53088ce5",
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(COMPARISON_PINS))
+def test_compare_outputs_pinned(tmp_path, scenario):
+    out = tmp_path / "compare"
+    assert main(["compare", "--scenario", scenario, *TRAIN_ARGS, "--out", str(out)]) == 0
+    expected = {"comparison.csv": COMPARISON_PINS[scenario]}
+    for family in ("cauchy", "gaussian"):
+        for name, digest in PINS[f"{scenario}/{family}"].items():
+            expected[re.sub(r"^[a-z]+", rf"\g<0>_{family}", name)] = digest
+    files = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+    assert _digests(out, files) == expected
 
 
 def test_eval_outputs_pinned(trained, tmp_path):

@@ -40,6 +40,7 @@ from conftest import (
     oracle_settings,
     reference_rollout,
     use_workers,
+    worker_only,
     world_fields,
 )
 
@@ -429,6 +430,11 @@ def test_training_abort_on_nonfinite(monkeypatch):
         train_seed(replace(TINY, episodes=1, seeds=(0,)), 0)
 
 
+def _sleep_then_pid(seconds):
+    time.sleep(seconds)
+    return seconds, os.getpid()
+
+
 def test_map_jobs_keeps_job_order_in_and_out_of_process(monkeypatch):
     jobs = [(k,) for k in (5, -3, 0, 12, 7)]
     use_workers(monkeypatch, 1)
@@ -437,9 +443,62 @@ def test_map_jobs_keeps_job_order_in_and_out_of_process(monkeypatch):
     assert map_jobs(os.getpid, [(), ()]) == [os.getpid()] * 2
     use_workers(monkeypatch, 2)
     assert map_jobs(abs, jobs) == [5, 3, 0, 12, 7]
-    assert os.getpid() not in map_jobs(os.getpid, [(), ()])
+    # two usable CPUs: whichever process claims the first job sleeps
+    # through it, so the other claims the second; this process is one
+    pids = [pid for _, pid in map_jobs(_sleep_then_pid, [(0.5,), (0,)])]
+    assert os.getpid() in pids and len(set(pids)) == 2
     assert_no_child_left()
     assert map_jobs(abs, []) == []
+
+
+@pytest.mark.parametrize("cpus, forks", [(2, 1), (3, 2)])
+def test_map_jobs_forks_one_worker_fewer_than_cpus(monkeypatch, cpus, forks):
+    calls = []
+    real = os.fork
+
+    def counting():
+        calls.append(1)
+        return real()
+
+    use_workers(monkeypatch, cpus)
+    monkeypatch.setattr(os, "fork", counting)
+    assert map_jobs(abs, [(-k,) for k in range(6)]) == list(range(6))
+    # a forked child's calls land in its own copy of ``calls``
+    assert len(calls) == forks
+    assert_no_child_left()
+
+
+def _raise_here_stall_elsewhere(pid):
+    if os.getpid() == pid:
+        raise GenerationError("raised in the calling process")
+    time.sleep(60)
+
+
+def test_exception_in_own_job_keeps_its_type(monkeypatch):
+    # the forked worker stalls in its job, so this process claims the
+    # other; raising must not wait for the stalled worker to finish
+    use_workers(monkeypatch, 2)
+    started = time.monotonic()
+    with pytest.raises(GenerationError, match="raised in the calling process"):
+        map_jobs(_raise_here_stall_elsewhere, [(os.getpid(),)] * 2)
+    assert time.monotonic() - started < 30
+    assert_no_child_left()
+
+
+def test_run_comparison_lists_jobs_seed_by_seed(monkeypatch):
+    import htnav.training as tr
+
+    calls = []
+
+    def recording(fn, jobs):
+        calls.append([(cfg.family, seed) for cfg, seed in jobs])
+        return [f"{cfg.family}-{seed}" for cfg, seed in jobs]
+
+    monkeypatch.setattr(tr, "map_jobs", recording)
+    result = run_comparison(replace(TINY, seeds=(4, 2, 7)))
+    assert calls == [[(f, s) for s in (4, 2, 7) for f in ("cauchy", "gaussian")]]
+    assert result.cauchy.seed_runs == ["cauchy-4", "cauchy-2", "cauchy-7"]
+    assert result.gaussian.seed_runs == ["gaussian-4", "gaussian-2", "gaussian-7"]
 
 
 def test_training_abort_in_worker_keeps_its_type(monkeypatch):
@@ -447,9 +506,11 @@ def test_training_abort_in_worker_keeps_its_type(monkeypatch):
 
     use_workers(monkeypatch, 2)
     bad = (np.array([np.nan, 0.0]), np.array([0.0, 0.0]))
-    monkeypatch.setattr(tr, "estimate", lambda *a, **k: bad)
-    with pytest.raises(TrainingAbort, match="non-finite gradient"):
-        train(replace(TINY, episodes=1, seeds=(0, 1)))
+    with worker_only(lambda *args: bad, tr.estimate) as estimate:
+        monkeypatch.setattr(tr, "estimate", estimate)
+        with pytest.raises(TrainingAbort, match="non-finite gradient") as raised:
+            train(replace(TINY, episodes=1, seeds=(0, 1)))
+    assert "in a worker process" in str(raised.value.__cause__)
     assert_no_child_left()
 
 
@@ -460,41 +521,45 @@ def test_generation_error_in_worker_keeps_its_type(monkeypatch):
         raise GenerationError("no placement satisfies the constraints")
 
     use_workers(monkeypatch, 2)
-    monkeypatch.setattr(tr, "generate_world", no_world)
-    with pytest.raises(GenerationError, match="no placement") as raised:
-        run_comparison(replace(TINY, episodes=1, seeds=(0, 1)))
+    with worker_only(no_world, tr.generate_world) as generate:
+        monkeypatch.setattr(tr, "generate_world", generate)
+        with pytest.raises(GenerationError, match="no placement") as raised:
+            run_comparison(replace(TINY, episodes=1, seeds=(0, 1)))
     # the worker's own traceback comes along as the cause
     assert "in no_world" in str(raised.value.__cause__)
     assert_no_child_left()
 
 
-def _exit_on_three(k):
-    if k == 3:
-        os._exit(3)
-    return k
-
-
 def test_worker_death_is_an_error(monkeypatch):
     use_workers(monkeypatch, 2)
-    with pytest.raises(RuntimeError, match=r"died without a result \(exit code 3\)"):
-        map_jobs(_exit_on_three, [(1,), (3,), (2,)])
+    with worker_only(lambda k: os._exit(3), abs) as fn:
+        with pytest.raises(RuntimeError, match=r"died without a result \(exit code 3\)"):
+            map_jobs(fn, [(1,), (-2,)])
     assert_no_child_left()
 
 
-def _sleep_then_pid(seconds):
-    time.sleep(seconds)
-    return seconds, os.getpid()
+def test_more_claims_than_the_pipe_holds(monkeypatch):
+    # 20000 claims are 80000 bytes, more than a Linux pipe holds by default:
+    # this process runs the claims that wait for room, so the results are
+    # complete, and a worker that dies meanwhile is an error, not a hang
+    use_workers(monkeypatch, 2)
+    jobs = [(-k,) for k in range(20_000)]
+    assert map_jobs(abs, jobs) == list(range(20_000))
+    with worker_only(lambda k: os._exit(3), abs) as fn:
+        with pytest.raises(RuntimeError, match=r"died without a result \(exit code 3\)"):
+            map_jobs(fn, jobs)
+    assert_no_child_left()
 
 
 def test_workers_claim_jobs_as_they_free_up(monkeypatch):
-    # while one worker sleeps through job 0, the other claims jobs 1-3; a
-    # static split would hand job 2 to the sleeping worker
+    # while one process sleeps through job 0, the other claims jobs 1-3; a
+    # static split would hand job 2 to the sleeping one
     use_workers(monkeypatch, 2)
     results = map_jobs(_sleep_then_pid, [(1.0,), (0,), (0,), (0,)])
     assert [seconds for seconds, _ in results] == [1.0, 0, 0, 0]
     first_pid = results[0][1]
     assert all(pid != first_pid for _, pid in results[1:])
-    assert os.getpid() not in {pid for _, pid in results}
+    assert os.getpid() in {pid for _, pid in results}
     assert_no_child_left()
 
 
