@@ -65,7 +65,7 @@ def _build_config(args) -> TrainConfig:
     for name in ("scenario", "family", "episodes"):
         if getattr(args, name, None) is not None:
             overrides[name] = getattr(args, name)
-    if getattr(args, "seeds", None):
+    if getattr(args, "seeds", None) is not None:
         overrides["seeds"] = _parse_seeds(args.seeds)
     overrides.update(_parse_set_pairs(getattr(args, "set", None)))
     if overrides:

@@ -57,8 +57,7 @@ class EpisodeRewardState:
             raise ValueError(f"initial_distance must be finite, got {self.initial_distance}")
 
 
-def r_heading(alpha_goal: float, cfg: RewardConfig | None = None) -> float:
-    cfg = cfg or RewardConfig()
+def r_heading(alpha_goal: float, cfg: RewardConfig) -> float:
     return 1.0 if abs(alpha_goal) <= cfg.angle_threshold else 0.0
 
 
@@ -97,17 +96,15 @@ def r_dist(
     return reward, state
 
 
-def r_obs(closest: float, d_collision: float, cfg: RewardConfig | None = None) -> float:
+def r_obs(closest: float, d_collision: float, cfg: RewardConfig) -> float:
     """Collision penalty when the closest scan return is at or inside the clearance."""
-    cfg = cfg or RewardConfig()
     if math.isnan(closest):
         raise ValueError("closest scan range must not be NaN")
     return cfg.r_collision if closest <= d_collision else 0.0
 
 
-def r_stable(roll: float, pitch: float, cfg: RewardConfig | None = None) -> float:
+def r_stable(roll: float, pitch: float, cfg: RewardConfig) -> float:
     """Tilt penalty once roll or pitch reaches the threshold (inclusive)."""
-    cfg = cfg or RewardConfig()
     if abs(roll) >= cfg.tilt_threshold or abs(pitch) >= cfg.tilt_threshold:
         return cfg.r_stable_penalty
     return 0.0

@@ -30,9 +30,10 @@ INIT_SALT = 13
 ACTION_SALT = 19
 EVAL_SALT = 23
 
-# bytes of one job index in the claim pipe; the parent writes only whole
-# records and a worker reads exactly one, so no record is split between two
-CLAIM_BYTES = 4
+# most claims in map_jobs' claim pipe, one byte each: claim k is jobs
+# [k * size, (k + 1) * size) with size = ceil(n / MAX_CLAIMS), and all of
+# them fit in one blocking write (PIPE_BUF >= 512) before any worker reads
+MAX_CLAIMS = 256
 
 # episodes in the trailing window behind every "final mean return" and the
 # half-rise statistic
@@ -59,48 +60,35 @@ def map_jobs(fn, jobs: list[tuple]) -> list:
     Each call must be a pure function of its job, so the results do not
     depend on which process made them; they come back in job order.  With
     one worker, or where ``fork`` is missing, the jobs run in a plain loop
-    in this process.  Otherwise this process is one of the workers: it
-    forks the others, which inherit ``fn`` and ``jobs``, and every worker
-    claims job indices one at a time from a pipe, so long and short jobs
-    balance.  An exception raised in a forked worker is raised here with
-    its own type; so is one raised in this process's own job, once the
-    forked workers are killed.  Every forked worker is reaped before this
-    returns; a job that exits the process here ends the caller.
+    in this process.  Otherwise this process writes every claim into a
+    pipe, forks the other workers, which inherit ``fn`` and ``jobs``, and
+    works as one of them; every worker takes one claim at a time, so long
+    and short jobs balance.  An exception raised in a forked worker is
+    raised here with its own type; so is one raised in this process's own
+    job, once the forked workers are killed.  Every forked worker is reaped
+    before this returns; a job that exits the process here ends the caller.
     """
     workers = min(len(jobs), usable_cpus())
     if workers < 2 or not hasattr(os, "fork"):
         return [fn(*job) for job in jobs]
-    # Forking is safe here: nothing has started a thread before it, and
-    # OpenBLAS's own thread pool has fork hooks.
     results = [None] * len(jobs)
-    claims = memoryview(b"".join(i.to_bytes(CLAIM_BYTES, "little") for i in range(len(jobs))))
+    size = math.ceil(len(jobs) / MAX_CLAIMS)
     claim_r, claim_w = os.pipe()
+    os.write(claim_w, bytes(range(math.ceil(len(jobs) / size))))
+    os.close(claim_w)  # the end of the claims
     pipes = {}  # worker pid -> the read end of its result pipe
     finished = False
     try:
-        try:
-            for _ in range(workers - 1):
-                result_r, result_w = os.pipe()
-                pid = os.fork()
-                if pid == 0:
-                    os.close(claim_w)  # else no worker ever sees the end of the claims
-                    _work(fn, jobs, claim_r, result_w)
-                os.close(result_w)
-                pipes[pid] = open(result_r, "rb")
-            # A pipe holds only so many claims (16384 on Linux); while the
-            # rest wait for room, this process runs them from the back.
-            done = []
-            os.set_blocking(claim_w, False)
-            while claims:
-                try:
-                    claims = claims[os.write(claim_w, claims) :]
-                except BlockingIOError:
-                    i = int.from_bytes(claims[-CLAIM_BYTES:], "little")
-                    done.append((i, fn(*jobs[i])))
-                    claims = claims[:-CLAIM_BYTES]
-        finally:
-            os.close(claim_w)  # the end of the claims
-        for i, result in done + _run_claims(fn, jobs, claim_r):
+        # Forking is safe here: nothing has started a thread before it, and
+        # OpenBLAS's own thread pool has fork hooks.
+        for _ in range(workers - 1):
+            result_r, result_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _work(fn, jobs, size, claim_r, result_w)
+            os.close(result_w)
+            pipes[pid] = open(result_r, "rb")
+        for i, result in _run_claims(fn, jobs, size, claim_r):
             results[i] = result
         for pid, pipe in list(pipes.items()):
             with pipe:
@@ -128,16 +116,16 @@ def map_jobs(fn, jobs: list[tuple]) -> list:
     return results
 
 
-def _run_claims(fn, jobs: list[tuple], claim_r: int) -> list[tuple]:
+def _run_claims(fn, jobs: list[tuple], size: int, claim_r: int) -> list[tuple]:
     """``[(index, result), ...]`` of the jobs this process claims from ``claim_r``."""
     done = []
-    while claim := os.read(claim_r, CLAIM_BYTES):
-        i = int.from_bytes(claim, "little")
-        done.append((i, fn(*jobs[i])))
+    while claim := os.read(claim_r, 1):
+        for i in range(len(jobs))[claim[0] * size :][:size]:
+            done.append((i, fn(*jobs[i])))
     return done
 
 
-def _work(fn, jobs: list[tuple], claim_r: int, result_w: int) -> None:
+def _work(fn, jobs: list[tuple], size: int, claim_r: int, result_w: int) -> None:
     """A forked worker's whole life: run the claimed jobs, send the results, exit.
 
     Sends ``(True, [(index, result), ...])``, or ``(False, (exception,
@@ -149,7 +137,7 @@ def _work(fn, jobs: list[tuple], claim_r: int, result_w: int) -> None:
     code = 1
     try:
         try:
-            payload = pickle.dumps((True, _run_claims(fn, jobs, claim_r)))
+            payload = pickle.dumps((True, _run_claims(fn, jobs, size, claim_r)))
         except BaseException as exc:
             import traceback  # here, not at the top: only a failure needs it
 

@@ -48,7 +48,6 @@ class WorldGenConfig:
     hill_sigma: tuple[float, float] = (1.2, 7.0)
     hill_amplitude: tuple[float, float] = (0.5, 3.5)
     elevation_gain: tuple[float, float] = (2.5, 4.0)
-    max_elevation_gain: float = 4.0
     max_spawn_slope: float = 0.2
 
     def __post_init__(self):
@@ -57,8 +56,7 @@ class WorldGenConfig:
         rules = [
             (("cell_size", "retries"), lambda v: 0 < v and finite(v), "positive and finite"),
             (
-                ("margin", "obstacle_clearance", "min_start_misalignment", "n_hills",
-                 "max_elevation_gain", "max_spawn_slope"),
+                ("margin", "obstacle_clearance", "min_start_misalignment", "n_hills", "max_spawn_slope"),
                 lambda v: 0 <= v and finite(v),
                 ">= 0 and finite",
             ),
@@ -133,7 +131,7 @@ def _make_heightmap(scenario: str, cfg: WorldGenConfig, rng: np.random.Generator
     sigmas = rng.uniform(*cfg.hill_sigma, n)
     amps = rng.uniform(*cfg.hill_amplitude, n)
     z = _hill_field(xs, ys, centers, sigmas, amps)
-    target = min(rng.uniform(*cfg.elevation_gain), cfg.max_elevation_gain)
+    target = rng.uniform(*cfg.elevation_gain)
     gain = float(z.max() - z.min())
     if gain > 0.0:
         z = z * (target / gain)

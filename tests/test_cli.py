@@ -115,6 +115,15 @@ def test_bad_set_pair_is_config_error(tmp_path):
     assert run(["compare", *FAST, "--set", "plateau_patience=2", "--out", str(tmp_path / "w")]) == 2
 
 
+@pytest.mark.parametrize("command", ["train", "compare"])
+@pytest.mark.parametrize("seeds", ["", ","])
+def test_empty_seed_list_is_config_error(tmp_path, caplog, command, seeds):
+    out = tmp_path / "x"
+    assert run([command, "--seeds", seeds, "--episodes", "1", "--out", str(out)]) == 2
+    assert "seeds must be non-empty" in caplog.text
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["-1", "NaN"])
 def test_bad_scan_max_range_is_config_error(tmp_path, caplog, value):
     out = tmp_path / "x"
@@ -411,12 +420,13 @@ def test_run_directory_same_with_one_or_two_workers(tmp_path, monkeypatch, argv)
         train = ["train", "--scenario", "uneven_terrain", *FAST, *LIVELY_ARGS, "--out", str(trained)]
         assert run(train) == 0
         argv = [argv[0], str(trained / "checkpoint_seed1.json"), *argv[2:]]
-    outs = [tmp_path / "one", tmp_path / "two"]
-    for n, out in zip((1, 2), outs):
+    outs = [tmp_path / "one", tmp_path / "two", tmp_path / "three"]
+    for n, out in zip((1, 2, 3), outs):
         use_workers(monkeypatch, n)
         assert run([*argv, "--out", str(out)]) == 0
         assert_no_child_left()
-    _assert_same_run_dirs(*outs)
+    for out in outs[1:]:
+        _assert_same_run_dirs(outs[0], out)
 
 
 def test_surface_grid_dimensions(tmp_path):

@@ -204,7 +204,6 @@ CHANGED = {
     "worldgen.hill_sigma": [2.0, 3.0],
     "worldgen.hill_amplitude": [1.0, 2.0],
     "worldgen.elevation_gain": [1.0, 2.0],
-    "worldgen.max_elevation_gain": 2.0,
     "worldgen.max_spawn_slope": 0.5,
 }
 

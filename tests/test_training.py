@@ -538,13 +538,16 @@ def test_worker_death_is_an_error(monkeypatch):
     assert_no_child_left()
 
 
-def test_more_claims_than_the_pipe_holds(monkeypatch):
-    # 20000 claims are 80000 bytes, more than a Linux pipe holds by default:
-    # this process runs the claims that wait for room, so the results are
-    # complete, and a worker that dies meanwhile is an error, not a hang
+def test_more_jobs_than_claims(monkeypatch):
+    # above 256 jobs a claim covers a run of them: 2 each for 257 jobs, the
+    # last run one job short, and 79 each for 20000; results still come
+    # back in order, and a worker that dies is an error, not a hang
+    for n in (257, 20_000):
+        jobs = [(-k,) for k in range(n)]
+        for workers in (2, 3):
+            use_workers(monkeypatch, workers)
+            assert map_jobs(abs, jobs) == list(range(n))
     use_workers(monkeypatch, 2)
-    jobs = [(-k,) for k in range(20_000)]
-    assert map_jobs(abs, jobs) == list(range(20_000))
     with worker_only(lambda k: os._exit(3), abs) as fn:
         with pytest.raises(RuntimeError, match=r"died without a result \(exit code 3\)"):
             map_jobs(fn, jobs)
