@@ -13,7 +13,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("comparison_csv", help="comparison.csv from a compare run")
     parser.add_argument("--out", default=None, help="output image (default: show window)")
-    parser.add_argument("--window", type=int, default=10, help="moving-average half width")
+    parser.add_argument("--window", type=int, default=10, help="moving-average window width, in episodes")
     args = parser.parse_args()
 
     try:

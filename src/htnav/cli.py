@@ -210,6 +210,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.eval_seed < 0:
+        raise ConfigError(f"--eval-seed must be >= 0, got {args.eval_seed}")
     data = Path(args.checkpoint).read_bytes()  # parsed and hashed from this one read
     params, _ = load_checkpoint(args.checkpoint, data)
     cfg = _eval_config(args, params)

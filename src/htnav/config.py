@@ -1,8 +1,8 @@
 """Run configuration: one dataclass tree, JSON round-trip, dotted overrides.
 
-Precedence is overrides > config file > defaults. Every knob that shapes
-training, the environment, the rewards, or world generation lives here so
-a run is fully described by (config, seeds).
+Precedence is overrides > config file > defaults. Every value a run may
+vary lives here; the rest are constants of the code, so a run is fully
+described by (config, seeds) and the code version.
 """
 
 import dataclasses
@@ -32,9 +32,6 @@ class TrainConfig:
     delta: float = 1.0
     phi: float = 10.0
     eta: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     episodes: int = 120
     max_steps: int = 300
     seeds: tuple[int, ...] = DEFAULT_SEEDS
@@ -54,12 +51,9 @@ class TrainConfig:
             raise ConfigError(f"family must be one of {FAMILIES}, got {self.family!r}")
         if not 0.0 < self.gamma < 1.0:
             raise ConfigError(f"gamma must be in (0, 1), got {self.gamma}")
-        for name in ("sigma", "delta", "phi", "eta", "epsilon"):
+        for name in ("sigma", "delta", "phi", "eta"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         if self.episodes < 0:
             raise ConfigError(f"episodes must be >= 0, got {self.episodes}")
         if self.max_steps < 1:
@@ -69,6 +63,8 @@ class TrainConfig:
             raise ConfigError("seeds must be non-empty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds must be distinct, got {self.seeds}")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be >= 0, got {self.seeds}")
         self.hidden_layers = tuple(int(h) for h in self.hidden_layers)
         if any(h < 1 for h in self.hidden_layers):
             raise ConfigError(f"hidden layer widths must be >= 1, got {self.hidden_layers}")

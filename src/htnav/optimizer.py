@@ -22,6 +22,7 @@ class OptimizerState:
     v: np.ndarray
     step_count: int = 0
     eta: float = 0.01
+    # no config key sets these three; checkpoints record them
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
@@ -40,22 +41,8 @@ class OptimizerState:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
 
     @classmethod
-    def fresh(
-        cls,
-        dim: int,
-        eta: float = 0.01,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-8,
-    ) -> "OptimizerState":
-        return cls(
-            m=np.zeros(dim),
-            v=np.zeros(dim),
-            eta=eta,
-            beta1=beta1,
-            beta2=beta2,
-            epsilon=epsilon,
-        )
+    def fresh(cls, dim: int, eta: float = 0.01) -> "OptimizerState":
+        return cls(m=np.zeros(dim), v=np.zeros(dim), eta=eta)
 
 
 def ascent_step(

@@ -75,11 +75,14 @@ def _elevations(hm: Heightmap, points) -> list[float]:
     return out
 
 
-def terrain_gradient(hm: Heightmap, x: float, y: float) -> tuple[float, float]:
-    """(dz/dx, dz/dy) by central differences over one cell."""
+def terrain_slope(hm: Heightmap, x: float, y: float) -> tuple[float, float, float]:
+    """``(z, dz/dx, dz/dy)`` at ``(x, y)``: the bilinear elevation and central
+    differences over one cell, all five lookups made in one pass."""
     h = hm.cell_size
-    east, west, north, south = _elevations(hm, ((x + h, y), (x - h, y), (x, y + h), (x, y - h)))
-    return (east - west) / (2.0 * h), (north - south) / (2.0 * h)
+    z, east, west, north, south = _elevations(
+        hm, ((x, y), (x + h, y), (x - h, y), (x, y + h), (x, y - h))
+    )
+    return z, (east - west) / (2.0 * h), (north - south) / (2.0 * h)
 
 
 def pose_from_terrain(
@@ -87,17 +90,11 @@ def pose_from_terrain(
 ) -> tuple[float, float, float, float, float, float]:
     """Ground a planar pose on the terrain: ``(x, y, psi, z, roll, pitch)``.
 
-    ``z`` is the bilinear elevation at ``(x, y)`` and the slope is
-    ``terrain_gradient``, all five lookups made in one pass.  Pitch is the
-    slope along the heading (positive = nose up); roll is the slope along
-    the heading's left perpendicular (positive = left side up).
+    ``z`` and the slope come from ``terrain_slope``.  Pitch is the slope
+    along the heading (positive = nose up); roll is the slope along the
+    heading's left perpendicular (positive = left side up).
     """
-    h = hm.cell_size
-    z, east, west, north, south = _elevations(
-        hm, ((x, y), (x + h, y), (x - h, y), (x, y + h), (x, y - h))
-    )
-    dzdx = (east - west) / (2.0 * h)
-    dzdy = (north - south) / (2.0 * h)
+    z, dzdx, dzdy = terrain_slope(hm, x, y)
     c, s = math.cos(psi), math.sin(psi)
     pitch = math.atan(dzdx * c + dzdy * s)
     roll = math.atan(-dzdx * s + dzdy * c)

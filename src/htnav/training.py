@@ -255,13 +255,7 @@ class RunRecord:
 def train_seed(cfg: TrainConfig, seed: int) -> SeedRun:
     """Run one seed start to finish; pure function of (cfg, seed)."""
     params = initial_params(cfg, seed)
-    state = OptimizerState.fresh(
-        params.spec.num_weights,
-        eta=cfg.eta,
-        beta1=cfg.beta1,
-        beta2=cfg.beta2,
-        epsilon=cfg.epsilon,
-    )
+    state = OptimizerState.fresh(params.spec.num_weights, eta=cfg.eta)
     returns, steps, causes = [], [], []
     raw_infs, clip_infs = [], []
     h_sampled, h_used, max_acts = [], [], []

@@ -14,10 +14,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Circle, Obstacle, Wall, point_obstacle_clearance, wrap_angle
-from .terrain import Heightmap, terrain_gradient
+from .terrain import Heightmap, terrain_slope
 from .typecheck import check_field_types
 
 SCENARIOS = ("goal_reaching", "obstacle_avoidance", "uneven_terrain")
+
+# Scenario 2 draws each tree radius, wall length and wall thickness from
+# these ranges.  Scenario 3 sums N_HILLS Gaussian hills, their widths and
+# heights drawn from these ranges, before rescaling to ``elevation_gain``,
+# and spawns start and goal only where the slope is at most MAX_SPAWN_SLOPE.
+TREE_RADIUS = (0.3, 1.2)
+WALL_LENGTH = (3.0, 10.0)
+WALL_THICKNESS = (0.2, 0.6)
+N_HILLS = 24
+HILL_SIGMA = (1.2, 7.0)
+HILL_AMPLITUDE = (0.5, 3.5)
+MAX_SPAWN_SLOPE = 0.2
 
 
 class GenerationError(RuntimeError):
@@ -38,17 +50,10 @@ class WorldGenConfig:
     retries: int = 200
     # obstacle field (scenario 2)
     n_trees: tuple[int, int] = (6, 12)
-    tree_radius: tuple[float, float] = (0.3, 1.2)
     n_walls: tuple[int, int] = (2, 5)
-    wall_length: tuple[float, float] = (3.0, 10.0)
-    wall_thickness: tuple[float, float] = (0.2, 0.6)
     # terrain
     cell_size: float = 0.5
-    n_hills: int = 24
-    hill_sigma: tuple[float, float] = (1.2, 7.0)
-    hill_amplitude: tuple[float, float] = (0.5, 3.5)
     elevation_gain: tuple[float, float] = (2.5, 4.0)
-    max_spawn_slope: float = 0.2
 
     def __post_init__(self):
         check_field_types(self)
@@ -56,14 +61,13 @@ class WorldGenConfig:
         rules = [
             (("cell_size", "retries"), lambda v: 0 < v and finite(v), "positive and finite"),
             (
-                ("margin", "obstacle_clearance", "min_start_misalignment", "n_hills", "max_spawn_slope"),
+                ("margin", "obstacle_clearance", "min_start_misalignment"),
                 lambda v: 0 <= v and finite(v),
                 ">= 0 and finite",
             ),
             (("n_trees", "n_walls"), lambda r: 0 <= r[0] <= r[1], "a range with 0 <= low <= high"),
             (
-                ("separation", "tree_radius", "wall_length", "wall_thickness", "hill_sigma",
-                 "hill_amplitude", "elevation_gain"),
+                ("separation", "elevation_gain"),
                 lambda r: 0 < r[0] <= r[1] and finite(r[1]),
                 "a finite range with 0 < low <= high",
             ),
@@ -126,10 +130,9 @@ def _make_heightmap(scenario: str, cfg: WorldGenConfig, rng: np.random.Generator
     ny = int(round((y1 - y0) / cfg.cell_size)) + 1
     xs = x0 + np.arange(nx) * cfg.cell_size
     ys = y0 + np.arange(ny) * cfg.cell_size
-    n = cfg.n_hills
-    centers = np.column_stack([rng.uniform(x0, x1, n), rng.uniform(y0, y1, n)])
-    sigmas = rng.uniform(*cfg.hill_sigma, n)
-    amps = rng.uniform(*cfg.hill_amplitude, n)
+    centers = np.column_stack([rng.uniform(x0, x1, N_HILLS), rng.uniform(y0, y1, N_HILLS)])
+    sigmas = rng.uniform(*HILL_SIGMA, N_HILLS)
+    amps = rng.uniform(*HILL_AMPLITUDE, N_HILLS)
     z = _hill_field(xs, ys, centers, sigmas, amps)
     target = rng.uniform(*cfg.elevation_gain)
     gain = float(z.max() - z.min())
@@ -144,18 +147,18 @@ def _make_obstacles(cfg: WorldGenConfig, rng: np.random.Generator) -> list[Obsta
     obstacles: list[Obstacle] = []
     for _ in range(int(rng.integers(cfg.n_trees[0], cfg.n_trees[1] + 1))):
         c = (float(rng.uniform(x0 + m, x1 - m)), float(rng.uniform(y0 + m, y1 - m)))
-        obstacles.append(Circle(center=c, radius=float(rng.uniform(*cfg.tree_radius))))
+        obstacles.append(Circle(center=c, radius=float(rng.uniform(*TREE_RADIUS))))
     for _ in range(int(rng.integers(cfg.n_walls[0], cfg.n_walls[1] + 1))):
         ax = float(rng.uniform(x0 + m, x1 - m))
         ay = float(rng.uniform(y0 + m, y1 - m))
         angle = float(rng.uniform(0.0, 2.0 * math.pi))
-        length = float(rng.uniform(*cfg.wall_length))
+        length = float(rng.uniform(*WALL_LENGTH))
         bx = min(max(ax + length * math.cos(angle), x0 + m), x1 - m)
         by = min(max(ay + length * math.sin(angle), y0 + m), y1 - m)
         if math.dist((ax, ay), (bx, by)) < 0.5:
             continue
         obstacles.append(
-            Wall(p1=(ax, ay), p2=(bx, by), thickness=float(rng.uniform(*cfg.wall_thickness)))
+            Wall(p1=(ax, ay), p2=(bx, by), thickness=float(rng.uniform(*WALL_THICKNESS)))
         )
     return obstacles
 
@@ -190,8 +193,8 @@ def _place_start_goal(
         alpha = wrap_angle(math.atan2(gy - sy, gx - sx) - psi)
         if abs(alpha) < cfg.min_start_misalignment:
             continue
-        slopes = (math.hypot(*terrain_gradient(hm, x, y)) for x, y in ((sx, sy), (gx, gy)))
-        if hm is not None and not all(slope <= cfg.max_spawn_slope for slope in slopes):
+        slopes = (math.hypot(*terrain_slope(hm, x, y)[1:]) for x, y in ((sx, sy), (gx, gy)))
+        if hm is not None and not all(slope <= MAX_SPAWN_SLOPE for slope in slopes):
             continue
         return (sx, sy, psi), (gx, gy)
     raise GenerationError(

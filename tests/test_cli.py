@@ -124,6 +124,16 @@ def test_empty_seed_list_is_config_error(tmp_path, caplog, command, seeds):
     assert not out.exists()
 
 
+def test_negative_seeds_are_config_errors(tmp_path, caplog):
+    out = tmp_path / "x"
+    assert run(["train", "--seeds", "-1", "--episodes", "1", "--out", str(out)]) == 2
+    assert "seeds must be >= 0, got (-1,)" in caplog.text
+    assert not out.exists()
+    assert run(["eval", str(BENCH_CHECKPOINT), "--eval-seed", "-3", "--out", str(out)]) == 2
+    assert "--eval-seed must be >= 0, got -3" in caplog.text
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["-1", "NaN"])
 def test_bad_scan_max_range_is_config_error(tmp_path, caplog, value):
     out = tmp_path / "x"

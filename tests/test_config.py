@@ -59,7 +59,24 @@ def test_unknown_top_level_key_rejected():
 
 
 @pytest.mark.parametrize(
-    "key", ["plateau_patience", "fixed_world", "bias_correction", "worldgen.ripple_amplitude"]
+    "key",
+    [
+        "plateau_patience",
+        "fixed_world",
+        "bias_correction",
+        "beta1",
+        "beta2",
+        "epsilon",
+        "worldgen.ripple_amplitude",
+        "worldgen.max_elevation_gain",
+        "worldgen.tree_radius",
+        "worldgen.wall_length",
+        "worldgen.wall_thickness",
+        "worldgen.n_hills",
+        "worldgen.hill_sigma",
+        "worldgen.hill_amplitude",
+        "worldgen.max_spawn_slope",
+    ],
 )
 def test_removed_keys_rejected_by_name(key):
     # config files written before these knobs were removed must fail, not be ignored
@@ -87,7 +104,7 @@ def test_unknown_nested_key_rejected():
         {"gamma": 0.0},
         {"sigma": 0.0},
         {"eta": -0.1},
-        {"beta1": 1.0},
+        {"seeds": (-1,)},
         {"episodes": -1},
         {"max_steps": 0},
         {"seeds": ()},
@@ -95,7 +112,7 @@ def test_unknown_nested_key_rejected():
         {"hidden_layers": (0,)},
         {"delta": 0.0},
         {"delta": math.inf},
-        {"epsilon": math.nan},
+        {"phi": math.nan},
         {"episodes": 1.5},
         {"max_steps": True},
         {"seeds": (0.7,)},
@@ -121,11 +138,11 @@ def test_overrides_top_level():
 
 def test_overrides_nested_dotted():
     cfg = apply_overrides(
-        TrainConfig(), {"rewards.beta_g": "200", "env.v_max": "2.0", "worldgen.n_hills": "8"}
+        TrainConfig(), {"rewards.beta_g": "200", "env.v_max": "2.0", "worldgen.retries": "8"}
     )
     assert cfg.rewards.beta_g == 200
     assert cfg.env.v_max == 2.0
-    assert cfg.worldgen.n_hills == 8
+    assert cfg.worldgen.retries == 8
 
 
 def test_overrides_parse_json_values():
@@ -166,9 +183,6 @@ CHANGED = {
     "delta": 2.0,
     "phi": 5.0,
     "eta": 0.02,
-    "beta1": 0.8,
-    "beta2": 0.99,
-    "epsilon": 1e-6,
     "episodes": 7,
     "max_steps": 50,
     "seeds": [9, 3],
@@ -195,16 +209,9 @@ CHANGED = {
     "worldgen.min_start_misalignment": 0.5,
     "worldgen.retries": 10,
     "worldgen.n_trees": [1, 2],
-    "worldgen.tree_radius": [0.5, 0.6],
     "worldgen.n_walls": [0, 1],
-    "worldgen.wall_length": [2.0, 4.0],
-    "worldgen.wall_thickness": [0.1, 0.2],
     "worldgen.cell_size": 1.0,
-    "worldgen.n_hills": 3,
-    "worldgen.hill_sigma": [2.0, 3.0],
-    "worldgen.hill_amplitude": [1.0, 2.0],
     "worldgen.elevation_gain": [1.0, 2.0],
-    "worldgen.max_spawn_slope": 0.5,
 }
 
 

@@ -56,9 +56,9 @@ def test_validation():
     with pytest.raises(ValueError):
         OptimizerState(m=np.zeros(2), v=np.zeros(3))
     with pytest.raises(ValueError):
-        OptimizerState.fresh(2, beta1=1.0)
+        OptimizerState(m=np.zeros(2), v=np.zeros(2), beta1=1.0)
     with pytest.raises(ValueError):
-        OptimizerState.fresh(2, epsilon=0.0)
+        OptimizerState(m=np.zeros(2), v=np.zeros(2), epsilon=0.0)
     state = OptimizerState.fresh(2)
     with pytest.raises(ValueError):
         ascent_step(state, np.zeros(3), np.zeros(2))

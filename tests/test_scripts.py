@@ -94,6 +94,7 @@ def test_reproduce_elevation_rejects_no_eval_episodes_before_training(tmp_path):
         ("reproduce_curves.py", ["--seeds", "x"], "seeds must be a list of integers"),
         ("reproduce_elevation.py", ["--episodes", "-2"], "episodes must be >= 0, got -2"),
         ("reproduce_elevation.py", ["--seeds", "x"], "seeds must be a list of integers"),
+        ("reproduce_curves.py", ["--seeds=-1"], "seeds must be >= 0, got (-1,)"),
     ],
 )
 def test_scripts_report_config_errors(tmp_path, script, args, message):
