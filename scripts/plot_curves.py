@@ -8,6 +8,20 @@ import argparse
 import csv
 import sys
 
+import numpy as np
+
+
+def smooth(y: np.ndarray, window: int) -> np.ndarray:
+    """Centred moving average of ``y`` over ``window`` episodes (at most all of them).
+
+    Near either end the window holds fewer episodes, and each point is the
+    mean of those it holds: nothing is padded in.
+    """
+    if y.size == 0:  # the comparison.csv of a compare run with no episodes
+        return y
+    kernel = np.ones(max(1, min(window, y.size)))
+    return np.convolve(y, kernel, mode="same") / np.convolve(np.ones_like(y), kernel, mode="same")
+
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
@@ -26,8 +40,6 @@ def main() -> int:
         print("matplotlib is not installed; run: pip install 'htnav[plot]'", file=sys.stderr)
         return 1
 
-    import numpy as np
-
     with open(args.comparison_csv) as fh:
         rows = list(csv.DictReader(fh))
     episodes = np.array([int(r["episode"]) for r in rows])
@@ -36,14 +48,10 @@ def main() -> int:
         for name in ("cauchy_mean", "cauchy_std", "gaussian_mean", "gaussian_std")
     }
 
-    def smooth(y):
-        w = max(1, min(args.window, y.shape[0]))
-        return np.convolve(y, np.ones(w) / w, mode="same")
-
     fig, ax = plt.subplots(figsize=(7, 4.2))
     for family, color in (("cauchy", "tab:red"), ("gaussian", "tab:blue")):
-        mean = smooth(series[f"{family}_mean"])
-        std = smooth(series[f"{family}_std"])
+        mean = smooth(series[f"{family}_mean"], args.window)
+        std = smooth(series[f"{family}_std"], args.window)
         ax.plot(episodes, mean, color=color, label=family)
         ax.fill_between(episodes, mean - std, mean + std, color=color, alpha=0.2)
     ax.set_xlabel("episode")

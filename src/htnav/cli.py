@@ -212,6 +212,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     if args.eval_seed < 0:
         raise ConfigError(f"--eval-seed must be >= 0, got {args.eval_seed}")
+    if args.n < 1:
+        raise ConfigError(f"-n must be >= 1, got {args.n}")
     data = Path(args.checkpoint).read_bytes()  # parsed and hashed from this one read
     params, _ = load_checkpoint(args.checkpoint, data)
     cfg = _eval_config(args, params)
@@ -255,6 +257,12 @@ def cmd_compare(args) -> int:
 
 
 def cmd_surface(args) -> int:
+    for flag, n in (("--n-d", args.n_d), ("--n-other", args.n_other)):
+        if n < 2:
+            raise ConfigError(f"{flag} must be >= 2, got {n}")
+    for flag, d in (("--d-max", args.d_max), ("--initial-distance", args.initial_distance)):
+        if d is not None and not 0 < d < math.inf:
+            raise ConfigError(f"{flag} must be positive and finite, got {d}")
     cfg = _build_config(args)
     d_axis, other_axis, values = reward_surface(
         args.axes,

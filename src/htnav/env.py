@@ -79,7 +79,9 @@ class NavEnv:
         self.reward_cfg = reward_cfg or rw.RewardConfig()
         self.max_steps = max_steps
         self.scenario = world.scenario
-        self._scan_obstacles = list(world.obstacles) + bounds_walls(world.bounds)
+        self._scan_obstacles = []  # what the scan can hit; only obstacle_avoidance scans
+        if self.scenario == "obstacle_avoidance":
+            self._scan_obstacles = list(world.obstacles) + bounds_walls(world.bounds)
         self._cull_anchor = (math.nan, math.nan)
         self._near_obstacles: list = []
         self.pose: tuple[float, float, float, float, float, float] | None = None

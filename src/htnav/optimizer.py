@@ -9,23 +9,25 @@ The printed update this mirrors has no bias correction:
 Note the plus sign: the objective is maximized.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .typecheck import check_field_types
 
+# the printed update's constants; no config key sets them
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
+
 
 @dataclass
 class OptimizerState:
     m: np.ndarray
     v: np.ndarray
-    step_count: int = 0
-    eta: float = 0.01
-    # no config key sets these three; checkpoints record them
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
+    step_count: int
+    eta: float
 
     def __post_init__(self):
         check_field_types(self)
@@ -33,16 +35,12 @@ class OptimizerState:
         self.v = np.asarray(self.v, dtype=float)
         if self.m.shape != self.v.shape:
             raise ValueError("first and second moment shapes differ")
-        if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
-            raise ValueError("beta1 and beta2 must lie in [0, 1)")
-        if not self.eta >= 0.0:
-            raise ValueError(f"eta must be non-negative, got {self.eta}")
-        if not self.epsilon > 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0.0 <= self.eta < math.inf:
+            raise ValueError(f"eta must be non-negative and finite, got {self.eta}")
 
     @classmethod
-    def fresh(cls, dim: int, eta: float = 0.01) -> "OptimizerState":
-        return cls(m=np.zeros(dim), v=np.zeros(dim), eta=eta)
+    def fresh(cls, dim: int, eta: float) -> "OptimizerState":
+        return cls(m=np.zeros(dim), v=np.zeros(dim), step_count=0, eta=eta)
 
 
 def ascent_step(
@@ -57,7 +55,7 @@ def ascent_step(
         raise ValueError(
             f"dimension mismatch: theta {theta.shape}, g {g.shape}, moments {state.m.shape}"
         )
-    m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    v = state.beta2 * state.v + (1.0 - state.beta2) * g**2
-    theta_next = theta + state.eta * m / (np.sqrt(v) + state.epsilon)
+    m = BETA1 * state.m + (1.0 - BETA1) * g
+    v = BETA2 * state.v + (1.0 - BETA2) * g**2
+    theta_next = theta + state.eta * m / (np.sqrt(v) + EPSILON)
     return replace(state, m=m, v=v, step_count=state.step_count + 1), theta_next

@@ -214,7 +214,7 @@ def test_criterion_04_geometric_horizon_means(capsys):
 
 
 def test_criterion_05_optimizer_hand_example(capsys):
-    state = OptimizerState.fresh(1)
+    state = OptimizerState.fresh(1, eta=0.01)
     theta0 = np.array([0.7])
     _, theta1 = ascent_step(state, theta0, np.ones(1))
     delta = float(theta1[0] - theta0[0])

@@ -13,7 +13,7 @@ from htnav.checkpoint import (
     save_checkpoint,
 )
 from htnav.optimizer import OptimizerState, ascent_step
-from tests.conftest import make_params
+from conftest import make_params
 
 
 def test_round_trip_weights_bit_exact(tmp_path):
@@ -73,7 +73,7 @@ def test_rejects_unknown_family():
 
 def test_rejects_bad_optimizer_block():
     params = make_params()
-    state = OptimizerState.fresh(params.spec.num_weights)
+    state = OptimizerState.fresh(params.spec.num_weights, eta=0.01)
     doc = checkpoint_to_dict(params, state)
     doc["optimizer"]["m"] = doc["optimizer"]["m"][:-2]
     doc["optimizer"]["v"] = doc["optimizer"]["v"][:-2]
@@ -85,8 +85,11 @@ def test_rejects_bad_optimizer_block():
         checkpoint_from_dict(doc)
     doc = checkpoint_to_dict(params, state)
     del doc["optimizer"]["eta"]
-    with pytest.raises(CheckpointError, match="optimizer block"):
+    with pytest.raises(CheckpointError, match="optimizer is missing key 'eta'"):
         checkpoint_from_dict(doc)
+
+
+MISSING = object()
 
 
 @pytest.mark.parametrize(
@@ -96,12 +99,19 @@ def test_rejects_bad_optimizer_block():
         ("spec", "output_dim", 3),
         ("spec", "output_dim", 2.0),
         ("optimizer", "bias_correction", True),
+        ("optimizer", "beta1", 0.5),
+        ("optimizer", "beta2", 0.99),
+        ("optimizer", "epsilon", 1e-7),
+        ("spec", "activation", MISSING),
     ],
 )
 def test_rejects_unsupported_constant(block, key, value):
     params = make_params()
-    doc = checkpoint_to_dict(params, OptimizerState.fresh(params.spec.num_weights))
-    doc[block][key] = value
+    doc = checkpoint_to_dict(params, OptimizerState.fresh(params.spec.num_weights, eta=0.01))
+    if value is MISSING:
+        del doc[block][key]
+    else:
+        doc[block][key] = value
     with pytest.raises(CheckpointError, match=key):
         checkpoint_from_dict(doc)
 
@@ -122,7 +132,7 @@ def test_rejects_unsupported_constant(block, key, value):
 )
 def test_rejects_non_finite_field(block, key, value):
     params = make_params()
-    doc = checkpoint_to_dict(params, OptimizerState.fresh(params.spec.num_weights))
+    doc = checkpoint_to_dict(params, OptimizerState.fresh(params.spec.num_weights, eta=0.01))
     owner = doc if block is None else doc[block]
     if isinstance(owner[key], list):
         owner[key][1] = value
@@ -144,7 +154,7 @@ def test_rejects_non_finite_field(block, key, value):
 )
 def test_rejects_unknown_key_by_name(block, key, typo):
     params = make_params()
-    doc = checkpoint_to_dict(params, OptimizerState.fresh(params.spec.num_weights))
+    doc = checkpoint_to_dict(params, OptimizerState.fresh(params.spec.num_weights, eta=0.01))
     owner = doc if block is None else doc[block]
     owner[typo] = owner.pop(key)
     where = block or "checkpoint"
@@ -205,7 +215,7 @@ def test_load_rejects_corrupt_file(tmp_path):
 
 
 def test_checkpoint_dict_is_json_plain():
-    doc = checkpoint_to_dict(make_params(hidden=(3,)), OptimizerState.fresh(23))
+    doc = checkpoint_to_dict(make_params(hidden=(3,)), OptimizerState.fresh(23, eta=0.01))
     json.dumps(doc)
     assert doc["format"] == "htnav-checkpoint-v1"
     assert all(isinstance(w, float) for w in doc["weights"])

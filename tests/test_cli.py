@@ -132,6 +132,21 @@ def test_negative_seeds_are_config_errors(tmp_path, caplog):
     assert run(["eval", str(BENCH_CHECKPOINT), "--eval-seed", "-3", "--out", str(out)]) == 2
     assert "--eval-seed must be >= 0, got -3" in caplog.text
     assert not out.exists()
+    assert run(["eval", str(BENCH_CHECKPOINT), "-n", "0", "--out", str(out)]) == 2
+    assert "-n must be >= 1, got 0" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--n-d", "1"), ("--n-other", "0"), ("--d-max", "-5"), ("--d-max", "nan"),
+     ("--d-max", "inf"), ("--initial-distance", "-3")],
+)
+def test_surface_rejects_meaningless_grid(tmp_path, caplog, flag, value):
+    out = tmp_path / "x"
+    assert run(["surface", f"{flag}={value}", "--out", str(out)]) == 2
+    assert f"error: {flag} must be" in caplog.text
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["-1", "NaN"])

@@ -5,9 +5,9 @@ from htnav.optimizer import OptimizerState, ascent_step
 
 
 def test_hand_computed_first_step():
-    # g=1 everywhere, defaults, no bias correction:
+    # g=1 everywhere, eta 0.01, no bias correction:
     # m=0.1, v=0.001, step = 0.01 * 0.1 / (sqrt(0.001) + 1e-8)
-    state = OptimizerState.fresh(3)
+    state = OptimizerState.fresh(3, eta=0.01)
     theta = np.zeros(3)
     new_state, theta1 = ascent_step(state, theta, np.ones(3))
     expected = 0.01 * 0.1 / (np.sqrt(0.001) + 1e-8)
@@ -17,7 +17,7 @@ def test_hand_computed_first_step():
 
 
 def test_ascends_not_descends():
-    state = OptimizerState.fresh(1)
+    state = OptimizerState.fresh(1, eta=0.01)
     _, theta1 = ascent_step(state, np.zeros(1), np.array([5.0]))
     assert theta1[0] > 0
     _, theta1 = ascent_step(state, np.zeros(1), np.array([-5.0]))
@@ -25,7 +25,7 @@ def test_ascends_not_descends():
 
 
 def test_step_is_pure():
-    state = OptimizerState.fresh(2)
+    state = OptimizerState.fresh(2, eta=0.01)
     theta = np.zeros(2)
     g = np.ones(2)
     ascent_step(state, theta, g)
@@ -54,11 +54,9 @@ def test_zero_eta_freezes_parameters():
 
 def test_validation():
     with pytest.raises(ValueError):
-        OptimizerState(m=np.zeros(2), v=np.zeros(3))
-    with pytest.raises(ValueError):
-        OptimizerState(m=np.zeros(2), v=np.zeros(2), beta1=1.0)
-    with pytest.raises(ValueError):
-        OptimizerState(m=np.zeros(2), v=np.zeros(2), epsilon=0.0)
-    state = OptimizerState.fresh(2)
+        OptimizerState(m=np.zeros(2), v=np.zeros(3), step_count=0, eta=0.01)
+    with pytest.raises(ValueError, match="eta"):
+        OptimizerState.fresh(2, eta=np.inf)
+    state = OptimizerState.fresh(2, eta=0.01)
     with pytest.raises(ValueError):
         ascent_step(state, np.zeros(3), np.zeros(2))

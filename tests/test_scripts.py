@@ -1,10 +1,12 @@
 """Smoke tests: the reproduction scripts run end to end at a tiny size."""
 
 import csv
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import assert_manifest_lists_dir
@@ -102,3 +104,19 @@ def test_scripts_report_config_errors(tmp_path, script, args, message):
     assert f"error: {message}" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+def test_plot_smoothing_pads_nothing_in():
+    # imported for its numpy-only ``smooth``; plotting needs matplotlib
+    spec = importlib.util.spec_from_file_location("plot_curves", SCRIPTS / "plot_curves.py")
+    plot_curves = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(plot_curves)
+    smooth = plot_curves.smooth
+    # zero padding plotted a constant 30 as 15 at the first episode, 18 at the last
+    np.testing.assert_array_equal(smooth(np.full(40, 30.0), 10), 30.0)
+    y = np.random.default_rng(0).normal(size=17)
+    np.testing.assert_array_equal(smooth(y, 1), y)
+    # a series shorter than the window is averaged over what it holds
+    np.testing.assert_array_equal(smooth(np.full(3, 30.0), 10), 30.0)
+    np.testing.assert_allclose(smooth(np.array([1.0, 2.0, 6.0]), 10), [1.5, 3.0, 4.0])
+    assert smooth(np.array([]), 10).shape == (0,)

@@ -122,9 +122,10 @@ def test_rollout_poses_start_at_reset(scenario):
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_only_uneven_terrain_reads_terrain(monkeypatch, scenario):
     # flat worlds build no hill field, flat steps ground no pose, and their
-    # z, roll and pitch are all 0.0
-    calls = {"_hill_field": 0, "pose_from_terrain": 0}
-    for owner, name in ((htnav.world, "_hill_field"), (htnav.env, "pose_from_terrain")):
+    # z, roll and pitch are all 0.0; only the scanning scenario builds walls
+    calls = {"_hill_field": 0, "pose_from_terrain": 0, "bounds_walls": 0}
+    owners = ((htnav.world, "_hill_field"), (htnav.env, "pose_from_terrain"), (htnav.env, "bounds_walls"))
+    for owner, name in owners:
 
         def counting(*args, _real=getattr(owner, name), _name=name):
             calls[_name] += 1
@@ -135,6 +136,7 @@ def test_only_uneven_terrain_reads_terrain(monkeypatch, scenario):
     world = world_for_episode(cfg, 0, 1)
     params = initial_params(cfg, 0)
     traj = rollout(world, params, cfg, 13, action_noise(params, episode_rng(0, 1), 13))
+    assert calls.pop("bounds_walls") == (scenario == "obstacle_avoidance")
     if scenario == "uneven_terrain":
         assert calls == {"_hill_field": 1, "pose_from_terrain": len(traj) + 1}
         assert traj.poses[:, 3:].any()
