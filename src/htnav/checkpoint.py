@@ -8,7 +8,6 @@ checkpoint holds; the writer writes them and the reader accepts no other.
 """
 
 import json
-import math
 from pathlib import Path
 
 import numpy as np
@@ -95,11 +94,8 @@ def _build(cls, where: str, *args):
 def _numbers(values, key: str) -> np.ndarray:
     """``values`` as an array, if it is a list of finite numbers (a bool is none)."""
     if not isinstance(values, list) or not all(fits(v, float) for v in values):
-        raise CheckpointError(f"checkpoint field {key!r} must be a list of numbers")
-    array = np.asarray(values, dtype=float)
-    if not np.isfinite(array).all():
-        raise CheckpointError(f"checkpoint field {key!r} must be finite")
-    return array
+        raise CheckpointError(f"checkpoint field {key!r} must be a list of finite numbers")
+    return np.asarray(values, dtype=float)
 
 
 def checkpoint_from_dict(doc: dict) -> tuple[PolicyParameters, OptimizerState | None]:
@@ -114,8 +110,6 @@ def checkpoint_from_dict(doc: dict) -> tuple[PolicyParameters, OptimizerState | 
             f"weight count {weights.shape[0]} does not match spec ({spec.num_weights})"
         )
     params = _build(PolicyParameters, "checkpoint", spec, weights, sigma, family)
-    if not math.isfinite(params.sigma):
-        raise CheckpointError("checkpoint field 'sigma' must be finite")
     if "optimizer" not in doc:
         return params, None
     m, v, step_count, eta = _block(opt_doc, "optimizer", "m", "v", "step_count", "eta")

@@ -194,10 +194,10 @@ def write_compare_dir(out_dir: Path, cfg: TrainConfig, result: ComparisonResult,
 
 def cmd_train(args) -> int:
     cfg = _build_config(args)
-    out = _run_dir(args, f"train-{cfg.scenario}-{cfg.family}")
     log.info("training family=%s scenario=%s seeds=%s episodes=%d",
              cfg.family, cfg.scenario, list(cfg.seeds), cfg.episodes)
     record = train(cfg)
+    out = _run_dir(args, f"train-{cfg.scenario}-{cfg.family}")
     files = write_record(out, record)
     for run in record.seed_runs:
         if len(run):
@@ -244,8 +244,8 @@ def cmd_eval(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = _build_config(args)
-    out = _run_dir(args, f"compare-{cfg.scenario}")
     result = run_comparison(cfg)
+    out = _run_dir(args, f"compare-{cfg.scenario}")
     write_compare_dir(out, cfg, result)
     if cfg.episodes:
         window = min(FINAL_WINDOW, cfg.episodes)

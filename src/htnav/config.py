@@ -7,13 +7,12 @@ described by (config, seeds) and the code version.
 
 import dataclasses
 import json
-import math
 from dataclasses import dataclass, field
 
 from .env import EnvConfig
 from .policy import FAMILIES
 from .rewards import RewardConfig
-from .typecheck import check_field_types
+from .typecheck import check_fields
 from .world import SCENARIOS, WorldGenConfig
 
 DEFAULT_SEEDS = (0, 1, 2, 3, 4, 5)
@@ -41,33 +40,22 @@ class TrainConfig:
     worldgen: WorldGenConfig = field(default_factory=WorldGenConfig)
 
     def __post_init__(self):
+        rules = [
+            (("scenario",), lambda v: v in SCENARIOS, f"one of {SCENARIOS}"),
+            (("family",), lambda v: v in FAMILIES, f"one of {FAMILIES}"),
+            (("gamma",), lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+            (("sigma", "delta", "phi", "eta"), lambda v: v > 0, "positive"),
+            (("episodes",), lambda v: v >= 0, ">= 0"),
+            (("max_steps",), lambda v: v >= 1, ">= 1"),
+            (("seeds",), len, "non-empty"),
+            (("seeds",), lambda s: len(set(s)) == len(s), "distinct"),
+            (("seeds",), lambda s: min(s) >= 0, ">= 0"),
+            (("hidden_layers",), lambda hs: all(h >= 1 for h in hs), "widths >= 1"),
+        ]
         try:
-            check_field_types(self)
+            check_fields(self, rules)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if self.scenario not in SCENARIOS:
-            raise ConfigError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
-        if self.family not in FAMILIES:
-            raise ConfigError(f"family must be one of {FAMILIES}, got {self.family!r}")
-        if not 0.0 < self.gamma < 1.0:
-            raise ConfigError(f"gamma must be in (0, 1), got {self.gamma}")
-        for name in ("sigma", "delta", "phi", "eta"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        if self.episodes < 0:
-            raise ConfigError(f"episodes must be >= 0, got {self.episodes}")
-        if self.max_steps < 1:
-            raise ConfigError(f"max_steps must be >= 1, got {self.max_steps}")
-        self.seeds = tuple(int(s) for s in self.seeds)
-        if len(self.seeds) == 0:
-            raise ConfigError("seeds must be non-empty")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigError(f"seeds must be distinct, got {self.seeds}")
-        if min(self.seeds) < 0:
-            raise ConfigError(f"seeds must be >= 0, got {self.seeds}")
-        self.hidden_layers = tuple(int(h) for h in self.hidden_layers)
-        if any(h < 1 for h in self.hidden_layers):
-            raise ConfigError(f"hidden layer widths must be >= 1, got {self.hidden_layers}")
 
 
 def config_to_dict(cfg) -> dict:
@@ -100,8 +88,6 @@ def _from_dict(cls, data, path: str = ""):
     for key, value in data.items():
         if dataclasses.is_dataclass(fields[key]):
             value = _from_dict(fields[key], value, f"{path}.{key}" if path else key)
-        elif isinstance(value, list):
-            value = tuple(value)
         kwargs[key] = value
     try:
         return cls(**kwargs)

@@ -15,7 +15,7 @@ import numpy as np
 from . import rewards as rw
 from .geometry import bounds_walls, obstacles_in_range, scan_ranges, wrap_angle
 from .terrain import pose_from_terrain
-from .typecheck import check_field_types
+from .typecheck import check_fields
 from .world import World
 
 # feature scaling constants: the policy consumes O(1) inputs
@@ -42,12 +42,7 @@ class EnvConfig:
     scan_max_range: float = 10.0
 
     def __post_init__(self):
-        check_field_types(self)
-        # every env knob is a positive, finite number
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{f.name} must be positive and finite, got {value}")
+        check_fields(self, [([f.name for f in fields(self)], lambda v: v > 0, "positive")])
 
 
 def observation_dim(scenario: str, n_scan_rays: int = 720) -> int:

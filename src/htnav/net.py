@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .typecheck import check_field_types
+from .typecheck import check_fields
 
 # the approximator outputs the location of the 2-D (v, omega) action
 OUTPUT_DIM = 2
@@ -32,13 +32,11 @@ class ApproximatorSpec:
     hidden_layers: tuple[int, ...] = ()
 
     def __post_init__(self):
-        check_field_types(self)
-        if self.input_dim < 1:
-            raise ValueError(f"input_dim must be >= 1, got {self.input_dim}")
-        if any(h < 1 for h in self.hidden_layers):
-            raise ValueError(f"hidden sizes must be >= 1, got {self.hidden_layers}")
-        # Tolerate lists from checkpoint files; canonical form is a tuple.
-        object.__setattr__(self, "hidden_layers", tuple(self.hidden_layers))
+        rules = [
+            (("input_dim",), lambda v: v >= 1, ">= 1"),
+            (("hidden_layers",), lambda hs: all(h >= 1 for h in hs), "widths >= 1"),
+        ]
+        check_fields(self, rules)
 
     def layer_dims(self) -> list[tuple[int, int]]:
         """(fan_out, fan_in) per affine layer, input to output order."""

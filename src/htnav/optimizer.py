@@ -9,12 +9,11 @@ The printed update this mirrors has no bias correction:
 Note the plus sign: the objective is maximized.
 """
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .typecheck import check_field_types
+from .typecheck import check_fields
 
 # the printed update's constants; no config key sets them
 BETA1 = 0.9
@@ -30,13 +29,11 @@ class OptimizerState:
     eta: float
 
     def __post_init__(self):
-        check_field_types(self)
+        check_fields(self, [(("eta",), lambda v: v >= 0, "non-negative")])
         self.m = np.asarray(self.m, dtype=float)
         self.v = np.asarray(self.v, dtype=float)
         if self.m.shape != self.v.shape:
             raise ValueError("first and second moment shapes differ")
-        if not 0.0 <= self.eta < math.inf:
-            raise ValueError(f"eta must be non-negative and finite, got {self.eta}")
 
     @classmethod
     def fresh(cls, dim: int, eta: float) -> "OptimizerState":

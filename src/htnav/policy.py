@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .net import OUTPUT_DIM, ApproximatorSpec, backward_batch, forward_batch, init_weights, unpack_weights
-from .typecheck import check_field_types
+from .typecheck import check_fields
 
 FAMILIES = ("cauchy", "gaussian")
 
@@ -38,11 +38,11 @@ class PolicyParameters:
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
         self.layers = unpack_weights(self.spec, self.weights)  # checks the weight count
-        check_field_types(self)
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.family not in FAMILIES:
-            raise ValueError(f"family must be one of {FAMILIES}, got {self.family!r}")
+        rules = [
+            (("sigma",), lambda v: v > 0, "positive"),
+            (("family",), lambda v: v in FAMILIES, f"one of {FAMILIES}"),
+        ]
+        check_fields(self, rules)
 
     def __reduce__(self):
         # pickled (to and from worker processes) without ``layers``, which

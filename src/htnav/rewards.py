@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .typecheck import check_field_types
+from .typecheck import check_fields
 
 
 @dataclass
@@ -31,17 +31,13 @@ class RewardConfig:
     tilt_threshold: float = math.pi / 4
 
     def __post_init__(self):
-        check_field_types(self)
-        if not 0.0 < self.sigma_g <= 0.1:
-            raise ValueError(f"sigma_g must lie in (0, 0.1], got {self.sigma_g}")
-        if not 0.0 < self.angle_threshold < math.pi / 2:
-            raise ValueError(f"angle_threshold must lie in (0, pi/2), got {self.angle_threshold}")
-        if not 0.0 < self.tilt_threshold < math.pi / 2:
-            raise ValueError(f"tilt_threshold must lie in (0, pi/2), got {self.tilt_threshold}")
-        if self.dist_mode not in ("latched", "literal"):
-            raise ValueError(f"dist_mode must be 'latched' or 'literal', got {self.dist_mode!r}")
-        if not self.beta_g > 0:
-            raise ValueError(f"beta_g must be positive, got {self.beta_g}")
+        rules = [
+            (("sigma_g",), lambda v: 0.0 < v <= 0.1, "lie in (0, 0.1]"),
+            (("angle_threshold", "tilt_threshold"), lambda v: 0.0 < v < math.pi / 2, "lie in (0, pi/2)"),
+            (("dist_mode",), lambda v: v in ("latched", "literal"), "'latched' or 'literal'"),
+            (("beta_g",), lambda v: v > 0, "positive"),
+        ]
+        check_fields(self, rules)
 
 
 @dataclass(frozen=True)
@@ -53,8 +49,7 @@ class EpisodeRewardState:
     goal_awarded: bool = False
 
     def __post_init__(self):
-        if not math.isfinite(self.initial_distance):
-            raise ValueError(f"initial_distance must be finite, got {self.initial_distance}")
+        check_fields(self)
 
 
 def r_heading(alpha_goal: float, cfg: RewardConfig) -> float:

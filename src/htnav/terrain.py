@@ -5,10 +5,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .typecheck import check_fields
+
 
 @dataclass
 class Heightmap:
-    """Regular grid of node elevations.
+    """Regular grid of node elevations, at least 2x2 nodes.
 
     ``elevations[iy, ix]`` is the height at world point
     ``origin + (ix, iy) * cell_size``; queries outside the grid clamp to
@@ -20,11 +22,10 @@ class Heightmap:
     origin: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
+        check_fields(self, [(("cell_size",), lambda v: v > 0, "positive")])
         self.elevations = np.asarray(self.elevations, dtype=float)
-        if self.elevations.ndim != 2:
-            raise ValueError("elevations must be a 2-D grid")
-        if not self.cell_size > 0:
-            raise ValueError(f"cell_size must be positive, got {self.cell_size}")
+        if self.elevations.ndim != 2 or min(self.elevations.shape) < 2:
+            raise ValueError("elevations must be a 2-D grid of at least 2x2 nodes")
         if not np.all(np.isfinite(self.elevations)):
             raise ValueError("elevations must all be finite")
 
@@ -32,9 +33,10 @@ class Heightmap:
 def _elevations(hm: Heightmap, points) -> list[float]:
     """Bilinear elevation at each ``(x, y)`` of ``points``, border-clamped.
 
-    Each lookup interpolates the four surrounding nodes.  The comparisons
-    are those of ``min(max(g, 0.0), n - 1.0)``: a NaN coordinate passes
-    the clamp and fails at ``int``, and -0.0 survives it.
+    Each lookup interpolates the four surrounding nodes of the grid (at
+    least 2x2, so there always are four).  The comparisons are those of
+    ``min(max(g, 0.0), n - 1.0)``: a NaN coordinate passes the clamp and
+    fails at ``int``, and -0.0 survives it.
     """
     grid = hm.elevations
     height, width = grid.shape
@@ -49,29 +51,14 @@ def _elevations(hm: Heightmap, points) -> list[float]:
         gy = (y - oy) / cell
         gx = 0.0 if 0.0 > gx else x_top if x_top < gx else gx
         gy = 0.0 if 0.0 > gy else y_top if y_top < gy else gy
-        ix = 0
-        if width > 1:
-            ix = int(gx)
-            if ix > width - 2:
-                ix = width - 2
-        iy = 0
-        if height > 1:
-            iy = int(gy)
-            if iy > height - 2:
-                iy = height - 2
+        ix = width - 2 if gx >= x_top else int(gx)
+        iy = height - 2 if gy >= y_top else int(gy)
         fx = gx - ix
         fy = gy - iy
         k = iy * width + ix
-        if width > 1 and height > 1:
-            top = nodes[k] * (1 - fx) + nodes[k + 1] * fx
-            bot = nodes[k + width] * (1 - fx) + nodes[k + width + 1] * fx
-            out.append(top * (1 - fy) + bot * fy)
-        elif width > 1:
-            out.append(nodes[k] * (1 - fx) + nodes[k + 1] * fx)
-        elif height > 1:
-            out.append(nodes[k] * (1 - fy) + nodes[k + width] * fy)
-        else:
-            out.append(nodes[0])
+        top = nodes[k] * (1 - fx) + nodes[k + 1] * fx
+        bot = nodes[k + width] * (1 - fx) + nodes[k + width + 1] * fx
+        out.append(top * (1 - fy) + bot * fy)
     return out
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .geometry import Circle, Obstacle, Wall, point_obstacle_clearance, wrap_angle
 from .terrain import Heightmap, terrain_slope
-from .typecheck import check_field_types
+from .typecheck import check_fields
 
 SCENARIOS = ("goal_reaching", "obstacle_avoidance", "uneven_terrain")
 
@@ -56,31 +56,29 @@ class WorldGenConfig:
     elevation_gain: tuple[float, float] = (2.5, 4.0)
 
     def __post_init__(self):
-        check_field_types(self)
-        finite = math.isfinite
         rules = [
-            (("cell_size", "retries"), lambda v: 0 < v and finite(v), "positive and finite"),
-            (
-                ("margin", "obstacle_clearance", "min_start_misalignment"),
-                lambda v: 0 <= v and finite(v),
-                ">= 0 and finite",
-            ),
+            (("cell_size", "retries"), lambda v: v > 0, "positive"),
+            (("margin", "obstacle_clearance", "min_start_misalignment"), lambda v: v >= 0, ">= 0"),
             (("n_trees", "n_walls"), lambda r: 0 <= r[0] <= r[1], "a range with 0 <= low <= high"),
-            (
-                ("separation", "elevation_gain"),
-                lambda r: 0 < r[0] <= r[1] and finite(r[1]),
-                "a finite range with 0 < low <= high",
-            ),
+            (("separation", "elevation_gain"), lambda r: 0 < r[0] <= r[1], "a range with 0 < low <= high"),
             (
                 ("bounds",),
-                lambda b: all(map(finite, b)) and min(b[2] - b[0], b[3] - b[1]) > 2 * self.margin,
-                "finite and span more than 2 * margin on both axes",
+                lambda b: min(b[2] - b[0], b[3] - b[1]) > 2 * self.margin,
+                "wider and taller than 2 * margin",
             ),
+            (("cell_size",), lambda c: min(_grid_nodes(self)) >= 2, "small enough for 2 nodes on each axis"),
         ]
-        for names, ok, rule in rules:
-            for name in names:
-                if not ok(getattr(self, name)):
-                    raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
+        check_fields(self, rules)
+
+
+def _grid_nodes(cfg: WorldGenConfig) -> tuple[float, float]:
+    """The terrain grid's node counts along x and y, as whole floats.
+
+    Rounding to a float (``round(., 0)``) lets a count too large for an
+    int read as inf here rather than raise.
+    """
+    x0, y0, x1, y1 = cfg.bounds
+    return round((x1 - x0) / cfg.cell_size, 0) + 1, round((y1 - y0) / cfg.cell_size, 0) + 1
 
 
 @dataclass
@@ -93,11 +91,16 @@ class World:
     bounds: tuple[float, float, float, float] = (0.0, 0.0, 100.0, 100.0)
 
     def __post_init__(self):
-        if self.scenario not in SCENARIOS:
-            raise ValueError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
         uneven = self.scenario == "uneven_terrain"
-        if (self.heightmap is not None) != uneven:
-            raise ValueError(f"heightmap must be {'given' if uneven else 'None'} on {self.scenario}")
+        rules = [
+            (("scenario",), lambda v: v in SCENARIOS, f"one of {SCENARIOS}"),
+            (
+                ("heightmap",),
+                lambda hm: (hm is not None) == uneven,
+                f"{'given' if uneven else 'None'} on {self.scenario}",
+            ),
+        ]
+        check_fields(self, rules)
 
 
 def _hill_field(xs, ys, centers, sigmas, amps) -> np.ndarray:
@@ -126,8 +129,7 @@ def _make_heightmap(scenario: str, cfg: WorldGenConfig, rng: np.random.Generator
         rng.random(24)
         return None
     x0, y0, x1, y1 = cfg.bounds
-    nx = int(round((x1 - x0) / cfg.cell_size)) + 1
-    ny = int(round((y1 - y0) / cfg.cell_size)) + 1
+    nx, ny = map(int, _grid_nodes(cfg))
     xs = x0 + np.arange(nx) * cfg.cell_size
     ys = y0 + np.arange(ny) * cfg.cell_size
     centers = np.column_stack([rng.uniform(x0, x1, N_HILLS), rng.uniform(y0, y1, N_HILLS)])
@@ -204,8 +206,6 @@ def _place_start_goal(
 
 def generate_world(scenario: str, seed, cfg: WorldGenConfig | None = None) -> World:
     """Deterministic world construction from (scenario, seed, knobs)."""
-    if scenario not in SCENARIOS:
-        raise ValueError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
     cfg = cfg or WorldGenConfig()
     rng = np.random.default_rng(seed)
     hm = _make_heightmap(scenario, cfg, rng)

@@ -16,8 +16,9 @@ from htnav.terrain import Heightmap, _elevations, pose_from_terrain
 from htnav.trajectory import Trajectory
 
 # `pytest --hypothesis-profile=scan-oracle` runs the oracle tests (the
-# scans of tests/test_geometry.py and the rollout of tests/test_training.py)
-# on ten times their usual number of examples (a CI step).
+# scans of tests/test_geometry.py, the terrain lookups of
+# tests/test_terrain.py and the rollout of tests/test_training.py) on ten
+# times their usual number of examples (a CI step).
 settings.register_profile("scan-oracle", max_examples=1000)
 
 

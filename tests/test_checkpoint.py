@@ -116,7 +116,8 @@ def test_rejects_unsupported_constant(block, key, value):
         checkpoint_from_dict(doc)
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+# an integer too large for a float is no finite number either
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, pytest.param(10**400, id="1e400")])
 @pytest.mark.parametrize(
     "block, key",
     [

@@ -116,6 +116,16 @@ def test_bad_set_pair_is_config_error(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["train", "compare"])
+def test_failed_run_leaves_no_run_directory(tmp_path, caplog, command):
+    # no start and goal 150 m apart fit in the 100 m arena
+    out = tmp_path / "x"
+    argv = [command, "--episodes", "1", "--seeds", "0", "--set", "worldgen.separation=[150,160]"]
+    assert run([*argv, "--out", str(out)]) == 1
+    assert "could not place start/goal" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "compare"])
 @pytest.mark.parametrize("seeds", ["", ","])
 def test_empty_seed_list_is_config_error(tmp_path, caplog, command, seeds):
     out = tmp_path / "x"
@@ -153,7 +163,7 @@ def test_surface_rejects_meaningless_grid(tmp_path, caplog, flag, value):
 def test_bad_scan_max_range_is_config_error(tmp_path, caplog, value):
     out = tmp_path / "x"
     assert run(["train", *FAST, "--set", f"env.scan_max_range={value}", "--out", str(out)]) == 2
-    assert "scan_max_range must be positive and finite" in caplog.text
+    assert "error: env.scan_max_range must be " in caplog.text
     assert not out.exists()
 
 
@@ -170,6 +180,11 @@ def test_bad_scan_max_range_is_config_error(tmp_path, caplog, value):
         "worldgen.cell_size=0",
         "worldgen.separation=[40,10]",
         "worldgen.bounds=[0,0,1,1]",
+        "worldgen.cell_size=250",
+        "rewards.r_collision=NaN",
+        "rewards.r_stable_penalty=-Infinity",
+        "rewards.beta_g=Infinity",
+        pytest.param("eta=1" + "0" * 400, id="eta=10**400"),
     ],
 )
 def test_bad_config_value_names_its_key(tmp_path, caplog, setting):
@@ -264,7 +279,13 @@ def test_eval_rejects_corrupt_checkpoint(tmp_path):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("weights", math.nan), ("sigma", math.inf), ("m", math.nan)],
+    [
+        ("weights", math.nan),
+        ("sigma", math.inf),
+        ("m", math.nan),
+        # an integer too large for a float
+        pytest.param("weights", 10**400, id="weights-1e400"),
+    ],
 )
 def test_eval_rejects_non_finite_checkpoint(tmp_path, caplog, field, value):
     train_out = tmp_path / "train"
@@ -281,7 +302,11 @@ def test_eval_rejects_non_finite_checkpoint(tmp_path, caplog, field, value):
     out = tmp_path / "out"
     code = run(["eval", str(path), "--set", "max_steps=30", "-n", "2", "--out", str(out)])
     assert code == 2
-    assert f"checkpoint field '{field}' must be finite" in caplog.text
+    if field == "sigma":
+        assert "sigma must be a finite number, got inf" in caplog.text
+    else:
+        assert f"checkpoint field '{field}' must be a list of finite numbers" in caplog.text
+    assert "Traceback" not in caplog.text
     assert not out.exists()
 
 
@@ -290,7 +315,7 @@ def test_eval_rejects_non_finite_checkpoint(tmp_path, caplog, field, value):
     [
         # the env would drop the third action component without a word
         ("spec", "output_dim", 3, "unsupported output_dim 3"),
-        (None, "sigma", "0.25", "sigma must be a number, got '0.25'"),
+        (None, "sigma", "0.25", "sigma must be a finite number, got '0.25'"),
     ],
 )
 def test_eval_rejects_mistyped_benchmark_checkpoint(tmp_path, caplog, block, key, value, message):

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import re
+import typing
 
 import pytest
 
@@ -216,15 +218,34 @@ CHANGED = {
 
 
 def _dotted_keys(cls, prefix=""):
+    """(dotted key, annotation) of every settable field."""
     for f in dataclasses.fields(cls):
         if dataclasses.is_dataclass(f.type):
             yield from _dotted_keys(f.type, f"{prefix}{f.name}.")
         else:
-            yield prefix + f.name
+            yield prefix + f.name, f.type
 
 
 def test_changed_values_cover_every_field():
-    assert sorted(_dotted_keys(TrainConfig)) == sorted(CHANGED)
+    assert sorted(key for key, _ in _dotted_keys(TrainConfig)) == sorted(CHANGED)
+
+
+# every float field, and every tuple of floats (one element made bad)
+FLOAT_KEYS = sorted(
+    key for key, kind in _dotted_keys(TrainConfig) if float in (kind, *typing.get_args(kind))
+)
+
+
+@pytest.mark.parametrize(
+    "value", [math.nan, math.inf, -math.inf, 10**400], ids=["nan", "inf", "-inf", "1e400"]
+)
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_float_fields_refuse_non_finite_numbers_by_name(key, value):
+    # an integer too large for a float is no finite number either
+    if isinstance(CHANGED[key], list):
+        value = [*CHANGED[key][:-1], value]
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)} must "):
+        apply_overrides(TrainConfig(), {key: value})
 
 
 @pytest.mark.parametrize("key", sorted(CHANGED))
@@ -250,9 +271,14 @@ def test_every_field_set_by_dotted_key_and_round_trips(key):
         ([], "config must be a mapping, got list"),
         ({"env": [1]}, "env must be a mapping, got list"),
         ({"worldgen": {"depth": 1}}, r"unknown worldgen keys: \['depth'\]"),
-        ({"env": {"dt": -1.0}}, "env.dt must be positive and finite, got -1.0"),
-        ({"rewards": {"beta_g": "high"}}, "rewards.beta_g must be a number, got 'high'"),
+        ({"env": {"dt": -1.0}}, "env.dt must be positive, got -1.0"),
+        ({"rewards": {"beta_g": "high"}}, "rewards.beta_g must be a finite number, got 'high'"),
         ({"gamma": 2.0}, r"gamma must be in \(0, 1\), got 2.0"),
+        # one node per axis: a 100 m arena at 250 m cells has no slope to read
+        (
+            {"worldgen": {"cell_size": 250}},
+            "worldgen.cell_size must be small enough for 2 nodes on each axis, got 250",
+        ),
     ],
 )
 def test_reader_errors_name_their_block(data, message):

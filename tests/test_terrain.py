@@ -8,14 +8,18 @@ from hypothesis import strategies as st
 
 from htnav.terrain import Heightmap, pose_from_terrain, terrain_slope
 
-from conftest import elevation_at, flat_heightmap
+from conftest import elevation_at, flat_heightmap, oracle_settings
 
 
 def test_heightmap_validates():
     with pytest.raises(ValueError):
         Heightmap(cell_size=0.0, elevations=np.zeros((2, 2)))
     with pytest.raises(ValueError):
-        Heightmap(cell_size=1.0, elevations=np.array([[0.0, np.nan]]))
+        Heightmap(cell_size=1.0, elevations=np.array([[0.0, np.nan], [0.0, 0.0]]))
+    # a 1-node axis has no cell to interpolate across
+    for shape in [(1, 3), (3, 1), (1, 1)]:
+        with pytest.raises(ValueError, match="at least 2x2 nodes"):
+            Heightmap(cell_size=1.0, elevations=np.zeros(shape))
 
 
 def test_constant_field_everywhere_zero():
@@ -106,16 +110,10 @@ def _oracle_elevation_at(hm: Heightmap, x: float, y: float) -> float:
     gy = (y - hm.origin[1]) / hm.cell_size
     gx = min(max(gx, 0.0), width - 1.0)
     gy = min(max(gy, 0.0), height - 1.0)
-    ix = min(int(gx), width - 2) if width > 1 else 0
-    iy = min(int(gy), height - 2) if height > 1 else 0
+    ix = min(int(gx), width - 2)
+    iy = min(int(gy), height - 2)
     fx = gx - ix
     fy = gy - iy
-    if width == 1 and height == 1:
-        return float(e[0, 0])
-    if width == 1:
-        return float(e[iy, 0] * (1 - fy) + e[iy + 1, 0] * fy)
-    if height == 1:
-        return float(e[0, ix] * (1 - fx) + e[0, ix + 1] * fx)
     top = e[iy, ix] * (1 - fx) + e[iy, ix + 1] * fx
     bot = e[iy + 1, ix] * (1 - fx) + e[iy + 1, ix + 1] * fx
     return float(top * (1 - fy) + bot * fy)
@@ -123,9 +121,9 @@ def _oracle_elevation_at(hm: Heightmap, x: float, y: float) -> float:
 
 @st.composite
 def _small_heightmaps(draw):
-    """Grids from 1x1 up to 5x5, so the 1-wide and 1-tall branches get drawn too."""
-    h = draw(st.integers(1, 5))
-    w = draw(st.integers(1, 5))
+    """Grids from 2x2, the smallest a Heightmap takes, up to 5x5."""
+    h = draw(st.integers(2, 5))
+    w = draw(st.integers(2, 5))
     node = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0])
     z = draw(st.lists(node, min_size=h * w, max_size=h * w))
     cell = draw(st.floats(1e-3, 1e3))
@@ -143,7 +141,7 @@ def _same_bits(a: float, b: float) -> bool:
     return float.hex(a) == float.hex(b)
 
 
-@settings(max_examples=400, deadline=None)
+@oracle_settings(400)
 @given(_small_heightmaps(), _grid_units, _grid_units, _anywhere, _anywhere, st.booleans())
 def test_elevation_at_matches_oracle_bits(hm, ux, uy, ax, ay, far):
     if far:
@@ -164,7 +162,7 @@ def test_elevation_at_matches_oracle_on_generated_hills():
 
 
 def test_elevation_at_keeps_negative_zero():
-    hm = Heightmap(cell_size=1.0, elevations=np.array([[-0.0]]))
+    hm = Heightmap(cell_size=1.0, elevations=np.full((2, 2), -0.0))
     assert _same_bits(elevation_at(hm, 0.3, 0.7), -0.0)
 
 
@@ -198,7 +196,7 @@ def _outcome(f, *args):
 
 
 
-@settings(max_examples=600, deadline=None)
+@oracle_settings(600)
 @given(
     _small_heightmaps(),
     _grid_units | st.just(math.nan),
@@ -231,12 +229,11 @@ def test_pose_keeps_signed_zeros_like_oracle():
     # and -0.0 nodes keep theirs through the blend
     z = np.array([[-0.0, 1.0, -0.0], [-0.0, -0.0, 2.0], [0.5, -0.0, -0.0]])
     zeros = (-0.0, 0.0)
-    for h, w in [(3, 3), (1, 3), (3, 1), (1, 1)]:
-        for origin in [(0.0, 0.0), (-0.0, -0.0)]:
-            hm = Heightmap(cell_size=0.5, elevations=z[:h, :w], origin=origin)
-            for x, y, psi in itertools.product(zeros + (0.25,), zeros + (0.25,), zeros):
-                want = _outcome(_oracle_pose_from_terrain, hm, x, y, psi)
-                assert _outcome(pose_from_terrain, hm, x, y, psi) == want
+    for origin in [(0.0, 0.0), (-0.0, -0.0)]:
+        hm = Heightmap(cell_size=0.5, elevations=z, origin=origin)
+        for x, y, psi in itertools.product(zeros + (0.25,), zeros + (0.25,), zeros):
+            want = _outcome(_oracle_pose_from_terrain, hm, x, y, psi)
+            assert _outcome(pose_from_terrain, hm, x, y, psi) == want
 
 
 def test_pose_on_strided_grids_matches_oracle():
