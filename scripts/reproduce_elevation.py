@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Uneven-terrain comparison: train both families, then evaluate elevation cost.
+"""Uneven-terrain comparison: train each family, then evaluate elevation cost.
 
 Trains on procedurally generated hilly worlds, writes the same run
 directory as ``htnav compare`` (its manifest records this script's config),
@@ -19,14 +19,52 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from htnav.atomic import write_csv
-from htnav.cli import write_compare_dir
-from htnav.config import ConfigError, TrainConfig, apply_overrides
+from htnav.cli import check_out_dir, report_errors, write_compare_dir
+from htnav.config import TrainConfig, apply_overrides
 from htnav.env import EnvConfig
 from htnav.evaluation import evaluate
 from htnav.training import run_comparison
 from htnav.world import WorldGenConfig
 
 EVAL_CSV = "eval_seeds.csv"
+
+
+def reproduce(args) -> int:
+    # faster robot and a looser spawn-misalignment floor keep desk-scale
+    # training long enough to see terrain interaction within the budget
+    cfg = TrainConfig(
+        scenario="uneven_terrain",
+        episodes=args.episodes,
+        eta=args.eta,
+        env=EnvConfig(v_max=2.0),
+        worldgen=WorldGenConfig(min_start_misalignment=math.pi / 4),
+    )
+    cfg = apply_overrides(cfg, {"seeds": "[" + args.seeds + "]"})
+    out = check_out_dir(Path(args.out))
+    by_family = run_comparison(cfg)
+    rows = []
+    for family, runs in by_family.items():
+        for run in runs:
+            report = evaluate(
+                run.params, cfg, args.eval_episodes, mode="deterministic", seed=run.seed
+            )
+            rows.append([family, run.seed, report.success_rate,
+                         report.avg_traj_length_all, report.elevation_cost])
+
+    out.mkdir(parents=True, exist_ok=True)
+    header = ["family", "seed", "success_rate", "avg_traj_length_all", "elevation_cost_all"]
+    write_csv(out / EVAL_CSV, header, rows)
+    write_compare_dir(out, cfg, by_family, extra_files=[EVAL_CSV])
+    print(f"episodes={cfg.episodes} eta={cfg.eta} seeds={list(cfg.seeds)}")
+    print(f"{'family':>8} {'success%':>9} {'steps(all)':>11} {'elev cost':>10}")
+    for family in by_family:
+        rates, lengths, costs = zip(*(row[2:] for row in rows if row[0] == family))
+        print(
+            f"{family:>8} {np.mean(rates):9.1f} {np.mean(lengths):11.1f} "
+            f"{np.mean(costs):10.4f}"
+        )
+    print(f"wrote {out}")
+    return 0
 
 
 def main() -> int:
@@ -40,46 +78,7 @@ def main() -> int:
     if args.eval_episodes < 1:
         # evaluate() would refuse this only after the whole comparison has trained
         parser.error(f"--eval-episodes must be >= 1, got {args.eval_episodes}")
-
-    # faster robot and a looser spawn-misalignment floor keep desk-scale
-    # training long enough to see terrain interaction within the budget
-    try:
-        cfg = TrainConfig(
-            scenario="uneven_terrain",
-            episodes=args.episodes,
-            eta=args.eta,
-            env=EnvConfig(v_max=2.0),
-            worldgen=WorldGenConfig(min_start_misalignment=math.pi / 4),
-        )
-        cfg = apply_overrides(cfg, {"seeds": "[" + args.seeds + "]"})
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    result = run_comparison(cfg)
-    rows = []
-    for record in (result.cauchy, result.gaussian):
-        for run in record.seed_runs:
-            report = evaluate(
-                run.params, cfg, args.eval_episodes, mode="deterministic", seed=run.seed
-            )
-            rows.append([record.family, run.seed, report.success_rate,
-                         report.avg_traj_length_all, report.elevation_cost])
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    header = ["family", "seed", "success_rate", "avg_traj_length_all", "elevation_cost_all"]
-    write_csv(out / EVAL_CSV, header, rows)
-    write_compare_dir(out, cfg, result, extra_files=[EVAL_CSV])
-    print(f"episodes={cfg.episodes} eta={cfg.eta} seeds={list(cfg.seeds)}")
-    print(f"{'family':>8} {'success%':>9} {'steps(all)':>11} {'elev cost':>10}")
-    for record in (result.cauchy, result.gaussian):
-        rates, lengths, costs = zip(*(row[2:] for row in rows if row[0] == record.family))
-        print(
-            f"{record.family:>8} {np.mean(rates):9.1f} {np.mean(lengths):11.1f} "
-            f"{np.mean(costs):10.4f}"
-        )
-    print(f"wrote {out}")
-    return 0
+    return report_errors(reproduce, args)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from .env import EnvConfig, NavEnv
 from .evaluation import EvalReport, elevation_cost, evaluate
 from .policy import PolicyParameters, init_policy
 from .rewards import RewardConfig, reward_surface
-from .training import RunRecord, rollout, run_comparison, train, train_seed
+from .training import rollout, run_comparison, train, train_seed
 from .world import World, WorldGenConfig, generate_world
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "NavEnv",
     "PolicyParameters",
     "RewardConfig",
-    "RunRecord",
     "TrainConfig",
     "World",
     "WorldGenConfig",

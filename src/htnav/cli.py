@@ -3,12 +3,14 @@
 Every command writes into one run directory (default root from the
 HTNAV_OUT environment variable, else ./runs) containing a manifest that
 lists every file the command produced.  Every run-file writer lives here;
-the reproduction scripts write theirs through ``write_compare_dir``.
-Outputs are byte-identical across reruns with the same inputs; the
-manifest is the only file that carries a timestamp.
+the reproduction scripts write theirs through ``write_compare_dir``, and
+report errors through ``report_errors``.  Outputs are byte-identical
+across reruns with the same inputs; the manifest is the only file that
+carries a timestamp.
 """
 
 import argparse
+import errno
 import hashlib
 import logging
 import math
@@ -27,7 +29,7 @@ from .env import observation_dim
 from .evaluation import EVAL_MODES, EvalReport, evaluate
 from .policy import FAMILIES
 from .rewards import reward_surface
-from .training import FINAL_WINDOW, ComparisonResult, RunRecord, TrainingAbort, run_comparison, train
+from .training import FINAL_WINDOW, SeedRun, TrainingAbort, run_comparison, train
 from .world import SCENARIOS, GenerationError
 
 log = logging.getLogger("htnav")
@@ -85,14 +87,18 @@ def _eval_config(args, params) -> TrainConfig:
     return apply_overrides(cfg, policy)
 
 
-def _run_dir(args, default_name: str) -> Path:
-    if getattr(args, "out", None):
-        out = Path(args.out)
-    else:
-        root = Path(os.environ.get("HTNAV_OUT", "runs"))
-        out = root / default_name
-    out.mkdir(parents=True, exist_ok=True)
+def check_out_dir(out: Path) -> Path:
+    """``out``, unless it exists and is no directory.  Commands check their run
+    directory before any work and create it after, so a failed run leaves none."""
+    if out.exists() and not out.is_dir():
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(out))
     return out
+
+
+def _run_dir(args, default_name: str) -> Path:
+    """``--out``, else ``$HTNAV_OUT/<default_name>``, checked by ``check_out_dir``."""
+    root = Path(os.environ.get("HTNAV_OUT", "runs"))
+    return check_out_dir(Path(args.out) if getattr(args, "out", None) else root / default_name)
 
 
 def _write_manifest(out_dir: Path, command: str, cfg: TrainConfig | None, files, **blocks) -> None:
@@ -110,33 +116,38 @@ def _write_manifest(out_dir: Path, command: str, cfg: TrainConfig | None, files,
     write_json(out_dir / "manifest.json", manifest)
 
 
-def write_curves_csv(record: RunRecord, path) -> None:
+def write_curves_csv(runs: list[SeedRun], path) -> None:
     """One row per (seed, episode)."""
     rows = (
         [run.seed, k, run.returns[k], run.steps[k], run.causes[k]]
-        for run in record.seed_runs
+        for run in runs
         for k in range(len(run))
     )
     write_csv(path, ["seed", "episode", "return", "steps", "cause"], rows)
 
 
-def write_diagnostics_csv(record: RunRecord, path) -> None:
-    """One row per (seed, iteration); the columns after those two are ``SeedRun`` fields."""
-    columns = ["grad_raw_inf", "grad_clipped_inf", "horizon_sampled", "horizon_used", "max_abs_action"]
+def write_diagnostics_csv(runs: list[SeedRun], path) -> None:
+    """One row per (seed, iteration).  ``horizon_used`` is the steps the
+    estimator summed over, ``steps - 1``; the other columns are ``SeedRun`` fields."""
+    header = ["seed", "iteration", "grad_raw_inf", "grad_clipped_inf", "horizon_sampled",
+              "horizon_used", "max_abs_action"]
     rows = (
-        [run.seed, k, *(getattr(run, c)[k] for c in columns)]
-        for run in record.seed_runs
+        [run.seed, k, run.grad_raw_inf[k], run.grad_clipped_inf[k], run.horizon_sampled[k],
+         run.steps[k] - 1, run.max_abs_action[k]]
+        for run in runs
         for k in range(len(run))
     )
-    write_csv(path, ["seed", "iteration", *columns], rows)
+    write_csv(path, header, rows)
 
 
-def write_comparison_csv(result: ComparisonResult, path) -> None:
+def write_comparison_csv(by_family: dict[str, list[SeedRun]], path) -> None:
     """One row per episode: each family's mean and std return over seeds."""
-    c, g = result.cauchy, result.gaussian
-    columns = zip(c.mean_curve(), c.std_curve(), g.mean_curve(), g.std_curve())
-    rows = ([k, *row] for k, row in enumerate(columns))
-    write_csv(path, ["episode", "cauchy_mean", "cauchy_std", "gaussian_mean", "gaussian_std"], rows)
+    header, columns = ["episode"], []
+    for family, runs in by_family.items():
+        returns = np.stack([run.returns for run in runs])
+        header += [f"{family}_mean", f"{family}_std"]
+        columns += [returns.mean(axis=0), returns.std(axis=0)]
+    write_csv(path, header, ([k, *row] for k, row in enumerate(zip(*columns))))
 
 
 def write_eval_rows_csv(report: EvalReport, path) -> None:
@@ -171,24 +182,25 @@ def write_surface_csv(path, d_axis, other_axis, values, other_label: str) -> Non
     write_csv(path, header, ([d, *row] for d, row in zip(d_axis, values)))
 
 
-def write_record(out_dir: Path, record: RunRecord, tag: str = "") -> list[str]:
-    """Write ``record``'s curve, diagnostics and checkpoint files; return their names."""
+def write_runs(out_dir: Path, runs: list[SeedRun], tag: str = "") -> list[str]:
+    """Write ``runs``' curve, diagnostics and checkpoint files; return their names."""
     names = [f"curve{tag}.csv", f"diagnostics{tag}.csv"]
-    write_curves_csv(record, out_dir / names[0])
-    write_diagnostics_csv(record, out_dir / names[1])
-    for run in record.seed_runs:
+    write_curves_csv(runs, out_dir / names[0])
+    write_diagnostics_csv(runs, out_dir / names[1])
+    for run in runs:
         names.append(f"checkpoint{tag}_seed{run.seed}.json")
         save_checkpoint(out_dir / names[-1], run.params, run.opt_state)
     return names
 
 
-def write_compare_dir(out_dir: Path, cfg: TrainConfig, result: ComparisonResult, extra_files=()) -> None:
-    """Write a ``compare`` run directory: comparison.csv, both records, and a manifest
-    that also lists ``extra_files``, which the caller has written to ``out_dir``."""
-    write_comparison_csv(result, out_dir / "comparison.csv")
+def write_compare_dir(out_dir: Path, cfg: TrainConfig, by_family: dict[str, list[SeedRun]],
+                      extra_files=()) -> None:
+    """Write a ``compare`` run directory: comparison.csv, each family's runs, and a
+    manifest that also lists ``extra_files``, which the caller has written to ``out_dir``."""
+    write_comparison_csv(by_family, out_dir / "comparison.csv")
     files = ["comparison.csv", *extra_files]
-    for record in (result.cauchy, result.gaussian):
-        files += write_record(out_dir, record, f"_{record.family}")
+    for family, runs in by_family.items():
+        files += write_runs(out_dir, runs, f"_{family}")
     _write_manifest(out_dir, "compare", cfg, files)
 
 
@@ -196,10 +208,11 @@ def cmd_train(args) -> int:
     cfg = _build_config(args)
     log.info("training family=%s scenario=%s seeds=%s episodes=%d",
              cfg.family, cfg.scenario, list(cfg.seeds), cfg.episodes)
-    record = train(cfg)
     out = _run_dir(args, f"train-{cfg.scenario}-{cfg.family}")
-    files = write_record(out, record)
-    for run in record.seed_runs:
+    runs = train(cfg)
+    out.mkdir(parents=True, exist_ok=True)
+    files = write_runs(out, runs)
+    for run in runs:
         if len(run):
             tail = run.returns[-FINAL_WINDOW:]
             log.info("seed %d: mean return over final %d episodes = %.3f",
@@ -223,8 +236,9 @@ def cmd_eval(args) -> int:
             f"checkpoint expects {params.spec.input_dim} input features but "
             f"scenario {cfg.scenario!r} provides {expected}"
         )
-    report = evaluate(params, cfg, args.n, mode=args.mode, seed=args.eval_seed)
     out = _run_dir(args, f"eval-{cfg.scenario}-{cfg.family}")
+    report = evaluate(params, cfg, args.n, mode=args.mode, seed=args.eval_seed)
+    out.mkdir(parents=True, exist_ok=True)
     write_eval_rows_csv(report, out / "eval_rows.csv")
     write_eval_summary_json(report, out / "eval_summary.json")
     eval_block = {
@@ -244,14 +258,17 @@ def cmd_eval(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = _build_config(args)
-    result = run_comparison(cfg)
     out = _run_dir(args, f"compare-{cfg.scenario}")
-    write_compare_dir(out, cfg, result)
+    by_family = run_comparison(cfg)
+    out.mkdir(parents=True, exist_ok=True)
+    write_compare_dir(out, cfg, by_family)
     if cfg.episodes:
         window = min(FINAL_WINDOW, cfg.episodes)
-        cm = float(result.cauchy.mean_curve()[-window:].mean())
-        gm = float(result.gaussian.mean_curve()[-window:].mean())
-        log.info("final-%d-episode mean return: cauchy %.3f, gaussian %.3f", window, cm, gm)
+        finals = (
+            f"{family} {np.stack([run.returns for run in runs]).mean(axis=0)[-window:].mean():.3f}"
+            for family, runs in by_family.items()
+        )
+        log.info("final-%d-episode mean return: %s", window, ", ".join(finals))
     log.info("wrote %s", out)
     return 0
 
@@ -275,6 +292,7 @@ def cmd_surface(args) -> int:
         scan_max=cfg.env.scan_max_range,
     )
     out = _run_dir(args, f"surface-{args.axes}")
+    out.mkdir(parents=True, exist_ok=True)
     label = "alpha" if args.axes == "dist_angle" else "min_scan"
     write_surface_csv(out / "surface.csv", d_axis, other_axis, values, label)
     _write_manifest(out, "surface", None, ["surface.csv"])
@@ -337,12 +355,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def report_errors(fn, *args) -> int:
+    """``fn(*args)``, an exit code; a failure that names its own cause is logged as
+    ``error: ...`` and returns 2 (1 for a failed run), with no traceback."""
     if not logging.getLogger().handlers:
         logging.basicConfig(level=logging.INFO, format="%(message)s")
-    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return fn(*args)
     except OSError as exc:  # a missing file, a directory where a file belongs, ...
         where = "" if exc.filename is None else f": {exc.filename}"
         log.error("error: %s%s", exc.strerror or exc, where)
@@ -353,6 +372,11 @@ def main(argv=None) -> int:
     except ValueError as exc:  # ConfigError and CheckpointError among them
         log.error("error: %s", exc)
         return 2
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    return report_errors(args.func, args)
 
 
 if __name__ == "__main__":

@@ -82,7 +82,7 @@ def eval_episode(
         cause=traj.final_cause,
         steps=len(traj),
         episode_return=total,
-        elevation=elevation_cost(traj.poses[:, 3]),
+        elevation=elevation_cost(traj.z),
         final_distance=traj.final_distance,
     )
 

@@ -2,8 +2,8 @@
 
 One iteration consumes exactly one episode.  All randomness flows
 through named substreams of the run seed, so a run is bit-reproducible
-and the two policy families see identical per-episode worlds when
-trained on the same seed.  Independent runs go through ``map_jobs``,
+and every policy family sees identical per-episode worlds when trained
+on the same seed.  Independent runs go through ``map_jobs``,
 which spreads them over the CPUs this process may use.
 """
 
@@ -19,7 +19,7 @@ from .env import NavEnv, observation_dim
 from .estimator import estimate, sample_horizon
 from .net import ApproximatorSpec
 from .optimizer import OptimizerState, ascent_step
-from .policy import PolicyParameters, action_noise, forward_mean, init_policy, project_action
+from .policy import FAMILIES, PolicyParameters, action_noise, forward_mean, init_policy, project_action
 from .trajectory import Trajectory
 from .world import World, generate_world
 
@@ -187,7 +187,7 @@ def rollout(
     """
     env = NavEnv(world, cfg.env, cfg.rewards, max_steps=cfg.max_steps)
     x = env.reset()
-    poses = [env.pose]
+    zs = [env.pose[3]]
     # the env ends every episode by its max_steps-th step
     feats = np.empty((min(steps, cfg.max_steps), x.shape[0]))
     raws, rewards = [], []
@@ -202,14 +202,14 @@ def rollout(
         raws.append((m0, m1))
         x, reward, cause = env.step(project_action((m0, m1), cfg.delta))
         rewards.append(reward)
-        poses.append(env.pose)
+        zs.append(env.pose[3])
         if cause != "running":
             break
     return Trajectory(
         features=feats[: len(rewards)],
         raw_actions=np.asarray(raws),
         rewards=np.asarray(rewards),
-        poses=np.asarray(poses),
+        z=np.asarray(zs),
         final_cause=cause,
         final_distance=env.d_goal,
     )
@@ -227,7 +227,6 @@ class SeedRun:
     grad_raw_inf: np.ndarray
     grad_clipped_inf: np.ndarray
     horizon_sampled: np.ndarray
-    horizon_used: np.ndarray
     max_abs_action: np.ndarray
     params: PolicyParameters
     opt_state: OptimizerState
@@ -236,29 +235,13 @@ class SeedRun:
         return int(self.returns.shape[0])
 
 
-@dataclass
-class RunRecord:
-    family: str
-    seed_runs: list[SeedRun]
-
-    def returns_matrix(self) -> np.ndarray:
-        """(n_seeds, episodes) stack."""
-        return np.stack([run.returns for run in self.seed_runs])
-
-    def mean_curve(self) -> np.ndarray:
-        return self.returns_matrix().mean(axis=0)
-
-    def std_curve(self) -> np.ndarray:
-        return self.returns_matrix().std(axis=0)
-
-
 def train_seed(cfg: TrainConfig, seed: int) -> SeedRun:
     """Run one seed start to finish; pure function of (cfg, seed)."""
     params = initial_params(cfg, seed)
     state = OptimizerState.fresh(params.spec.num_weights, eta=cfg.eta)
     returns, steps, causes = [], [], []
     raw_infs, clip_infs = [], []
-    h_sampled, h_used, max_acts = [], [], []
+    h_sampled, max_acts = [], []
     for k in range(cfg.episodes):
         world = world_for_episode(cfg, seed, k)
         rng = episode_rng(seed, k)
@@ -280,7 +263,6 @@ def train_seed(cfg: TrainConfig, seed: int) -> SeedRun:
         raw_infs.append(float(np.abs(raw).max()))
         clip_infs.append(float(np.abs(clipped).max()))
         h_sampled.append(horizon)
-        h_used.append(len(traj) - 1)
         max_acts.append(float(np.abs(np.clip(traj.raw_actions, -cfg.delta, cfg.delta)).max()))
         del traj  # else it is still alive while the next rollout fills its own
     return SeedRun(
@@ -292,36 +274,28 @@ def train_seed(cfg: TrainConfig, seed: int) -> SeedRun:
         grad_raw_inf=np.asarray(raw_infs, dtype=float),
         grad_clipped_inf=np.asarray(clip_infs, dtype=float),
         horizon_sampled=np.asarray(h_sampled, dtype=int),
-        horizon_used=np.asarray(h_used, dtype=int),
         max_abs_action=np.asarray(max_acts, dtype=float),
         params=params,
         opt_state=state,
     )
 
 
-def train(cfg: TrainConfig) -> RunRecord:
-    runs = map_jobs(train_seed, [(cfg, seed) for seed in cfg.seeds])
-    return RunRecord(family=cfg.family, seed_runs=runs)
+def train(cfg: TrainConfig) -> list[SeedRun]:
+    """One run of ``cfg.family`` per seed of ``cfg.seeds``, in that order."""
+    return map_jobs(train_seed, [(cfg, seed) for seed in cfg.seeds])
 
 
-@dataclass
-class ComparisonResult:
-    cauchy: RunRecord
-    gaussian: RunRecord
+def run_comparison(cfg: TrainConfig) -> dict[str, list[SeedRun]]:
+    """Train every family of ``FAMILIES`` on ``cfg``'s seeds and worlds; ``cfg.family`` is not read.
 
-
-def run_comparison(cfg: TrainConfig) -> ComparisonResult:
-    """Train both families on ``cfg``'s seeds and worlds; ``cfg.family`` is not read.
-
-    All ``2 x len(cfg.seeds)`` runs share one ``map_jobs`` call, seed by seed:
-    a seed's twin runs draw the same horizons, so they run side by side.
+    Returns each family's runs in seed order, keyed in ``FAMILIES``' order.
+    All ``len(FAMILIES) x len(cfg.seeds)`` runs share one ``map_jobs`` call,
+    seed by seed: a seed's twin runs draw the same horizons, so they run
+    side by side.
     """
-    cauchy, gaussian = replace(cfg, family="cauchy"), replace(cfg, family="gaussian")
-    runs = map_jobs(train_seed, [(c, seed) for seed in cfg.seeds for c in (cauchy, gaussian)])
-    return ComparisonResult(
-        cauchy=RunRecord(family="cauchy", seed_runs=runs[0::2]),
-        gaussian=RunRecord(family="gaussian", seed_runs=runs[1::2]),
-    )
+    arms = [replace(cfg, family=family) for family in FAMILIES]
+    runs = map_jobs(train_seed, [(arm, seed) for seed in cfg.seeds for arm in arms])
+    return {family: runs[i :: len(arms)] for i, family in enumerate(FAMILIES)}
 
 
 def half_rise_episode(returns: np.ndarray) -> float:

@@ -11,15 +11,16 @@ class Trajectory:
     """Ordered step data for one episode.
 
     ``features`` are the policy inputs actually consumed at each step and
-    ``rewards`` are the per-step totals.  ``poses`` has one row more than
-    there are steps: the pose after reset comes first.  Its z, roll and
-    pitch columns are 0.0 on the flat scenarios, which have no terrain.
+    ``rewards`` are the per-step totals.  ``z`` is the robot's height,
+    with one entry more than there are steps: the height after reset comes
+    first.  It is 0.0 throughout on the flat scenarios, which have no
+    terrain.
     """
 
     features: np.ndarray          # (T, obs_dim)
     raw_actions: np.ndarray       # (T, 2), before projection
     rewards: np.ndarray           # (T,)
-    poses: np.ndarray             # (T + 1, 6): x, y, psi, z, roll, pitch
+    z: np.ndarray                 # (T + 1,)
     final_cause: str = "running"
     final_distance: float = math.nan
 

@@ -213,7 +213,7 @@ def reference_rollout(world, params, cfg, steps, noise=None) -> Trajectory:
     pose = _reference_pose(world, *world.start_pose)
     x, d, alpha, scan = _reference_observe(world, cfg, pose, (0.0, 0.0))
     state = rw.EpisodeRewardState(initial_distance=d)
-    poses = [pose]
+    zs = [pose[3]]
     feats, raws, rewards = [], [], []
     cause = "running"
     for t in range(steps):
@@ -240,7 +240,7 @@ def reference_rollout(world, params, cfg, steps, noise=None) -> Trajectory:
         if world.scenario == "uneven_terrain":
             stable_pen = rw.r_stable(roll, pitch, rcfg)
         rewards.append(heading + dist + obs_pen + stable_pen)
-        poses.append(pose)
+        zs.append(pose[3])
         if d <= env.goal_radius:
             cause = "goal"
         elif closest <= env.d_collision:
@@ -257,7 +257,7 @@ def reference_rollout(world, params, cfg, steps, noise=None) -> Trajectory:
         features=np.asarray(feats),
         raw_actions=np.asarray(raws),
         rewards=np.asarray(rewards),
-        poses=np.asarray(poses),
+        z=np.asarray(zs),
         final_cause=cause,
         final_distance=d,
     )

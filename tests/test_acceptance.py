@@ -145,7 +145,7 @@ def test_criterion_02_estimator_unbiased_on_bandit(capsys):
             features=x[None, :],
             raw_actions=raw[None, :],
             rewards=np.array([r]),
-            poses=np.zeros((2, 6)),
+            z=np.zeros(2),
         )
         estimates[i] = estimate_gradient(params, traj, 0.99)
     mean = estimates.mean(axis=0)
@@ -255,8 +255,8 @@ def test_criterion_06_reward_boundary_examples(capsys):
 def test_criterion_07_constraints_never_violated(capsys, fig2):
     action_bad = grad_bad = steps_bad = 0
     total = 0
-    for record in (fig2.cauchy, fig2.gaussian):
-        for run in record.seed_runs:
+    for runs in fig2.values():
+        for run in runs:
             total += len(run)
             action_bad += int(np.sum(run.max_abs_action > 1.0))
             grad_bad += int(np.sum(run.grad_clipped_inf > 10.0))
@@ -275,8 +275,8 @@ def test_criterion_07_constraints_never_violated(capsys, fig2):
 
 def test_criterion_08_learning_curve_shape(capsys, fig2):
     t0 = time.perf_counter()
-    c_runs = fig2.cauchy.seed_runs
-    g_runs = fig2.gaussian.seed_runs
+    c_runs = fig2["cauchy"]
+    g_runs = fig2["gaussian"]
     c_final = float(np.mean([run.returns[-20:].mean() for run in c_runs]))
     g_final = float(np.mean([run.returns[-20:].mean() for run in g_runs]))
     wins = sum(
@@ -300,12 +300,12 @@ def test_criterion_09_elevation_cost_direction(capsys, terrain):
     t0 = time.perf_counter()
     cfg, result = terrain
     costs = {}
-    for record in (result.cauchy, result.gaussian):
+    for family, runs in result.items():
         per_seed = [
             evaluate(run.params, cfg, 50, mode="deterministic", seed=run.seed).elevation_cost
-            for run in record.seed_runs
+            for run in runs
         ]
-        costs[record.family] = float(np.mean(per_seed))
+        costs[family] = float(np.mean(per_seed))
     ok = costs["cauchy"] <= costs["gaussian"]
     elapsed = time.perf_counter() - t0
     _report(
@@ -322,11 +322,11 @@ def test_criterion_10_training_is_byte_deterministic(capsys, fig2, tmp_path):
     cfg = _fig2_config()
     again = run_comparison(cfg)
     identical = True
-    for first, second in ((fig2.cauchy, again.cauchy), (fig2.gaussian, again.gaussian)):
-        pa = tmp_path / f"a_{first.family}.csv"
-        pb = tmp_path / f"b_{second.family}.csv"
-        write_curves_csv(first, pa)
-        write_curves_csv(second, pb)
+    for family in fig2:
+        pa = tmp_path / f"a_{family}.csv"
+        pb = tmp_path / f"b_{family}.csv"
+        write_curves_csv(fig2[family], pa)
+        write_curves_csv(again[family], pb)
         identical &= pa.read_bytes() == pb.read_bytes()
     _report(
         capsys,

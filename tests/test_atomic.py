@@ -72,7 +72,7 @@ def test_csv_writer_failing_mid_write_keeps_previous_file(tmp_path):
     # the first row were written
     run = _Run(seed=0, returns=[1.0, 2.0], steps=np.array([3, 4]), causes=["timeout", _Unprintable()])
     with pytest.raises(TypeError):
-        write_curves_csv(SimpleNamespace(seed_runs=[run]), path)
+        write_curves_csv([run], path)
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["curve.csv"]
 

@@ -61,8 +61,19 @@ def test_missing_config_file_names_path(tmp_path, caplog):
     assert "nope.json" in caplog.text
 
 
-@pytest.mark.parametrize("case", ["checkpoint_is_dir", "config_is_dir", "out_is_file"])
-def test_os_errors_exit_2_naming_the_path(tmp_path, caplog, case):
+def _never_called(*args, **kwargs):
+    raise AssertionError("the work started before --out was checked")
+
+
+OUT_IS_FILE = {
+    "out_is_file": ["train", "--episodes", "0", "--seeds", "0"],
+    "compare_out_is_file": ["compare", "--episodes", "0", "--seeds", "0"],
+    "eval_out_is_file": ["eval", str(BENCH_CHECKPOINT), "-n", "1", "--scenario", "uneven_terrain"],
+}
+
+
+@pytest.mark.parametrize("case", ["checkpoint_is_dir", "config_is_dir", *OUT_IS_FILE])
+def test_os_errors_exit_2_naming_the_path(tmp_path, caplog, monkeypatch, case):
     # exit 1 is kept for TrainingAbort and GenerationError
     here = tmp_path / "here"
     if case == "checkpoint_is_dir":
@@ -72,11 +83,17 @@ def test_os_errors_exit_2_naming_the_path(tmp_path, caplog, case):
         here.mkdir()
         argv = ["train", "--config", str(here), "--out", str(tmp_path / "out")]
     else:
+        # an --out that is a file is refused before any work starts
         here.write_text("")
-        argv = ["train", "--episodes", "0", "--seeds", "0", "--out", str(here)]
+        for name in ("train", "run_comparison", "evaluate"):
+            monkeypatch.setattr(f"htnav.cli.{name}", _never_called)
+        argv = [*OUT_IS_FILE[case], "--out", str(here)]
     assert run(argv) == 2
     assert caplog.records[-1].getMessage().startswith("error: ")
     assert caplog.records[-1].getMessage().endswith(f": {here}")
+    if case in OUT_IS_FILE:
+        assert caplog.records[-1].getMessage() == f"error: File exists: {here}"
+        assert here.read_text() == ""
     assert "Traceback" not in caplog.text
 
 

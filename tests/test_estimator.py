@@ -17,7 +17,7 @@ def _traj(params, rng, n):
         features=feats,
         raw_actions=raws,
         rewards=rewards,
-        poses=np.zeros((n + 1, 6)),
+        z=np.zeros(n + 1),
     )
 
 

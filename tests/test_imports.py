@@ -1,11 +1,18 @@
 """Every module-level import in the package, the scripts and the tests is used,
-and everything public in the package is used by the program, not only by tests."""
+everything public in the package is used by the program, not only by tests,
+and the CLI calls every entry point that the benchmark hooks by name."""
 
 import ast
 from pathlib import Path
 
+import pytest
+
+import htnav.cli
+
 ROOT = Path(__file__).resolve().parents[1]
 CHECKED = ("src/htnav", "scripts", "tests")
+# the benchmark's child process, read and never imported
+CHILD = (ROOT / "perfbench" / "child.py").read_text()
 
 
 def unused_imports(source: str) -> list[str]:
@@ -73,13 +80,18 @@ def code_references(source: str) -> set[str]:
     return refs
 
 
+def top_level_literal(source: str, name: str):
+    """The literal value that ``source`` assigns to ``name`` at its top level."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == name:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no top-level {name}")
+
+
 def traced_names(source: str) -> set[str]:
     """The names that ``perfbench/child.py``'s ``TARGETS`` wrap, as references."""
-    for node in ast.parse(source).body:
-        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "TARGETS":
-            parts = {part for _, attr, _ in ast.literal_eval(node.value) for part in attr.split(".")}
-            return parts | {"." + part for part in parts}
-    raise AssertionError("perfbench/child.py has no TARGETS")
+    parts = {part for _, attr, _ in top_level_literal(source, "TARGETS") for part in attr.split(".")}
+    return parts | {"." + part for part in parts}
 
 
 def test_checker_sees_unreferenced_definitions():
@@ -98,7 +110,7 @@ def test_checker_sees_unreferenced_definitions():
 
 
 def test_everything_public_in_the_package_is_used_by_the_program():
-    refs = traced_names((ROOT / "perfbench" / "child.py").read_text())
+    refs = traced_names(CHILD)
     for folder in ("src/htnav", "scripts"):
         for path in sorted((ROOT / folder).glob("*.py")):
             refs |= code_references(path.read_text())
@@ -109,3 +121,27 @@ def test_everything_public_in_the_package_is_used_by_the_program():
         if name not in refs
     ]
     assert unused == []
+
+
+# the command that reaches each of ``perfbench/child.py``'s ``WORKLOAD_ENTRIES``
+ENTRY_COMMANDS = {
+    "train": ["train", "--episodes", "0", "--seeds", "0"],
+    "run_comparison": ["compare", "--episodes", "0", "--seeds", "0"],
+    "evaluate": ["eval", str(ROOT / "perfbench" / "eval_checkpoint.json"), "-n", "1",
+                 "--scenario", "uneven_terrain"],
+}
+
+
+@pytest.mark.parametrize("name", top_level_literal(CHILD, "WORKLOAD_ENTRIES"))
+def test_cli_calls_every_benchmark_entry_by_name(tmp_path, monkeypatch, name):
+    # the benchmark starts its workload clock by wrapping htnav.cli.<name>
+    real = getattr(htnav.cli, name)
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(htnav.cli, name, recording)
+    assert htnav.cli.main([*ENTRY_COMMANDS[name], "--out", str(tmp_path / "out")]) == 0
+    assert calls == [name]

@@ -106,6 +106,23 @@ def test_scripts_report_config_errors(tmp_path, script, args, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "script, args",
+    [
+        ("reproduce_curves.py", ["--episodes", "2", "--seeds", "0"]),
+        ("reproduce_elevation.py", ["--episodes", "1", "--eval-episodes", "1", "--seeds", "0"]),
+    ],
+)
+def test_scripts_refuse_an_out_that_is_a_file(tmp_path, script, args):
+    (tmp_path / "out").write_text("")
+    out, proc = _run(script, tmp_path, *args, returncode=2)
+    assert f"error: File exists: {out}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    # refused before the run: no summary printed, the file left as it was
+    assert proc.stdout == ""
+    assert out.read_text() == ""
+
+
 def test_plot_smoothing_pads_nothing_in():
     # imported for its numpy-only ``smooth``; plotting needs matplotlib
     spec = importlib.util.spec_from_file_location("plot_curves", SCRIPTS / "plot_curves.py")

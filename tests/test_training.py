@@ -18,7 +18,7 @@ from htnav.cli import write_comparison_csv, write_curves_csv, write_diagnostics_
 from htnav.config import ConfigError, TrainConfig, apply_overrides
 from htnav.env import NavEnv, observation_dim
 from htnav.estimator import sample_horizon
-from htnav.policy import action_noise, forward_mean
+from htnav.policy import FAMILIES, action_noise, forward_mean
 from htnav.training import (
     TrainingAbort,
     episode_rng,
@@ -95,7 +95,7 @@ def test_rollout_shapes_consistent():
     assert traj.features.shape == (n, 4)
     assert traj.raw_actions.shape == (n, 2)
     assert traj.rewards.shape == (n,)
-    assert traj.poses.shape == (n + 1, 6)
+    assert traj.z.shape == (n + 1,)
     # each raw action is the mean plus that step's noise row
     mu = np.stack([forward_mean(params, x) for x in traj.features])
     assert traj.raw_actions.tobytes() == (mu + noise[:n]).tobytes()
@@ -107,14 +107,16 @@ def test_rollout_poses_start_at_reset(scenario):
     world = world_for_episode(cfg, 0, 1)
     params = initial_params(cfg, 0)
     traj = rollout(world, params, cfg, 13, action_noise(params, episode_rng(0, 1), 13))
-    assert traj.poses.shape == (len(traj) + 1, 6)
+    assert traj.z.shape == (len(traj) + 1,)
     env = NavEnv(world, cfg.env, cfg.rewards, max_steps=cfg.max_steps)
     np.testing.assert_array_equal(traj.features[0], env.reset())
-    np.testing.assert_array_equal(traj.poses[0], env.pose)
-    # replaying the executed actions retraces every later pose
+    assert traj.z[0] == env.pose[3]
+    # replaying the executed actions retraces every later step
     for t, raw in enumerate(traj.raw_actions):
         features, reward, _ = env.step(np.clip(raw, -cfg.delta, cfg.delta))
-        np.testing.assert_array_equal(traj.poses[t + 1], env.pose)
+        if t + 1 < len(traj):
+            np.testing.assert_array_equal(traj.features[t + 1], features)
+        assert traj.z[t + 1] == env.pose[3]
         assert reward == traj.rewards[t]
     assert traj.final_distance == env.d_goal
 
@@ -122,7 +124,7 @@ def test_rollout_poses_start_at_reset(scenario):
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_only_uneven_terrain_reads_terrain(monkeypatch, scenario):
     # flat worlds build no hill field, flat steps ground no pose, and their
-    # z, roll and pitch are all 0.0; only the scanning scenario builds walls
+    # heights are all 0.0; only the scanning scenario builds walls
     calls = {"_hill_field": 0, "pose_from_terrain": 0, "bounds_walls": 0}
     owners = ((htnav.world, "_hill_field"), (htnav.env, "pose_from_terrain"), (htnav.env, "bounds_walls"))
     for owner, name in owners:
@@ -139,10 +141,10 @@ def test_only_uneven_terrain_reads_terrain(monkeypatch, scenario):
     assert calls.pop("bounds_walls") == (scenario == "obstacle_avoidance")
     if scenario == "uneven_terrain":
         assert calls == {"_hill_field": 1, "pose_from_terrain": len(traj) + 1}
-        assert traj.poses[:, 3:].any()
+        assert traj.z.any()
     else:
         assert calls == {"_hill_field": 0, "pose_from_terrain": 0}
-        np.testing.assert_array_equal(traj.poses[:, 3:], 0.0)
+        np.testing.assert_array_equal(traj.z, 0.0)
 
 
 def test_rollout_mean_never_touches_rng():
@@ -154,16 +156,19 @@ def test_rollout_mean_never_touches_rng():
     assert len(traj) == cfg.max_steps or traj.final_cause != "running"
     # with no noise the raw action is the location parameter itself, bit for
     # bit (adding zeros would turn a -0.0 into +0.0), and its projection is
-    # what ran: replaying it retraces every pose
+    # what ran: replaying it retraces every later step's features and height
     mu = np.stack([forward_mean(params, x) for x in traj.features])
     assert traj.raw_actions.tobytes() == mu.tobytes()
     env = NavEnv(world, cfg.env, cfg.rewards, max_steps=cfg.max_steps)
     env.reset()
     for t, m in enumerate(mu):
-        env.step(np.clip(m, -cfg.delta, cfg.delta))
-        np.testing.assert_array_equal(traj.poses[t + 1], env.pose)
+        x, _, _ = env.step(np.clip(m, -cfg.delta, cfg.delta))
+        if t + 1 < len(traj):
+            np.testing.assert_array_equal(traj.features[t + 1], x)
+        assert traj.z[t + 1] == env.pose[3]
     again = rollout(world, params, cfg, cfg.max_steps)
-    np.testing.assert_array_equal(again.poses, traj.poses)
+    assert again.raw_actions.tobytes() == traj.raw_actions.tobytes()
+    np.testing.assert_array_equal(again.z, traj.z)
 
 
 def test_rollout_terminal_cause_sticks():
@@ -249,7 +254,7 @@ def test_rollout_matches_reference(
     noise = action_noise(params, np.random.default_rng(seed), steps) if noisy else None
     got = rollout(world, params, cfg, steps, noise)
     want = reference_rollout(world, params, cfg, steps, noise)
-    for name in ("features", "raw_actions", "rewards", "poses"):
+    for name in ("features", "raw_actions", "rewards", "z"):
         a, b = getattr(got, name), getattr(want, name)
         assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes()), name
     assert got.final_cause == want.final_cause
@@ -284,18 +289,15 @@ def test_train_seed_lengths_and_logs(world_requests):
         run.grad_raw_inf,
         run.grad_clipped_inf,
         run.horizon_sampled,
-        run.horizon_used,
         run.max_abs_action,
     ):
         assert arr.shape == (TINY.episodes,)
     assert len(run.causes) == TINY.episodes
     assert [(seed, k) for _, seed, k, _ in world_requests] == [(1, k) for k in range(TINY.episodes)]
     assert np.all(run.grad_clipped_inf <= TINY.phi + 1e-12)
-    # the horizon drawn first from each episode's stream, and the one its steps used
+    # the horizon drawn first from each episode's stream bounds its steps
     drawn = [sample_horizon(TINY.gamma, episode_rng(1, k)) for k in range(TINY.episodes)]
     np.testing.assert_array_equal(run.horizon_sampled, drawn)
-    np.testing.assert_array_equal(run.horizon_used, run.steps - 1)
-    assert np.all(run.horizon_used <= run.horizon_sampled)
     assert np.all(run.steps <= np.minimum(run.horizon_sampled + 1, TINY.max_steps))
     assert np.all(run.max_abs_action <= TINY.delta + 1e-12)
 
@@ -314,8 +316,8 @@ def test_zero_episodes_gives_empty_run():
     run = train_seed(cfg, 0)
     assert len(run) == 0
     np.testing.assert_array_equal(run.params.weights, initial_params(cfg, 0).weights)
-    record = train(cfg)
-    assert record.returns_matrix().shape == (2, 0)
+    runs = train(cfg)
+    assert [run.returns.shape for run in runs] == [(0,), (0,)]
 
 
 def test_worlds_do_not_depend_on_family():
@@ -327,37 +329,35 @@ def test_worlds_do_not_depend_on_family():
 
 
 def test_train_stacks_all_seeds():
-    record = train(TINY)
-    assert [run.seed for run in record.seed_runs] == [0, 1]
-    assert record.returns_matrix().shape == (2, TINY.episodes)
-    assert record.mean_curve().shape == (TINY.episodes,)
-    assert record.std_curve().shape == (TINY.episodes,)
+    runs = train(TINY)
+    assert [(run.seed, run.family) for run in runs] == [(0, "cauchy"), (1, "cauchy")]
+    assert [run.returns.shape for run in runs] == [(TINY.episodes,)] * 2
 
 
 def test_run_comparison_pairs_worlds(world_requests):
     # seed 1 is one where both families earn reward within two episodes
     cauchy = replace(LIVELY_TINY, episodes=2, seeds=(1,))
     result = run_comparison(cauchy)
-    for record in (result.cauchy, result.gaussian):
-        _assert_learned(record.seed_runs[0], replace(cauchy, family=record.family))
+    assert list(result) == list(FAMILIES)
+    for family, runs in result.items():
+        _assert_learned(runs[0], replace(cauchy, family=family))
     by_family = {
         family: [call[1:] for call in world_requests if call[0] == family]
         for family in ("cauchy", "gaussian")
     }
     assert [(seed, k) for seed, k, _ in by_family["cauchy"]] == [(1, 0), (1, 1)]
     assert by_family["cauchy"] == by_family["gaussian"]
-    assert result.cauchy.mean_curve().shape == result.gaussian.mean_curve().shape == (2,)
+    assert [run.returns.shape for runs in result.values() for run in runs] == [(2,), (2,)]
 
 
 def test_run_comparison_ignores_cfg_family():
     cfg = replace(LIVELY_TINY, episodes=2, seeds=(1,))
     a = run_comparison(cfg)
     b = run_comparison(replace(cfg, family="gaussian"))
-    for family in ("cauchy", "gaussian"):
-        run_a = getattr(a, family).seed_runs[0]
-        run_b = getattr(b, family).seed_runs[0]
-        assert getattr(a, family).family == getattr(b, family).family == family
-        assert run_a.family == family
+    assert list(a) == list(b) == list(FAMILIES)
+    for family in FAMILIES:
+        [run_a], [run_b] = a[family], b[family]
+        assert run_a.family == run_b.family == family
         _assert_learned(run_a, replace(cfg, family=family))
         np.testing.assert_array_equal(run_a.returns, run_b.returns)
         np.testing.assert_array_equal(run_a.params.weights, run_b.params.weights)
@@ -380,9 +380,9 @@ def test_unpack_weights_once_per_weight_vector(monkeypatch):
 
 
 def test_curves_csv_layout(tmp_path):
-    record = train(TINY)
+    runs = train(TINY)
     path = tmp_path / "curve.csv"
-    write_curves_csv(record, path)
+    write_curves_csv(runs, path)
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["seed", "episode", "return", "steps", "cause"]
@@ -393,9 +393,9 @@ def test_curves_csv_layout(tmp_path):
 
 
 def test_diagnostics_csv_layout(tmp_path):
-    record = train(replace(TINY, seeds=(0,)))
+    [run] = train(replace(TINY, seeds=(0,)))
     path = tmp_path / "diag.csv"
-    write_diagnostics_csv(record, path)
+    write_diagnostics_csv([run], path)
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == [
@@ -409,6 +409,9 @@ def test_diagnostics_csv_layout(tmp_path):
     ]
     assert len(rows) == 1 + TINY.episodes
     assert float(rows[1][3]) <= TINY.phi
+    # the horizon the estimator summed over is the last step's index
+    assert [int(r[5]) for r in rows[1:]] == (run.steps - 1).tolist()
+    assert np.all(run.steps - 1 <= run.horizon_sampled)
 
 
 def test_comparison_csv_layout(tmp_path):
@@ -499,8 +502,10 @@ def test_run_comparison_lists_jobs_seed_by_seed(monkeypatch):
     monkeypatch.setattr(tr, "map_jobs", recording)
     result = run_comparison(replace(TINY, seeds=(4, 2, 7)))
     assert calls == [[(f, s) for s in (4, 2, 7) for f in ("cauchy", "gaussian")]]
-    assert result.cauchy.seed_runs == ["cauchy-4", "cauchy-2", "cauchy-7"]
-    assert result.gaussian.seed_runs == ["gaussian-4", "gaussian-2", "gaussian-7"]
+    assert result == {
+        "cauchy": ["cauchy-4", "cauchy-2", "cauchy-7"],
+        "gaussian": ["gaussian-4", "gaussian-2", "gaussian-7"],
+    }
 
 
 def test_training_abort_in_worker_keeps_its_type(monkeypatch):
