@@ -9,7 +9,7 @@ differential-drive simulator with three sparse-reward scenarios.
 __version__ = "0.1.0"
 
 from .config import ConfigError, TrainConfig, load_config
-from .env import EnvConfig, NavEnv
+from .env import EnvConfig
 from .evaluation import EvalReport, elevation_cost, evaluate
 from .policy import PolicyParameters, init_policy
 from .rewards import RewardConfig, reward_surface
@@ -20,7 +20,6 @@ __all__ = [
     "ConfigError",
     "EnvConfig",
     "EvalReport",
-    "NavEnv",
     "PolicyParameters",
     "RewardConfig",
     "TrainConfig",

@@ -88,10 +88,16 @@ def _eval_config(args, params) -> TrainConfig:
 
 
 def check_out_dir(out: Path) -> Path:
-    """``out``, unless it exists and is no directory.  Commands check their run
-    directory before any work and create it after, so a failed run leaves none."""
-    if out.exists() and not out.is_dir():
-        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(out))
+    """``out``, unless it exists and is no directory, or its nearest existing
+    ancestor is no directory.  Commands check their run directory before any
+    work and create it after, so a failed run leaves none."""
+    if out.exists():
+        if not out.is_dir():
+            raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(out))
+        return out
+    ancestor = next((p for p in out.parents if p.exists()), None)
+    if ancestor is not None and not ancestor.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(out))
     return out
 
 

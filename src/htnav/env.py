@@ -1,22 +1,29 @@
-"""Differential-drive navigation environment over procedural worlds.
+"""The episode loop: differential-drive navigation over procedural worlds.
 
-Unicycle kinematics, grounded on the heightmap in ``uneven_terrain`` and
-level on the flat scenarios' ground, an optional 360-degree range scan,
-scenario-specific observations, sparse rewards, and termination logic.
-Dynamics are purely kinematic and fully deterministic: the only
-randomness in a rollout comes from the policy.
+``rollout`` is the simulator.  Unicycle kinematics, grounded on the
+heightmap in ``uneven_terrain`` and level on the flat scenarios' ground,
+an optional 360-degree range scan, scenario-specific observations,
+sparse rewards and termination logic all run in its one loop, which keeps
+the episode's state in locals.  Dynamics are purely kinematic and fully
+deterministic: the only randomness in a rollout comes from the policy.
 """
 
 import math
 from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import rewards as rw
-from .geometry import bounds_walls, obstacles_in_range, scan_ranges, wrap_angle
+from .geometry import bounds_walls, obstacles_in_range, scan_ranges
+from .policy import PolicyParameters, forward_mean, project_action
 from .terrain import pose_from_terrain
+from .trajectory import Trajectory
 from .typecheck import check_fields
 from .world import World
+
+if TYPE_CHECKING:
+    from .config import TrainConfig
 
 # feature scaling constants: the policy consumes O(1) inputs
 D_GOAL_SCALE = 20.0
@@ -28,6 +35,9 @@ TILT_SCALE = math.pi / 2
 # the exact cull, and a slack this far above rounding keeps everything
 # that cull could keep from within the slack (geometry._beyond_range).
 SCAN_CULL_SLACK = 2.0
+
+# the period of geometry.wrap_angle, which the loop applies inline
+TWO_PI = 2.0 * math.pi
 
 
 @dataclass
@@ -49,141 +59,143 @@ def observation_dim(scenario: str, n_scan_rays: int = 720) -> int:
     return {"goal_reaching": 4, "obstacle_avoidance": 4 + n_scan_rays, "uneven_terrain": 6}[scenario]
 
 
-class NavEnv:
-    """One rollout's worth of simulation state.
+def rollout(
+    world: World,
+    params: PolicyParameters,
+    cfg: "TrainConfig",
+    steps: int,
+    noise: np.ndarray | None = None,
+) -> Trajectory:
+    """Run one episode for at most ``steps`` steps.
 
-    Owns the pose ``(x, y, psi, z, roll, pitch)``, whose last three are 0.0
-    on flat ground, the step counter, and the per-episode reward latches,
-    plus the goal distance, heading offset and (obstacle scenario only)
-    scan of the latest observation.  The world boundary acts as a wall:
-    positions clamp to the bounds and the scanner sees the four boundary
-    segments.
+    The robot starts at ``world.start_pose``.  The raw action at step t is
+    mu(s) plus ``noise[t]``, or mu(s) alone when ``noise`` is None; its
+    projection onto [-delta, delta]^2 is what the robot executes.  A step
+    moves the robot by unicycle kinematics, clamps it to the bounds (the
+    boundary is a wall), grounds it on the terrain or keeps it level,
+    observes, and pays the sum of the scenario's reward terms.  The
+    features are d/20, alpha/pi and the previous executed action, followed
+    by the scan over 10 (obstacle_avoidance) or roll and pitch over pi/2
+    (uneven_terrain).  The episode ends on reaching the goal, else on a
+    collision, else on flipping over, else at ``cfg.max_steps`` steps.
+    Training and evaluation both step episodes through here.
     """
-
-    def __init__(
-        self,
-        world: World,
-        env_cfg: EnvConfig | None = None,
-        reward_cfg: rw.RewardConfig | None = None,
-        max_steps: int = 300,
-    ):
-        if max_steps < 1:
-            raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-        self.world = world
-        self.cfg = env_cfg or EnvConfig()
-        self.reward_cfg = reward_cfg or rw.RewardConfig()
-        self.max_steps = max_steps
-        self.scenario = world.scenario
-        self._scan_obstacles = []  # what the scan can hit; only obstacle_avoidance scans
-        if self.scenario == "obstacle_avoidance":
-            self._scan_obstacles = list(world.obstacles) + bounds_walls(world.bounds)
-        self._cull_anchor = (math.nan, math.nan)
-        self._near_obstacles: list = []
-        self.pose: tuple[float, float, float, float, float, float] | None = None
-        self.steps = 0
-        self.reward_state: rw.EpisodeRewardState | None = None
-        self.d_goal = math.nan
-        self.alpha_goal = math.nan
-        self.scan: np.ndarray | None = None
-
-    def _observe(self, pose, a0: float, a1: float) -> np.ndarray:
-        """Refresh d_goal, alpha_goal (and scan) at ``pose``; return the scaled features.
-
-        Features are d/20, alpha/pi and the previous action ``(a0, a1)``,
-        followed by the scan over 10 (obstacle_avoidance) or roll and pitch
-        over pi/2 (uneven_terrain).
-        """
-        x, y, psi, _, roll, pitch = pose
-        gx, gy = self.world.goal
-        dx = gx - x
-        dy = gy - y
-        self.d_goal = d = math.hypot(dx, dy)
-        self.alpha_goal = alpha = wrap_angle(math.atan2(dy, dx) - psi)
-        base = [d / D_GOAL_SCALE, alpha / math.pi, a0, a1]
-        if self.scenario == "obstacle_avoidance":
-            ax, ay = self._cull_anchor
-            if not math.hypot(x - ax, y - ay) <= SCAN_CULL_SLACK:
-                self._cull_anchor = (x, y)
-                self._near_obstacles = obstacles_in_range(
-                    x, y, self._scan_obstacles, self.cfg.scan_max_range, SCAN_CULL_SLACK
-                )
-            self.scan = scan_ranges(
-                (x, y),
-                psi,
-                self._near_obstacles,
-                n_rays=self.cfg.n_scan_rays,
-                max_range=self.cfg.scan_max_range,
-            )
-            return np.concatenate([base, self.scan / 10.0])
-        if self.scenario == "uneven_terrain":
-            base += [roll / TILT_SCALE, pitch / TILT_SCALE]
-        return np.array(base)
-
-    def _ground(self, x: float, y: float, psi: float) -> tuple[float, float, float, float, float, float]:
-        """The full pose at a planar pose: level on flat ground, else from the terrain."""
-        if self.world.heightmap is None:
-            return x, y, psi, 0.0, 0.0, 0.0
-        return pose_from_terrain(self.world.heightmap, x, y, psi)
-
-    def reset(self) -> np.ndarray:
-        """Place the robot at the start pose; returns the first feature vector."""
-        self.pose = self._ground(*self.world.start_pose)
-        self.steps = 0
-        features = self._observe(self.pose, 0.0, 0.0)
-        self.reward_state = rw.EpisodeRewardState(initial_distance=self.d_goal)
-        return features
-
-    def step(self, action) -> tuple[np.ndarray, float, str]:
-        """Advance one tick with an already-projected action ``(v, omega)`` in [-delta, delta]^2.
-
-        Returns the next feature vector, the reward (the sum of the
-        scenario's terms) and the cause, which is "running" until the
-        episode ends.
-        """
-        if self.pose is None:
-            raise RuntimeError("call reset() before step()")
-        a0, a1 = action
-        cfg = self.cfg
-        x, y, psi = self.pose[0], self.pose[1], self.pose[2]
-        # unicycle kinematics: the commands are the action scaled by the limits
-        v = a0 * cfg.v_max
-        x = x + v * math.cos(psi) * cfg.dt
-        y = y + v * math.sin(psi) * cfg.dt
-        psi = wrap_angle(psi + a1 * cfg.omega_max * cfg.dt)
-        # the boundary is a wall: clamp as min(max(x, x0), x1) does
-        x0, y0, x1, y1 = self.world.bounds
-        x = x0 if x0 > x else x
-        x = x1 if x1 < x else x
-        y = y0 if y0 > y else y
-        y = y1 if y1 < y else y
-        self.pose = pose = self._ground(x, y, psi)
-        self.steps += 1
-        features = self._observe(pose, a0, a1)
-
-        rcfg = self.reward_cfg
-        heading = rw.r_heading(self.alpha_goal, rcfg)
-        dist, self.reward_state = rw.r_dist(self.d_goal, self.reward_state, rcfg, cfg.goal_radius)
-        obs_pen = stable_pen = 0.0
+    env, rcfg = cfg.env, cfg.rewards
+    max_steps = cfg.max_steps
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    scenario = world.scenario
+    scanning = scenario == "obstacle_avoidance"
+    tilting = scenario == "uneven_terrain"
+    hm = world.heightmap  # None on flat ground
+    gx, gy = world.goal
+    x0, y0, x1, y1 = world.bounds
+    v_max, omega_max, dt = env.v_max, env.omega_max, env.dt
+    goal_radius, d_collision, flip = env.goal_radius, env.d_collision, env.flip_threshold
+    delta = cfg.delta
+    if scanning:
+        # what the scan can hit, the obstacles near the cull anchor, the anchor
+        scan_obstacles = list(world.obstacles) + bounds_walls(world.bounds)
+        near: list = []
+        ax = ay = math.nan
+    n = min(steps, max_steps)
+    width = observation_dim(scenario, env.n_scan_rays)
+    # Each step's outputs are written in place, through flat memoryviews
+    # for single floats.  Features have a row per step and one for the
+    # observation after the last step, which is made for that step's reward
+    # and end test but never acted on; heights have one more entry than steps.
+    feats = np.empty((n + 1, width))
+    raws = np.empty((n, 2))
+    rewards = np.empty(n)
+    zs = np.empty(n + 1)
+    cells, raw_cells, paid, heights = (memoryview(a.reshape(-1)) for a in (feats, raws, rewards, zs))
+    rows = noise.tolist() if noise is not None else None
+    cause = "running"
+    px, py, psi = world.start_pose
+    z = roll = pitch = 0.0
+    if hm is not None:
+        px, py, psi, z, roll, pitch = pose_from_terrain(hm, px, py, psi)
+    a0 = a1 = 0.0
+    # the names each step calls, looked up once
+    hypot, atan2, cos, sin, pi = math.hypot, math.atan2, math.cos, math.sin, math.pi
+    r_heading, r_dist, policy_mean, project = rw.r_heading, rw.r_dist, forward_mean, project_action
+    for t in range(n + 1):
+        # observe at (px, py, psi): goal distance, heading offset wrapped
+        # into (-pi, pi] as geometry.wrap_angle does, then the scan or tilt
+        dx = gx - px
+        dy = gy - py
+        d = hypot(dx, dy)
+        alpha = -((pi - (atan2(dy, dx) - psi)) % TWO_PI - pi)
+        k = t * width
+        cells[k] = d / D_GOAL_SCALE
+        cells[k + 1] = alpha / pi
+        cells[k + 2] = a0
+        cells[k + 3] = a1
         closest = math.inf
-        roll, pitch = pose[4], pose[5]
-        if self.scenario == "obstacle_avoidance":
-            closest = float(self.scan.min())
-            obs_pen = rw.r_obs(closest, cfg.d_collision, rcfg)
-        elif self.scenario == "uneven_terrain":
-            stable_pen = rw.r_stable(roll, pitch, rcfg)
-        # a scenario's missing terms are +0.0; heading (+0.0 or 1.0) comes
-        # first, so the sum is never -0.0 and adding them changes no bits
-        reward = heading + dist + obs_pen + stable_pen
+        if scanning:
+            if not math.hypot(px - ax, py - ay) <= SCAN_CULL_SLACK:
+                ax, ay = px, py
+                near = obstacles_in_range(px, py, scan_obstacles, env.scan_max_range, SCAN_CULL_SLACK)
+            scan = scan_ranges((px, py), psi, near, n_rays=env.n_scan_rays, max_range=env.scan_max_range)
+            np.divide(scan, 10.0, out=feats[t, 4:])
+            closest = float(scan.min())
+        elif tilting:
+            cells[k + 4] = roll / TILT_SCALE
+            cells[k + 5] = pitch / TILT_SCALE
+        heights[t] = z
 
-        cause = "running"
-        if self.d_goal <= cfg.goal_radius:
-            cause = "goal"
-        elif closest <= cfg.d_collision:
-            cause = "collision"
-        elif self.scenario == "uneven_terrain" and (
-            abs(roll) >= cfg.flip_threshold or abs(pitch) >= cfg.flip_threshold
-        ):
-            cause = "flip_over"
-        elif self.steps >= self.max_steps:
-            cause = "timeout"
-        return features, reward, cause
+        if t == 0:  # the start: milestones count from this distance
+            state = rw.EpisodeRewardState(initial_distance=d)
+        else:
+            # a scenario's missing terms are left out: heading (+0.0 or 1.0)
+            # comes first, so the sum is never -0.0 and adding +0.0 for them
+            # would change no bits
+            heading = r_heading(alpha, rcfg)
+            dist, state = r_dist(d, state, rcfg, goal_radius)
+            reward = heading + dist
+            if scanning:
+                reward += rw.r_obs(closest, d_collision, rcfg)
+            elif tilting:
+                reward += rw.r_stable(roll, pitch, rcfg)
+            paid[t - 1] = reward
+            if d <= goal_radius:
+                cause = "goal"
+            elif closest <= d_collision:
+                cause = "collision"
+            elif tilting and (abs(roll) >= flip or abs(pitch) >= flip):
+                cause = "flip_over"
+            elif t >= max_steps:
+                cause = "timeout"
+            if cause != "running":
+                break
+        if t == n:
+            break
+
+        # act: the policy reads the row just written
+        m0, m1 = policy_mean(params, feats[t])
+        if rows is not None:
+            n0, n1 = rows[t]
+            m0, m1 = m0 + n0, m1 + n1
+        raw_cells[2 * t] = m0
+        raw_cells[2 * t + 1] = m1
+        a0, a1 = project((m0, m1), delta)
+        # unicycle kinematics: the commands are the action scaled by the limits
+        v = a0 * v_max
+        px = px + v * cos(psi) * dt
+        py = py + v * sin(psi) * dt
+        psi = -((pi - (psi + a1 * omega_max * dt)) % TWO_PI - pi)
+        # the boundary is a wall: clamp as min(max(x, x0), x1) does
+        px = x0 if x0 > px else px
+        px = x1 if x1 < px else px
+        py = y0 if y0 > py else py
+        py = y1 if y1 < py else py
+        if hm is not None:
+            px, py, psi, z, roll, pitch = pose_from_terrain(hm, px, py, psi)
+    return Trajectory(
+        features=feats[:t],
+        raw_actions=raws[:t],
+        rewards=rewards[:t],
+        z=zs[: t + 1],
+        final_cause=cause,
+        final_distance=d,
+    )

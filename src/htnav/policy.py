@@ -65,13 +65,15 @@ def init_policy(
 def forward_mean(params: PolicyParameters, obs: np.ndarray) -> list[float]:
     """Location parameter mu(s) per action dimension, as Python floats; deterministic.
 
-    ``obs`` is a 1-d float64 array, as ``NavEnv`` returns it.  Each layer
-    is ``forward_batch``'s arithmetic on the one ``(1, d)`` row.
+    ``obs`` is a 1-d float64 array, such as the feature row ``rollout``
+    has just written.  Each layer is ``forward_batch``'s arithmetic on the
+    one ``(1, d)`` row.
     """
-    h = obs[None, :]
-    *hidden, (w, b) = params.layers
-    for hw, hb in hidden:
+    h = obs[None]
+    layers = params.layers
+    for hw, hb in layers[:-1]:
         h = np.tanh(h @ hw.T + hb)
+    w, b = layers[-1]
     mu = h @ w.T
     if b is not None:
         mu = mu + b

@@ -15,12 +15,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import TrainConfig
-from .env import NavEnv, observation_dim
+from .env import observation_dim, rollout
 from .estimator import estimate, sample_horizon
 from .net import ApproximatorSpec
 from .optimizer import OptimizerState, ascent_step
-from .policy import FAMILIES, PolicyParameters, action_noise, forward_mean, init_policy, project_action
-from .trajectory import Trajectory
+from .policy import FAMILIES, PolicyParameters, action_noise, init_policy
 from .world import World, generate_world
 
 # substream salts: worlds must not depend on the family or the episode
@@ -170,49 +169,6 @@ def episode_rng(seed: int, episode: int) -> np.random.Generator:
 def initial_params(cfg: TrainConfig, seed: int) -> PolicyParameters:
     rng = np.random.default_rng(np.random.SeedSequence((seed, INIT_SALT)))
     return init_policy(policy_spec(cfg), cfg.sigma, cfg.family, rng)
-
-
-def rollout(
-    world: World,
-    params: PolicyParameters,
-    cfg: TrainConfig,
-    steps: int,
-    noise: np.ndarray | None = None,
-) -> Trajectory:
-    """Run one episode for at most ``steps`` steps.
-
-    The raw action at step t is mu(s) plus ``noise[t]``, or mu(s) alone
-    when ``noise`` is None; its projection is what the robot executes.
-    Training and evaluation both step episodes through here.
-    """
-    env = NavEnv(world, cfg.env, cfg.rewards, max_steps=cfg.max_steps)
-    x = env.reset()
-    zs = [env.pose[3]]
-    # the env ends every episode by its max_steps-th step
-    feats = np.empty((min(steps, cfg.max_steps), x.shape[0]))
-    raws, rewards = [], []
-    rows = noise.tolist() if noise is not None else None
-    cause = "running"
-    for t in range(steps):
-        m0, m1 = forward_mean(params, x)
-        if rows is not None:
-            n0, n1 = rows[t]
-            m0, m1 = m0 + n0, m1 + n1
-        feats[t] = x
-        raws.append((m0, m1))
-        x, reward, cause = env.step(project_action((m0, m1), cfg.delta))
-        rewards.append(reward)
-        zs.append(env.pose[3])
-        if cause != "running":
-            break
-    return Trajectory(
-        features=feats[: len(rewards)],
-        raw_actions=np.asarray(raws),
-        rewards=np.asarray(rewards),
-        z=np.asarray(zs),
-        final_cause=cause,
-        final_distance=env.d_goal,
-    )
 
 
 @dataclass

@@ -30,6 +30,9 @@ N_HILLS = 24
 HILL_SIGMA = (1.2, 7.0)
 HILL_AMPLITUDE = (0.5, 3.5)
 MAX_SPAWN_SLOPE = 0.2
+# cells by which a span may fall short of a whole number of them and still
+# count as whole (see _grid_nodes)
+GRID_TOLERANCE = 1e-9
 
 
 class GenerationError(RuntimeError):
@@ -74,11 +77,15 @@ class WorldGenConfig:
 def _grid_nodes(cfg: WorldGenConfig) -> tuple[float, float]:
     """The terrain grid's node counts along x and y, as whole floats.
 
-    Rounding to a float (``round(., 0)``) lets a count too large for an
-    int read as inf here rather than raise.
+    The last node lies at or inside the far bound: a span holds as many
+    whole cells as fit, where a quotient within GRID_TOLERANCE cells under
+    a whole number counts as that number, so a cell size that divides the
+    span keeps its last node on the bound.  Flooring as a float
+    (``np.floor``) lets a count too large for an int read as inf here
+    rather than raise.
     """
     x0, y0, x1, y1 = cfg.bounds
-    return round((x1 - x0) / cfg.cell_size, 0) + 1, round((y1 - y0) / cfg.cell_size, 0) + 1
+    return tuple(float(np.floor(span / cfg.cell_size + GRID_TOLERANCE)) + 1 for span in (x1 - x0, y1 - y0))
 
 
 @dataclass

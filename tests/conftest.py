@@ -8,7 +8,8 @@ import pytest
 from hypothesis import settings
 
 from htnav import rewards as rw
-from htnav.env import D_GOAL_SCALE, TILT_SCALE
+from htnav.config import TrainConfig
+from htnav.env import D_GOAL_SCALE, TILT_SCALE, observation_dim, rollout
 from htnav.geometry import bounds_walls, scan_ranges, wrap_angle
 from htnav.net import ApproximatorSpec, backward_batch, forward_batch
 from htnav.policy import PolicyParameters, dlogp_dmean, forward_mean
@@ -162,8 +163,23 @@ def assert_manifest_lists_dir(out):
     return manifest
 
 
-# The reference rollout: the step arithmetic of training.rollout and
-# NavEnv.step written out plainly, one helper per stage, with numpy
+def scripted_rollout(world, actions, cfg=None) -> Trajectory:
+    """``rollout`` on ``world`` executing ``actions``, one ``(v, omega)`` row per step.
+
+    The policy is linear with all-zero weights, so its mean is 0.0 and each
+    raw action is its noise row: the wanted action, which the projection
+    keeps when it lies in [-delta, delta]^2.  ``cfg`` defaults to
+    ``TrainConfig``'s defaults; the episode may end before the actions do.
+    """
+    cfg = cfg or TrainConfig(scenario=world.scenario)
+    spec = ApproximatorSpec(input_dim=observation_dim(world.scenario, cfg.env.n_scan_rays))
+    params = PolicyParameters(spec=spec, weights=np.zeros(spec.num_weights), sigma=cfg.sigma, family=cfg.family)
+    noise = np.asarray(actions, dtype=float).reshape(-1, 2)
+    return rollout(world, params, cfg, noise.shape[0], noise)
+
+
+# The reference rollout: the step arithmetic of the episode loop
+# (env.rollout) written out plainly, one helper per stage, with numpy
 # actions and no pre-culled scan.  The rollout must match it byte for byte.
 
 

@@ -2,6 +2,7 @@
 
 import ast
 import json
+import math
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -9,6 +10,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import htnav.atomic
 import htnav.checkpoint
@@ -103,6 +106,54 @@ def test_write_json_is_one_write(tmp_path, monkeypatch):
     assert len(writes) == 1
     # the bytes json.dump would have written token by token
     assert (tmp_path / "doc.json").read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+_JSON_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1e300, math.nan, math.inf, -math.inf]),
+)
+_JSON_LEAVES = st.one_of(_JSON_FLOATS, st.integers(), st.booleans(), st.none(), st.text())
+_JSON_DOCS = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=6),
+        st.lists(_JSON_FLOATS, max_size=6),
+        st.lists(inner, max_size=6).map(tuple),
+        st.dictionaries(st.text(), inner, max_size=6),
+    ),
+    max_leaves=40,
+)
+
+
+@pytest.fixture(scope="module")
+def json_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("json") / "doc.json"
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_DOCS)
+def test_write_json_writes_what_json_dumps_writes(json_path, doc):
+    write_json(json_path, doc)
+    assert json_path.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{1: 2.5, 0: [np.float64(-0.0)]}, [np.float64(1.5), 2.5], {"a": (1, 2.0, "x\u00e9")}, [True, 1.0, 1], [float("nan"), 1.0]],
+)
+def test_write_json_matches_json_dumps_beyond_plain_documents(tmp_path, doc):
+    # int keys and numpy floats: what json accepts, write_json writes as json does
+    write_json(tmp_path / "doc.json", doc)
+    assert (tmp_path / "doc.json").read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_write_json_rejects_what_json_rejects(tmp_path):
+    for doc in ({"a": np.int64(3)}, {"a": 1, 2: "b"}, [object()]):
+        with pytest.raises(TypeError):
+            json.dumps(doc, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            write_json(tmp_path / "doc.json", doc)
+    assert not (tmp_path / "doc.json").exists()
 
 
 def _write_mode_opens(source: str) -> list[int]:

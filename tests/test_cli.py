@@ -72,10 +72,11 @@ OUT_IS_FILE = {
 }
 
 
-@pytest.mark.parametrize("case", ["checkpoint_is_dir", "config_is_dir", *OUT_IS_FILE])
+@pytest.mark.parametrize("case", ["checkpoint_is_dir", "config_is_dir", *OUT_IS_FILE, "out_under_file"])
 def test_os_errors_exit_2_naming_the_path(tmp_path, caplog, monkeypatch, case):
     # exit 1 is kept for TrainingAbort and GenerationError
     here = tmp_path / "here"
+    named = here
     if case == "checkpoint_is_dir":
         here.mkdir()
         argv = ["eval", str(here), "-n", "1", "--out", str(tmp_path / "out")]
@@ -83,16 +84,22 @@ def test_os_errors_exit_2_naming_the_path(tmp_path, caplog, monkeypatch, case):
         here.mkdir()
         argv = ["train", "--config", str(here), "--out", str(tmp_path / "out")]
     else:
-        # an --out that is a file is refused before any work starts
+        # an --out that is a file, or lies under one, is refused before any
+        # work starts
         here.write_text("")
         for name in ("train", "run_comparison", "evaluate"):
             monkeypatch.setattr(f"htnav.cli.{name}", _never_called)
-        argv = [*OUT_IS_FILE[case], "--out", str(here)]
+        if case == "out_under_file":
+            named = here / "sub"
+        argv = [*OUT_IS_FILE.get(case, OUT_IS_FILE["out_is_file"]), "--out", str(named)]
     assert run(argv) == 2
     assert caplog.records[-1].getMessage().startswith("error: ")
-    assert caplog.records[-1].getMessage().endswith(f": {here}")
+    assert caplog.records[-1].getMessage().endswith(f": {named}")
     if case in OUT_IS_FILE:
         assert caplog.records[-1].getMessage() == f"error: File exists: {here}"
+    if case == "out_under_file":
+        assert caplog.records[-1].getMessage() == f"error: Not a directory: {named}"
+    if case in OUT_IS_FILE or case == "out_under_file":
         assert here.read_text() == ""
     assert "Traceback" not in caplog.text
 

@@ -6,7 +6,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from htnav import geometry
-from htnav.env import SCAN_CULL_SLACK, EnvConfig, NavEnv
+import htnav.env
+from htnav.config import TrainConfig
+from htnav.env import SCAN_CULL_SLACK, EnvConfig
 from htnav.geometry import (
     Circle,
     Wall,
@@ -20,7 +22,7 @@ from htnav.geometry import (
 )
 from htnav.world import generate_world
 
-from conftest import oracle_settings
+from conftest import oracle_settings, scripted_rollout
 
 
 def test_wrap_angle_range_and_fixed_points():
@@ -387,9 +389,9 @@ def test_origin_inside_capsule_matches_oracle(where, n_rays):
 
 # --- the slack cull ------------------------------------------------------
 #
-# NavEnv culls once with SCAN_CULL_SLACK around an anchor and scans the
-# survivors from every origin within that slack of it.  The slack cull
-# must keep whatever the exact cull keeps at any such origin.
+# The episode loop culls once with SCAN_CULL_SLACK around an anchor and
+# scans the survivors from every origin within that slack of it.  The slack
+# cull must keep whatever the exact cull keeps at any such origin.
 
 
 def _shifted(obstacle, v):
@@ -499,18 +501,28 @@ def test_slack_cull_from_the_worst_origin(corner):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 3, 5])
-def test_env_scans_match_oracle_across_reculls(seed):
+def test_env_scans_match_oracle_across_reculls(seed, monkeypatch):
     """A robot driving through a generated obstacle world re-culls its scan
     list many times; every scan still equals the all-obstacle oracle."""
     world = generate_world("obstacle_avoidance", seed)
-    env = NavEnv(world, EnvConfig(dt=0.2), max_steps=10_000)
     everything = list(world.obstacles) + bounds_walls(world.bounds)
-    env.reset()
-    anchors = set()
-    for k in range(400):
-        x, y, psi = env.pose[:3]
-        want = _oracle_scan_ranges((x, y), psi, everything)
-        assert env.scan.tobytes() == want.tobytes(), (seed, k)
-        anchors.add(env._cull_anchor)
-        env.step((1.0, 0.6 * math.sin(k / 15.0)))
-    assert len(anchors) >= 5
+    scans, culls = [], []
+
+    def recording_scan(origin, heading, *args, **kwargs):
+        scans.append((origin, heading, scan_ranges(origin, heading, *args, **kwargs)))
+        return scans[-1][2]
+
+    def recording_cull(*args):
+        culls.append(args[:2])
+        return obstacles_in_range(*args)
+
+    monkeypatch.setattr(htnav.env, "scan_ranges", recording_scan)
+    monkeypatch.setattr(htnav.env, "obstacles_in_range", recording_cull)
+    cfg = TrainConfig(scenario="obstacle_avoidance", max_steps=10_000, env=EnvConfig(dt=0.2))
+    actions = [(1.0, 0.6 * math.sin(k / 15.0)) for k in range(400)]
+    traj = scripted_rollout(world, actions, cfg)
+    assert len(scans) == len(traj) + 1
+    for k, (origin, heading, scan) in enumerate(scans):
+        want = _oracle_scan_ranges(origin, heading, everything)
+        assert scan.tobytes() == want.tobytes(), (seed, k)
+    assert len(culls) >= 5

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from htnav.cli import write_surface_csv
-from htnav.env import NavEnv
+from htnav.config import TrainConfig
 from htnav.geometry import Circle
 from htnav.rewards import (
     EpisodeRewardState,
@@ -19,6 +19,8 @@ from htnav.rewards import (
 )
 from htnav.terrain import Heightmap
 from htnav.world import SCENARIOS, World
+
+from conftest import scripted_rollout
 
 CFG = RewardConfig()
 
@@ -132,9 +134,8 @@ def test_total_reward_per_scenario():
             scenario=scenario,
             bounds=(0.0, 0.0, 40.0, 40.0),
         )
-        env = NavEnv(world, reward_cfg=cfg)
-        env.reset()
-        _, paid[scenario], _ = env.step((1.0, 0.0))
+        traj = scripted_rollout(world, [(1.0, 0.0)], TrainConfig(scenario=scenario, rewards=cfg))
+        paid[scenario] = traj.rewards[0]
     assert paid == {"goal_reaching": 0.0, "obstacle_avoidance": -100.0, "uneven_terrain": -25.0}
 
 

@@ -2,6 +2,8 @@
 
 import csv
 import importlib.util
+import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -24,14 +26,24 @@ def _compare_files(seeds):
     return names
 
 
-def _run(script, tmp_path, *args, returncode=0):
-    out = tmp_path / "out"
-    proc = subprocess.run(
+def _run(script, tmp_path, *args, returncode=0, out=None, timeout=300):
+    out = out or tmp_path / "out"
+    # in a session of its own, so that a timeout also kills the worker
+    # processes the script forked, which would otherwise outlive it
+    popen = subprocess.Popen(
         [sys.executable, str(SCRIPTS / script), *args, "--out", str(out)],
-        capture_output=True,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
         text=True,
-        timeout=300,
+        start_new_session=True,
     )
+    try:
+        stdout, stderr = popen.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(popen.pid, signal.SIGKILL)
+        popen.communicate()
+        raise
+    proc = subprocess.CompletedProcess(popen.args, popen.returncode, stdout, stderr)
     assert proc.returncode == returncode, proc.stderr
     return out, proc
 
@@ -106,21 +118,55 @@ def test_scripts_report_config_errors(tmp_path, script, args, message):
     assert not out.exists()
 
 
+# a run this long takes hours, so these finish within their timeout only if
+# the scripts refuse the --out before the work starts
+HUGE = {
+    "reproduce_curves.py": ["--episodes", "1000000", "--seeds", "0"],
+    "reproduce_elevation.py": ["--episodes", "1000000", "--eval-episodes", "1", "--seeds", "0"],
+}
+
+
 @pytest.mark.parametrize(
     "script, args",
     [
         ("reproduce_curves.py", ["--episodes", "2", "--seeds", "0"]),
         ("reproduce_elevation.py", ["--episodes", "1", "--eval-episodes", "1", "--seeds", "0"]),
+        pytest.param("reproduce_curves.py", "FILE/sub", id="reproduce_curves.py-FILE-sub"),
+        pytest.param("reproduce_elevation.py", "FILE/sub", id="reproduce_elevation.py-FILE-sub"),
     ],
 )
 def test_scripts_refuse_an_out_that_is_a_file(tmp_path, script, args):
-    (tmp_path / "out").write_text("")
-    out, proc = _run(script, tmp_path, *args, returncode=2)
-    assert f"error: File exists: {out}" in proc.stderr
+    file = tmp_path / "out"
+    file.write_text("")
+    if args == "FILE/sub":
+        out, proc = _run(script, tmp_path, *HUGE[script], returncode=2, out=file / "sub", timeout=60)
+        assert f"error: Not a directory: {out}" in proc.stderr
+    else:
+        out, proc = _run(script, tmp_path, *args, returncode=2)
+        assert f"error: File exists: {out}" in proc.stderr
     assert "Traceback" not in proc.stderr
     # refused before the run: no summary printed, the file left as it was
     assert proc.stdout == ""
-    assert out.read_text() == ""
+    assert file.read_text() == ""
+
+
+def test_time_steps_prints_one_row_per_scenario(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "time_steps.py"), "--worlds", "1", "--rounds", "1"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header.split() == ["scenario", "steps/round", "us/step"]
+    assert [row.split()[0] for row in rows] == ["goal_reaching", "obstacle_avoidance", "uneven_terrain"]
+    for row in rows:
+        _, steps, us = row.split()
+        assert 1 <= int(steps) <= 300
+        assert float(us) > 0.0
+    assert list(tmp_path.iterdir()) == []  # it writes nothing
 
 
 def test_plot_smoothing_pads_nothing_in():

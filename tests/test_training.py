@@ -16,7 +16,7 @@ import htnav.policy
 import htnav.world
 from htnav.cli import write_comparison_csv, write_curves_csv, write_diagnostics_csv
 from htnav.config import ConfigError, TrainConfig, apply_overrides
-from htnav.env import NavEnv, observation_dim
+from htnav.env import observation_dim
 from htnav.estimator import sample_horizon
 from htnav.policy import FAMILIES, action_noise, forward_mean
 from htnav.training import (
@@ -39,6 +39,7 @@ from conftest import (
     make_params,
     oracle_settings,
     reference_rollout,
+    scripted_rollout,
     use_workers,
     worker_only,
     world_fields,
@@ -108,17 +109,12 @@ def test_rollout_poses_start_at_reset(scenario):
     params = initial_params(cfg, 0)
     traj = rollout(world, params, cfg, 13, action_noise(params, episode_rng(0, 1), 13))
     assert traj.z.shape == (len(traj) + 1,)
-    env = NavEnv(world, cfg.env, cfg.rewards, max_steps=cfg.max_steps)
-    np.testing.assert_array_equal(traj.features[0], env.reset())
-    assert traj.z[0] == env.pose[3]
-    # replaying the executed actions retraces every later step
-    for t, raw in enumerate(traj.raw_actions):
-        features, reward, _ = env.step(np.clip(raw, -cfg.delta, cfg.delta))
-        if t + 1 < len(traj):
-            np.testing.assert_array_equal(traj.features[t + 1], features)
-        assert traj.z[t + 1] == env.pose[3]
-        assert reward == traj.rewards[t]
-    assert traj.final_distance == env.d_goal
+    # replaying the executed actions from the start pose retraces every step
+    replay = scripted_rollout(world, np.clip(traj.raw_actions, -cfg.delta, cfg.delta), cfg)
+    np.testing.assert_array_equal(replay.features, traj.features)
+    np.testing.assert_array_equal(replay.z, traj.z)
+    np.testing.assert_array_equal(replay.rewards, traj.rewards)
+    assert replay.final_distance == traj.final_distance
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
@@ -159,13 +155,9 @@ def test_rollout_mean_never_touches_rng():
     # what ran: replaying it retraces every later step's features and height
     mu = np.stack([forward_mean(params, x) for x in traj.features])
     assert traj.raw_actions.tobytes() == mu.tobytes()
-    env = NavEnv(world, cfg.env, cfg.rewards, max_steps=cfg.max_steps)
-    env.reset()
-    for t, m in enumerate(mu):
-        x, _, _ = env.step(np.clip(m, -cfg.delta, cfg.delta))
-        if t + 1 < len(traj):
-            np.testing.assert_array_equal(traj.features[t + 1], x)
-        assert traj.z[t + 1] == env.pose[3]
+    replay = scripted_rollout(world, np.clip(mu, -cfg.delta, cfg.delta), cfg)
+    np.testing.assert_array_equal(replay.features, traj.features)
+    np.testing.assert_array_equal(replay.z, traj.z)
     again = rollout(world, params, cfg, cfg.max_steps)
     assert again.raw_actions.tobytes() == traj.raw_actions.tobytes()
     np.testing.assert_array_equal(again.z, traj.z)

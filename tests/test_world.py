@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from htnav.geometry import point_obstacle_clearance, wrap_angle
 from htnav.world import SCENARIOS, GenerationError, WorldGenConfig, _hill_field, generate_world
 
-from conftest import world_fields
+from conftest import elevation_at, world_fields
 
 # sha256 over repr((start_pose, goal, obstacles)) for seeds 0-19, recorded
 # while flat worlds still built a 6-hill ripple heightmap.  Its 24 draws
@@ -57,6 +57,35 @@ def test_uneven_terrain_elevation_gain_bounded(seed):
     gain = float(z.max() - z.min())
     assert gain <= 4.0 + 1e-9
     assert gain >= 2.5 - 1e-9
+
+
+@pytest.mark.parametrize("cell_size", [0.7, 30.0, 45.0])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_terrain_nodes_lie_inside_the_bounds(seed, cell_size):
+    # none of these cell sizes divides the 100 m arena
+    cfg = WorldGenConfig(cell_size=cell_size)
+    hm = generate_world("uneven_terrain", seed, cfg).heightmap
+    x0, y0, x1, y1 = cfg.bounds
+    ny, nx = hm.elevations.shape
+    assert hm.origin == (x0, y0)
+    xs = [x0 + i * cell_size for i in range(nx)]
+    ys = [y0 + i * cell_size for i in range(ny)]
+    assert xs[-1] <= x1 < xs[-1] + cell_size
+    assert ys[-1] <= y1 < ys[-1] + cell_size
+    # so the heights the arena can reach, its nodes among them, span the
+    # rescaled gain, which lies within elevation_gain
+    xs += np.linspace(x0, x1, 41).tolist()
+    ys += np.linspace(y0, y1, 41).tolist()
+    z = [elevation_at(hm, x, y) for x in xs for y in ys]
+    low, high = cfg.elevation_gain
+    assert low - 1e-9 <= max(z) - min(z) <= high + 1e-9
+
+
+def test_dividing_cell_sizes_keep_their_last_node_on_the_bound():
+    # 100 / (100 / 11) rounds to 10.999999999999998 cells
+    for cell_size, nodes in ((0.5, 201), (1.0, 101), (0.1, 1001), (100.0 / 3.0, 4), (100.0 / 11.0, 12)):
+        hm = generate_world("uneven_terrain", 0, WorldGenConfig(cell_size=cell_size)).heightmap
+        assert hm.elevations.shape == (nodes, nodes), cell_size
 
 
 @settings(max_examples=15, deadline=None)
