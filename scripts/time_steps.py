@@ -1,16 +1,16 @@
 #!/usr/bin/env python3
 """Time one ``rollout`` step, in process, on each scenario.
 
-Each scenario runs the same episodes every round: ``--worlds`` worlds
-generated from ``--seed``, a linear policy with fixed random weights, and
+    python3 scripts/time_steps.py
+
+Each scenario runs the same episodes every round: ``WORLDS`` worlds
+generated from ``SEED``, a linear policy with fixed random weights, and
 per-world Cauchy noise drawn once, each episode run to its end or to
 ``max_steps``.  A round's time over its steps is one figure; the fastest of
-``--rounds`` rounds is printed, in microseconds per step.  World
-generation and noise draws stay outside the timed rounds, and nothing is
-written.
+``ROUNDS`` rounds is printed, in microseconds per step.  World generation
+and noise draws stay outside the timed rounds, and nothing is written.
 """
 
-import argparse
 import sys
 import time
 from pathlib import Path
@@ -24,26 +24,30 @@ from htnav.policy import action_noise, init_policy
 from htnav.training import policy_spec, rollout
 from htnav.world import SCENARIOS, generate_world
 
+WORLDS = 8  # episodes per round and scenario
+ROUNDS = 5  # timed rounds; the fastest is printed
+SEED = 0  # seed of the worlds, weights and noise
 
-def episodes(scenario: str, n_worlds: int, seed: int) -> tuple[TrainConfig, list]:
+
+def episodes(scenario: str) -> tuple[TrainConfig, list]:
     """The config and the ``(world, params, noise)`` of each timed episode."""
     cfg = TrainConfig(scenario=scenario)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, len(scenario))))
+    rng = np.random.default_rng(np.random.SeedSequence((SEED, len(scenario))))
     params = init_policy(policy_spec(cfg), cfg.sigma, "cauchy", rng)
     params = params.with_weights(rng.normal(0.0, 0.5, params.weights.shape))
     jobs = []
-    for i in range(n_worlds):
-        world = generate_world(scenario, np.random.SeedSequence((seed, i)), cfg.worldgen)
+    for i in range(WORLDS):
+        world = generate_world(scenario, np.random.SeedSequence((SEED, i)), cfg.worldgen)
         jobs.append((world, params, action_noise(params, rng, cfg.max_steps)))
     return cfg, jobs
 
 
-def time_scenario(scenario: str, n_worlds: int, rounds: int, seed: int) -> tuple[int, float]:
+def time_scenario(scenario: str) -> tuple[int, float]:
     """(steps per round, fastest round's microseconds per step)."""
-    cfg, jobs = episodes(scenario, n_worlds, seed)
+    cfg, jobs = episodes(scenario)
     best = float("inf")
     steps = 0
-    for _ in range(rounds):
+    for _ in range(ROUNDS):
         start = time.perf_counter()
         steps = sum(len(rollout(world, params, cfg, cfg.max_steps, noise)) for world, params, noise in jobs)
         best = min(best, (time.perf_counter() - start) / steps * 1e6)
@@ -51,16 +55,9 @@ def time_scenario(scenario: str, n_worlds: int, rounds: int, seed: int) -> tuple
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--worlds", type=int, default=8, help="episodes per round and scenario")
-    parser.add_argument("--rounds", type=int, default=5, help="timed rounds; the fastest is printed")
-    parser.add_argument("--seed", type=int, default=0, help="seed of the worlds, weights and noise")
-    args = parser.parse_args()
-    if args.worlds < 1 or args.rounds < 1:
-        parser.error("--worlds and --rounds must be >= 1")
     print(f"{'scenario':<20} {'steps/round':>11} {'us/step':>8}")
     for scenario in SCENARIOS:
-        steps, us = time_scenario(scenario, args.worlds, args.rounds, args.seed)
+        steps, us = time_scenario(scenario)
         print(f"{scenario:<20} {steps:>11} {us:>8.2f}")
     return 0
 

@@ -5,7 +5,6 @@ of htnav's JSON and CSV files.
 """
 
 import csv
-import json
 import os
 from contextlib import contextmanager
 from json.encoder import encode_basestring_ascii as _encode_str
@@ -39,18 +38,14 @@ def atomic_open(path, newline=None):
 _JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-class _NotPlain(Exception):
-    """A value ``_json_text`` leaves to ``json.dumps``."""
-
-
 def _json_text(doc, newline: str) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True)``'s text for a plain document.
+    """``json.dumps(doc, indent=2, sort_keys=True)``'s text for ``doc``.
 
     Containers are dicts with ``str`` keys, lists and tuples; leaves are
     strings, ``None``, bools, ints and floats (``float.__repr__``, with
     json's ``NaN`` and ``Infinity``), checked in json's order.  ``newline``
     is the newline and indent before a line at this depth.  Anything else
-    raises ``_NotPlain``.
+    raises ``TypeError``.
     """
     if isinstance(doc, str):
         return _encode_str(doc)
@@ -81,26 +76,21 @@ def _json_text(doc, newline: str) -> str:
         if not doc:
             return "{}"
         if not all(isinstance(key, str) for key in doc):
-            raise _NotPlain
+            raise TypeError(f"keys must be str, not {sorted({type(key).__name__ for key in doc})}")
         items = [_encode_str(key) + ": " + _json_text(value, inner) for key, value in sorted(doc.items())]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
-    raise _NotPlain
+    raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")
 
 
 def write_json(path, doc) -> None:
     """Write ``doc`` as ``json.dumps(doc, indent=2, sort_keys=True)`` and a final newline.
 
-    A plain document is formatted by ``_json_text``, which writes the same
-    text faster: with ``indent`` json falls back to its pure Python
-    encoder, one generator step per token.  Anything else goes to
-    ``json.dumps``.  The text is
+    ``_json_text`` writes that text faster: with ``indent`` json falls back
+    to its pure Python encoder, one generator step per token.  The text is
     encoded whole and written in one call: ``json.dump`` would issue one
     write per token.
     """
-    try:
-        text = _json_text(doc, "\n")
-    except _NotPlain:
-        text = json.dumps(doc, indent=2, sort_keys=True)
+    text = _json_text(doc, "\n")
     with atomic_open(path) as fh:
         fh.write(text + "\n")
 

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import rewards as rw
-from .geometry import bounds_walls, obstacles_in_range, scan_ranges
+from .geometry import bounds_walls, obstacles_in_range, scan_ranges, wrap_angle
 from .policy import PolicyParameters, forward_mean, project_action
 from .terrain import pose_from_terrain
 from .trajectory import Trajectory
@@ -35,9 +35,6 @@ TILT_SCALE = math.pi / 2
 # the exact cull, and a slack this far above rounding keeps everything
 # that cull could keep from within the slack (geometry._beyond_range).
 SCAN_CULL_SLACK = 2.0
-
-# the period of geometry.wrap_angle, which the loop applies inline
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass
@@ -118,14 +115,14 @@ def rollout(
     a0 = a1 = 0.0
     # the names each step calls, looked up once
     hypot, atan2, cos, sin, pi = math.hypot, math.atan2, math.cos, math.sin, math.pi
-    r_heading, r_dist, policy_mean, project = rw.r_heading, rw.r_dist, forward_mean, project_action
+    r_heading, r_dist, policy_mean, project, wrap = rw.r_heading, rw.r_dist, forward_mean, project_action, wrap_angle
     for t in range(n + 1):
         # observe at (px, py, psi): goal distance, heading offset wrapped
-        # into (-pi, pi] as geometry.wrap_angle does, then the scan or tilt
+        # into (-pi, pi], then the scan or tilt
         dx = gx - px
         dy = gy - py
         d = hypot(dx, dy)
-        alpha = -((pi - (atan2(dy, dx) - psi)) % TWO_PI - pi)
+        alpha = wrap(atan2(dy, dx) - psi)
         k = t * width
         cells[k] = d / D_GOAL_SCALE
         cells[k + 1] = alpha / pi
@@ -183,7 +180,7 @@ def rollout(
         v = a0 * v_max
         px = px + v * cos(psi) * dt
         py = py + v * sin(psi) * dt
-        psi = -((pi - (psi + a1 * omega_max * dt)) % TWO_PI - pi)
+        psi = wrap(psi + a1 * omega_max * dt)
         # the boundary is a wall: clamp as min(max(x, x0), x1) does
         px = x0 if x0 > px else px
         px = x1 if x1 < px else px

@@ -152,7 +152,7 @@ def test_scripts_refuse_an_out_that_is_a_file(tmp_path, script, args):
 
 def test_time_steps_prints_one_row_per_scenario(tmp_path):
     proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / "time_steps.py"), "--worlds", "1", "--rounds", "1"],
+        [sys.executable, str(SCRIPTS / "time_steps.py")],
         capture_output=True,
         text=True,
         timeout=300,
@@ -164,7 +164,7 @@ def test_time_steps_prints_one_row_per_scenario(tmp_path):
     assert [row.split()[0] for row in rows] == ["goal_reaching", "obstacle_avoidance", "uneven_terrain"]
     for row in rows:
         _, steps, us = row.split()
-        assert 1 <= int(steps) <= 300
+        assert 1 <= int(steps) <= 8 * 300  # 8 worlds, at most max_steps each
         assert float(us) > 0.0
     assert list(tmp_path.iterdir()) == []  # it writes nothing
 
