@@ -15,7 +15,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from htnav.cli import check_out_dir, report_errors, write_compare_dir
+from htnav.cli import check_out_dir, parse_seeds, report_errors, write_compare_dir
 from htnav.config import TrainConfig, apply_overrides
 from htnav.training import FINAL_WINDOW, half_rise_episode, run_comparison
 
@@ -26,7 +26,7 @@ def reproduce(args) -> int:
         {
             "scenario": args.scenario,
             "episodes": str(args.episodes),
-            "seeds": "[" + args.seeds + "]",
+            "seeds": parse_seeds(args.seeds),
         },
     )
     out = check_out_dir(Path(args.out))

@@ -19,14 +19,17 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from htnav.atomic import write_csv
-from htnav.cli import check_out_dir, report_errors, write_compare_dir
+from htnav.cli import check_out_dir, parse_seeds, report_errors, write_compare_dir
 from htnav.config import TrainConfig, apply_overrides
 from htnav.env import EnvConfig
-from htnav.evaluation import evaluate
+from htnav.evaluation import evaluate, summarize
 from htnav.training import run_comparison
 from htnav.world import WorldGenConfig
 
 EVAL_CSV = "eval_seeds.csv"
+# the eval_summary.json keys that eval_seeds.csv holds per seed; the
+# printed table averages three of them per family
+EVAL_COLUMNS = ("success_rate", "avg_traj_length_all", "elevation_cost_all")
 
 
 def reproduce(args) -> int:
@@ -39,29 +42,28 @@ def reproduce(args) -> int:
         env=EnvConfig(v_max=2.0),
         worldgen=WorldGenConfig(min_start_misalignment=math.pi / 4),
     )
-    cfg = apply_overrides(cfg, {"seeds": "[" + args.seeds + "]"})
+    cfg = apply_overrides(cfg, {"seeds": parse_seeds(args.seeds)})
     out = check_out_dir(Path(args.out))
     by_family = run_comparison(cfg)
     rows = []
     for family, runs in by_family.items():
         for run in runs:
-            report = evaluate(
-                run.params, cfg, args.eval_episodes, mode="deterministic", seed=run.seed
+            summary = summarize(
+                evaluate(run.params, cfg, args.eval_episodes, mode="deterministic", seed=run.seed),
+                "deterministic",
             )
-            rows.append([family, run.seed, report.success_rate,
-                         report.avg_traj_length_all, report.elevation_cost])
+            rows.append([family, run.seed, *(summary[key] for key in EVAL_COLUMNS)])
 
     out.mkdir(parents=True, exist_ok=True)
-    header = ["family", "seed", "success_rate", "avg_traj_length_all", "elevation_cost_all"]
-    write_csv(out / EVAL_CSV, header, rows)
+    write_csv(out / EVAL_CSV, ["family", "seed", *EVAL_COLUMNS], rows)
     write_compare_dir(out, cfg, by_family, extra_files=[EVAL_CSV])
     print(f"episodes={cfg.episodes} eta={cfg.eta} seeds={list(cfg.seeds)}")
     print(f"{'family':>8} {'success%':>9} {'steps(all)':>11} {'elev cost':>10}")
     for family in by_family:
-        rates, lengths, costs = zip(*(row[2:] for row in rows if row[0] == family))
+        column = dict(zip(EVAL_COLUMNS, zip(*(row[2:] for row in rows if row[0] == family))))
         print(
-            f"{family:>8} {np.mean(rates):9.1f} {np.mean(lengths):11.1f} "
-            f"{np.mean(costs):10.4f}"
+            f"{family:>8} {np.mean(column['success_rate']):9.1f} "
+            f"{np.mean(column['avg_traj_length_all']):11.1f} {np.mean(column['elevation_cost_all']):10.4f}"
         )
     print(f"wrote {out}")
     return 0

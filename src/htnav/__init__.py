@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .config import ConfigError, TrainConfig, load_config
 from .env import EnvConfig
-from .evaluation import EvalReport, elevation_cost, evaluate
+from .evaluation import elevation_cost, evaluate, summarize
 from .policy import PolicyParameters, init_policy
 from .rewards import RewardConfig, reward_surface
 from .training import rollout, run_comparison, train, train_seed
@@ -19,7 +19,6 @@ from .world import World, WorldGenConfig, generate_world
 __all__ = [
     "ConfigError",
     "EnvConfig",
-    "EvalReport",
     "PolicyParameters",
     "RewardConfig",
     "TrainConfig",
@@ -34,6 +33,7 @@ __all__ = [
     "reward_surface",
     "rollout",
     "run_comparison",
+    "summarize",
     "train",
     "train_seed",
 ]

@@ -26,7 +26,7 @@ from .atomic import write_csv, write_json
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, TrainConfig, apply_overrides, config_to_dict, load_config
 from .env import observation_dim
-from .evaluation import EVAL_MODES, EvalReport, evaluate
+from .evaluation import EVAL_MODES, EpisodeResult, evaluate, summarize
 from .policy import FAMILIES
 from .rewards import reward_surface
 from .training import FINAL_WINDOW, SeedRun, TrainingAbort, run_comparison, train
@@ -37,7 +37,7 @@ log = logging.getLogger("htnav")
 MANIFEST_FORMAT = "htnav-manifest-v1"
 
 
-def _parse_seeds(text: str) -> list[int]:
+def parse_seeds(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
@@ -68,7 +68,7 @@ def _build_config(args) -> TrainConfig:
         if getattr(args, name, None) is not None:
             overrides[name] = getattr(args, name)
     if getattr(args, "seeds", None) is not None:
-        overrides["seeds"] = _parse_seeds(args.seeds)
+        overrides["seeds"] = parse_seeds(args.seeds)
     overrides.update(_parse_set_pairs(getattr(args, "set", None)))
     if overrides:
         cfg = apply_overrides(cfg, overrides)
@@ -156,29 +156,17 @@ def write_comparison_csv(by_family: dict[str, list[SeedRun]], path) -> None:
     write_csv(path, header, ([k, *row] for k, row in enumerate(zip(*columns))))
 
 
-def write_eval_rows_csv(report: EvalReport, path) -> None:
-    rows = (
+def write_eval_rows_csv(rows: list[EpisodeResult], path) -> None:
+    """One row per episode, in ``evaluate``'s order."""
+    lines = (
         [r.episode, r.cause, r.steps, r.episode_return, r.elevation, r.final_distance]
-        for r in report.rows
+        for r in rows
     )
-    write_csv(path, ["episode", "cause", "steps", "return", "elevation_cost", "final_distance"], rows)
+    write_csv(path, ["episode", "cause", "steps", "return", "elevation_cost", "final_distance"], lines)
 
 
-def write_eval_summary_json(report: EvalReport, path) -> None:
-    """Metrics left undefined because no episode succeeded are null, not NaN: standard JSON."""
-
-    def _num(v):
-        return float(v) if math.isfinite(v) else None
-
-    summary = {
-        "episodes": report.episodes,
-        "mode": report.mode,
-        "success_rate": report.success_rate,
-        "avg_traj_length_successful": _num(report.avg_traj_length),
-        "avg_traj_length_all": report.avg_traj_length_all,
-        "elevation_cost_all": report.elevation_cost,
-        "elevation_cost_successful": _num(report.elevation_cost_successful),
-    }
+def write_eval_summary_json(summary: dict, path) -> None:
+    """``summary``, as ``evaluation.summarize`` makes it."""
     write_json(path, summary)
 
 
@@ -243,10 +231,11 @@ def cmd_eval(args) -> int:
             f"scenario {cfg.scenario!r} provides {expected}"
         )
     out = _run_dir(args, f"eval-{cfg.scenario}-{cfg.family}")
-    report = evaluate(params, cfg, args.n, mode=args.mode, seed=args.eval_seed)
+    rows = evaluate(params, cfg, args.n, mode=args.mode, seed=args.eval_seed)
+    summary = summarize(rows, args.mode)
     out.mkdir(parents=True, exist_ok=True)
-    write_eval_rows_csv(report, out / "eval_rows.csv")
-    write_eval_summary_json(report, out / "eval_summary.json")
+    write_eval_rows_csv(rows, out / "eval_rows.csv")
+    write_eval_summary_json(summary, out / "eval_summary.json")
     eval_block = {
         "checkpoint": args.checkpoint,
         "checkpoint_sha256": hashlib.sha256(data).hexdigest(),
@@ -255,9 +244,9 @@ def cmd_eval(args) -> int:
         "mode": args.mode,
     }
     _write_manifest(out, "eval", cfg, ["eval_rows.csv", "eval_summary.json"], eval=eval_block)
-    log.info("success_rate: %.1f%%", report.success_rate)
-    log.info("avg_traj_length (successful): %s", report.avg_traj_length)
-    log.info("elevation_cost (all episodes): %s", report.elevation_cost)
+    log.info("success_rate: %.1f%%", summary["success_rate"])
+    log.info("avg_traj_length (successful): %s", summary["avg_traj_length_successful"])
+    log.info("elevation_cost (all episodes): %s", summary["elevation_cost_all"])
     log.info("wrote %s", out)
     return 0
 

@@ -1,6 +1,5 @@
 """Post-training evaluation: success rate, trajectory length, elevation cost."""
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,30 +36,6 @@ class EpisodeResult:
         return self.cause == "goal"
 
 
-@dataclass
-class EvalReport:
-    """Aggregate metrics over a batch of evaluation episodes.
-
-    ``avg_traj_length`` averages successful episodes only (failures never
-    reach the goal, so their step counts measure something else); the
-    ``_all`` variant includes every episode.  ``elevation_cost`` averages
-    all episodes, with a successful-only variant alongside.
-    """
-
-    episodes: int
-    mode: str
-    success_rate: float
-    avg_traj_length: float
-    avg_traj_length_all: float
-    elevation_cost: float
-    elevation_cost_successful: float
-    rows: list[EpisodeResult]
-
-    def __post_init__(self):
-        if not 0.0 <= self.success_rate <= 100.0:
-            raise ValueError(f"success_rate must be in [0, 100], got {self.success_rate}")
-
-
 def eval_episode(
     params: PolicyParameters, cfg: TrainConfig, seed: int, i: int, mode: str
 ) -> EpisodeResult:
@@ -93,8 +68,9 @@ def evaluate(
     n_episodes: int,
     mode: str = "deterministic",
     seed: int = 0,
-) -> EvalReport:
-    """Run n_episodes on worlds drawn from the evaluation stream of ``seed``.
+) -> list[EpisodeResult]:
+    """Run n_episodes on worlds drawn from the evaluation stream of ``seed``;
+    their results, in episode order.
 
     Deterministic mode executes the projected location parameter mu(s);
     stochastic mode adds noise drawn as during training.  Either way an
@@ -105,21 +81,27 @@ def evaluate(
         raise ValueError(f"n_episodes must be >= 1, got {n_episodes}")
     if mode not in EVAL_MODES:
         raise ValueError(f"mode must be one of {EVAL_MODES}, got {mode!r}")
-    rows = map_jobs(eval_episode, [(params, cfg, seed, i, mode) for i in range(n_episodes)])
+    return map_jobs(eval_episode, [(params, cfg, seed, i, mode) for i in range(n_episodes)])
+
+
+def summarize(rows: list[EpisodeResult], mode: str) -> dict:
+    """The eval metrics of ``rows``, the document ``eval_summary.json`` holds.
+
+    The ``_successful`` averages cover the episodes that reached the goal
+    (a failure's step count measures something else) and are ``None`` when
+    none did; the ``_all`` ones cover every episode.
+    """
     successes = [r for r in rows if r.success]
-    n_success = len(successes)
-    success_rate = 100.0 * n_success / n_episodes
-    avg_len = float(np.mean([r.steps for r in successes])) if successes else math.nan
-    avg_len_all = float(np.mean([r.steps for r in rows]))
-    elev_all = float(np.mean([r.elevation for r in rows]))
-    elev_success = float(np.mean([r.elevation for r in successes])) if successes else math.nan
-    return EvalReport(
-        episodes=n_episodes,
-        mode=mode,
-        success_rate=success_rate,
-        avg_traj_length=avg_len,
-        avg_traj_length_all=avg_len_all,
-        elevation_cost=elev_all,
-        elevation_cost_successful=elev_success,
-        rows=rows,
-    )
+
+    def successful_mean(values):
+        return float(np.mean(values)) if values else None
+
+    return {
+        "episodes": len(rows),
+        "mode": mode,
+        "success_rate": 100.0 * len(successes) / len(rows),
+        "avg_traj_length_successful": successful_mean([r.steps for r in successes]),
+        "avg_traj_length_all": float(np.mean([r.steps for r in rows])),
+        "elevation_cost_all": float(np.mean([r.elevation for r in rows])),
+        "elevation_cost_successful": successful_mean([r.elevation for r in successes]),
+    }

@@ -66,6 +66,8 @@ def map_jobs(fn, jobs: list[tuple]) -> list:
     raised here with its own type; so is one raised in this process's own
     job, once the forked workers are killed.  Every forked worker is reaped
     before this returns; a job that exits the process here ends the caller.
+    On Linux a forked worker is killed when this process dies (see
+    ``_die_with``); elsewhere it runs on until its claims run out.
     """
     workers = min(len(jobs), usable_cpus())
     if workers < 2 or not hasattr(os, "fork"):
@@ -76,6 +78,7 @@ def map_jobs(fn, jobs: list[tuple]) -> list:
     os.write(claim_w, bytes(range(math.ceil(len(jobs) / size))))
     os.close(claim_w)  # the end of the claims
     pipes = {}  # worker pid -> the read end of its result pipe
+    caller = os.getpid()
     finished = False
     try:
         # Forking is safe here: nothing has started a thread before it, and
@@ -84,7 +87,7 @@ def map_jobs(fn, jobs: list[tuple]) -> list:
             result_r, result_w = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _work(fn, jobs, size, claim_r, result_w)
+                _work(fn, jobs, size, claim_r, result_w, caller)
             os.close(result_w)
             pipes[pid] = open(result_r, "rb")
         for i, result in _run_claims(fn, jobs, size, claim_r):
@@ -124,8 +127,26 @@ def _run_claims(fn, jobs: list[tuple], size: int, claim_r: int) -> list[tuple]:
     return done
 
 
-def _work(fn, jobs: list[tuple], size: int, claim_r: int, result_w: int) -> None:
-    """A forked worker's whole life: run the claimed jobs, send the results, exit.
+def _die_with(caller: int) -> None:
+    """Have the kernel SIGKILL this forked worker when the thread that forked
+    it exits (Linux's ``prctl(PR_SET_PDEATHSIG)``), and exit now if ``caller``
+    died first.  Where ``prctl`` is missing or fails, do nothing."""
+    import ctypes  # here, not at the top: only a forked worker needs it
+
+    try:
+        prctl = ctypes.CDLL(None).prctl
+    except (OSError, AttributeError):  # no prctl: not Linux
+        return
+    prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+    # PR_SET_PDEATHSIG is 1 and SIGKILL 9 on Linux; the signal module's
+    # import alone would cost a worker about 1 ms
+    if prctl(1, 9) == 0 and os.getppid() != caller:
+        os._exit(1)
+
+
+def _work(fn, jobs: list[tuple], size: int, claim_r: int, result_w: int, caller: int) -> None:
+    """A forked worker's whole life: die with ``caller``, run the claimed jobs,
+    send the results, exit.
 
     Sends ``(True, [(index, result), ...])``, or ``(False, (exception,
     traceback text))`` for the first job that raised, pickled once down
@@ -135,6 +156,7 @@ def _work(fn, jobs: list[tuple], size: int, claim_r: int, result_w: int) -> None
     """
     code = 1
     try:
+        _die_with(caller)
         try:
             payload = pickle.dumps((True, _run_claims(fn, jobs, size, claim_r)))
         except BaseException as exc:
@@ -173,10 +195,9 @@ def initial_params(cfg: TrainConfig, seed: int) -> PolicyParameters:
 
 @dataclass
 class SeedRun:
-    """Everything one (seed, family) run produced."""
+    """Everything one (seed, family) run produced; the family is ``params.family``."""
 
     seed: int
-    family: str
     returns: np.ndarray
     steps: np.ndarray
     causes: list[str]
@@ -223,7 +244,6 @@ def train_seed(cfg: TrainConfig, seed: int) -> SeedRun:
         del traj  # else it is still alive while the next rollout fills its own
     return SeedRun(
         seed=seed,
-        family=cfg.family,
         returns=np.asarray(returns, dtype=float),
         steps=np.asarray(steps, dtype=int),
         causes=causes,

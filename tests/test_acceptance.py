@@ -16,7 +16,7 @@ from htnav.cli import write_curves_csv
 from htnav.config import TrainConfig
 from htnav.env import EnvConfig
 from htnav.estimator import estimate_gradient, sample_horizon
-from htnav.evaluation import evaluate
+from htnav.evaluation import evaluate, summarize
 from htnav.net import ApproximatorSpec
 from htnav.optimizer import OptimizerState, ascent_step
 from htnav.policy import PolicyParameters, action_noise, forward_mean
@@ -301,10 +301,10 @@ def test_criterion_09_elevation_cost_direction(capsys, terrain):
     cfg, result = terrain
     costs = {}
     for family, runs in result.items():
-        per_seed = [
-            evaluate(run.params, cfg, 50, mode="deterministic", seed=run.seed).elevation_cost
-            for run in runs
-        ]
+        per_seed = []
+        for run in runs:
+            rows = evaluate(run.params, cfg, 50, mode="deterministic", seed=run.seed)
+            per_seed.append(summarize(rows, "deterministic")["elevation_cost_all"])
         costs[family] = float(np.mean(per_seed))
     ok = costs["cauchy"] <= costs["gaussian"]
     elapsed = time.perf_counter() - t0

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from htnav.cli import write_eval_rows_csv, write_eval_summary_json
 from htnav.config import TrainConfig
-from htnav.evaluation import elevation_cost, evaluate
+from htnav.evaluation import EpisodeResult, elevation_cost, evaluate, summarize
 from htnav.training import initial_params
 from htnav.world import GenerationError
 
@@ -61,23 +61,25 @@ def _navigator(cfg):
 
 def test_stationary_policy_times_out():
     cfg = TrainConfig(episodes=1, max_steps=25)
-    report = evaluate(_zero_policy(cfg), cfg, n_episodes=3, mode="deterministic")
-    assert report.success_rate == 0.0
-    assert all(r.cause == "timeout" for r in report.rows)
-    assert all(r.steps == 25 for r in report.rows)
-    assert math.isnan(report.avg_traj_length)
-    assert math.isnan(report.elevation_cost_successful)
-    assert report.avg_traj_length_all == 25.0
+    rows = evaluate(_zero_policy(cfg), cfg, n_episodes=3, mode="deterministic")
+    assert all(r.cause == "timeout" for r in rows)
+    assert all(r.steps == 25 for r in rows)
+    summary = summarize(rows, "deterministic")
+    assert summary["success_rate"] == 0.0
+    assert summary["avg_traj_length_successful"] is None
+    assert summary["elevation_cost_successful"] is None
+    assert summary["avg_traj_length_all"] == 25.0
 
 
 def test_navigator_reaches_every_goal():
     cfg = TrainConfig(episodes=1, max_steps=300)
     cfg = replace(cfg, env=replace(cfg.env, v_max=2.0))
-    report = evaluate(_navigator(cfg), cfg, n_episodes=5, mode="deterministic")
-    assert report.success_rate == 100.0
-    assert all(r.cause == "goal" for r in report.rows)
-    assert report.avg_traj_length == report.avg_traj_length_all
-    assert report.avg_traj_length < 300
+    rows = evaluate(_navigator(cfg), cfg, n_episodes=5, mode="deterministic")
+    assert all(r.cause == "goal" for r in rows)
+    summary = summarize(rows, "deterministic")
+    assert summary["success_rate"] == 100.0
+    assert summary["avg_traj_length_successful"] == summary["avg_traj_length_all"] < 300
+    assert summary["elevation_cost_successful"] == summary["elevation_cost_all"]
 
 
 def test_deterministic_eval_is_reproducible():
@@ -85,8 +87,8 @@ def test_deterministic_eval_is_reproducible():
     params = initial_params(cfg, 2)
     a = evaluate(params, cfg, n_episodes=4, mode="deterministic", seed=9)
     b = evaluate(params, cfg, n_episodes=4, mode="deterministic", seed=9)
-    assert a.rows == b.rows
-    assert a.success_rate == b.success_rate
+    assert a == b
+    assert [r.episode for r in a] == [0, 1, 2, 3]
 
 
 def test_stochastic_eval_is_reproducible_and_differs_from_deterministic():
@@ -94,9 +96,9 @@ def test_stochastic_eval_is_reproducible_and_differs_from_deterministic():
     params = initial_params(cfg, 2)
     a = evaluate(params, cfg, n_episodes=4, mode="stochastic", seed=9)
     b = evaluate(params, cfg, n_episodes=4, mode="stochastic", seed=9)
-    assert a.rows == b.rows
+    assert a == b
     det = evaluate(params, cfg, n_episodes=4, mode="deterministic", seed=9)
-    assert any(x != y for x, y in zip(a.rows, det.rows))
+    assert any(x != y for x, y in zip(a, det))
 
 
 def test_stochastic_eval_draws_no_horizon(monkeypatch):
@@ -119,10 +121,10 @@ def test_stochastic_eval_draws_no_horizon(monkeypatch):
     use_workers(monkeypatch, 1)
     monkeypatch.setattr(np.random, "default_rng", lambda *a: _OneStepHorizon(real(*a)))
     cfg = TrainConfig(episodes=1, max_steps=15)
-    report = evaluate(_zero_policy(cfg), cfg, n_episodes=3, mode="stochastic")
+    rows = evaluate(_zero_policy(cfg), cfg, n_episodes=3, mode="stochastic")
     assert geometric_calls == []
-    assert [r.steps for r in report.rows] == [15, 15, 15]
-    assert all(r.cause == "timeout" for r in report.rows)
+    assert [r.steps for r in rows] == [15, 15, 15]
+    assert all(r.cause == "timeout" for r in rows)
 
 
 def test_deterministic_eval_draws_no_noise(monkeypatch):
@@ -134,8 +136,8 @@ def test_deterministic_eval_draws_no_noise(monkeypatch):
     use_workers(monkeypatch, 1)
     monkeypatch.setattr(ev, "action_noise", no_noise)
     cfg = TrainConfig(episodes=1, max_steps=10)
-    report = evaluate(_zero_policy(cfg), cfg, n_episodes=2, mode="deterministic")
-    assert [r.steps for r in report.rows] == [10, 10]
+    rows = evaluate(_zero_policy(cfg), cfg, n_episodes=2, mode="deterministic")
+    assert [r.steps for r in rows] == [10, 10]
 
 
 def test_generation_error_in_eval_worker_keeps_its_type(monkeypatch):
@@ -159,9 +161,7 @@ def test_eval_seed_changes_worlds():
     params = _zero_policy(cfg)
     a = evaluate(params, cfg, n_episodes=2, seed=0)
     b = evaluate(params, cfg, n_episodes=2, seed=1)
-    assert any(
-        x.final_distance != y.final_distance for x, y in zip(a.rows, b.rows)
-    )
+    assert any(x.final_distance != y.final_distance for x, y in zip(a, b))
 
 
 def test_evaluate_validates_arguments():
@@ -173,11 +173,28 @@ def test_evaluate_validates_arguments():
         evaluate(params, cfg, n_episodes=1, mode="greedy")
 
 
+def test_summarize_by_hand():
+    rows = [
+        EpisodeResult(episode=0, cause="goal", steps=10, episode_return=1.0, elevation=0.5, final_distance=0.1),
+        EpisodeResult(episode=1, cause="timeout", steps=30, episode_return=0.0, elevation=1.5, final_distance=5.0),
+        EpisodeResult(episode=2, cause="goal", steps=20, episode_return=2.0, elevation=1.0, final_distance=0.2),
+        EpisodeResult(episode=3, cause="collision", steps=4, episode_return=-1.0, elevation=0.0, final_distance=9.0),
+    ]
+    assert summarize(rows, "stochastic") == {
+        "episodes": 4,
+        "mode": "stochastic",
+        "success_rate": 50.0,
+        "avg_traj_length_successful": 15.0,
+        "avg_traj_length_all": 16.0,
+        "elevation_cost_all": 0.75,
+        "elevation_cost_successful": 0.75,
+    }
+
+
 def test_eval_rows_csv(tmp_path):
     cfg = TrainConfig(episodes=1, max_steps=10)
-    report = evaluate(_zero_policy(cfg), cfg, n_episodes=3)
     path = tmp_path / "rows.csv"
-    write_eval_rows_csv(report, path)
+    write_eval_rows_csv(evaluate(_zero_policy(cfg), cfg, n_episodes=3), path)
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["episode", "cause", "steps", "return", "elevation_cost", "final_distance"]
@@ -187,9 +204,9 @@ def test_eval_rows_csv(tmp_path):
 
 def test_eval_summary_json_nan_becomes_null(tmp_path):
     cfg = TrainConfig(episodes=1, max_steps=10)
-    report = evaluate(_zero_policy(cfg), cfg, n_episodes=2)
     path = tmp_path / "summary.json"
-    write_eval_summary_json(report, path)
+    rows = evaluate(_zero_policy(cfg), cfg, n_episodes=2)
+    write_eval_summary_json(summarize(rows, "deterministic"), path)
     doc = json.loads(path.read_text())
     assert doc["success_rate"] == 0.0
     assert doc["avg_traj_length_successful"] is None
@@ -201,6 +218,6 @@ def test_eval_summary_json_nan_becomes_null(tmp_path):
 def test_elevation_cost_counts_terrain(tmp_path):
     cfg = TrainConfig(scenario="uneven_terrain", episodes=1, max_steps=60)
     cfg = replace(cfg, env=replace(cfg.env, v_max=2.0))
-    report = evaluate(_navigator(cfg), cfg, n_episodes=3, mode="deterministic")
+    rows = evaluate(_navigator(cfg), cfg, n_episodes=3, mode="deterministic")
     # driving across hills must accumulate strictly positive elevation cost
-    assert report.elevation_cost > 0.0
+    assert summarize(rows, "deterministic")["elevation_cost_all"] > 0.0

@@ -29,9 +29,10 @@ def _compare_files(seeds):
 def _run(script, tmp_path, *args, returncode=0, out=None, timeout=300):
     out = out or tmp_path / "out"
     # in a session of its own, so that a timeout also kills the worker
-    # processes the script forked, which would otherwise outlive it
+    # processes the script forked, which would otherwise outlive it; under
+    # -W error, as the suite itself runs, so a warning in a script fails it
     popen = subprocess.Popen(
-        [sys.executable, str(SCRIPTS / script), *args, "--out", str(out)],
+        [sys.executable, "-W", "error", str(SCRIPTS / script), *args, "--out", str(out)],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
@@ -92,6 +93,20 @@ def test_reproduce_elevation(tmp_path):
         assert elevation == f"{sum(costs) / len(costs):.4f}"
 
 
+@pytest.mark.parametrize(
+    "script, args",
+    [
+        ("reproduce_curves.py", ["--episodes", "0"]),
+        ("reproduce_elevation.py", ["--episodes", "0", "--eval-episodes", "1"]),
+    ],
+)
+def test_scripts_read_seeds_as_htnav_does(tmp_path, script, args):
+    # an empty item between commas is skipped, as by ``htnav train --seeds``
+    out, proc = _run(script, tmp_path, *args, "--seeds", "0,,1")
+    assert assert_manifest_lists_dir(out)["seeds"] == [0, 1]
+    assert "seeds=[0, 1]" in proc.stdout
+
+
 def test_reproduce_elevation_rejects_no_eval_episodes_before_training(tmp_path):
     out, proc = _run(
         "reproduce_elevation.py", tmp_path, "--episodes", "1", "--eval-episodes", "0", returncode=2
@@ -105,9 +120,9 @@ def test_reproduce_elevation_rejects_no_eval_episodes_before_training(tmp_path):
     "script, args, message",
     [
         ("reproduce_curves.py", ["--episodes", "-1", "--seeds", "0"], "episodes must be >= 0, got -1"),
-        ("reproduce_curves.py", ["--seeds", "x"], "seeds must be a list of integers"),
+        ("reproduce_curves.py", ["--seeds", "x"], "--seeds expects comma-separated integers, got 'x'"),
         ("reproduce_elevation.py", ["--episodes", "-2"], "episodes must be >= 0, got -2"),
-        ("reproduce_elevation.py", ["--seeds", "x"], "seeds must be a list of integers"),
+        ("reproduce_elevation.py", ["--seeds", "x"], "--seeds expects comma-separated integers, got 'x'"),
         ("reproduce_curves.py", ["--seeds=-1"], "seeds must be >= 0, got (-1,)"),
     ],
 )
@@ -152,7 +167,7 @@ def test_scripts_refuse_an_out_that_is_a_file(tmp_path, script, args):
 
 def test_time_steps_prints_one_row_per_scenario(tmp_path):
     proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / "time_steps.py")],
+        [sys.executable, "-W", "error", str(SCRIPTS / "time_steps.py")],
         capture_output=True,
         text=True,
         timeout=300,

@@ -1,5 +1,6 @@
 import csv
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -322,7 +323,7 @@ def test_worlds_do_not_depend_on_family():
 
 def test_train_stacks_all_seeds():
     runs = train(TINY)
-    assert [(run.seed, run.family) for run in runs] == [(0, "cauchy"), (1, "cauchy")]
+    assert [(run.seed, run.params.family) for run in runs] == [(0, "cauchy"), (1, "cauchy")]
     assert [run.returns.shape for run in runs] == [(TINY.episodes,)] * 2
 
 
@@ -349,7 +350,7 @@ def test_run_comparison_ignores_cfg_family():
     assert list(a) == list(b) == list(FAMILIES)
     for family in FAMILIES:
         [run_a], [run_b] = a[family], b[family]
-        assert run_a.family == run_b.family == family
+        assert run_a.params.family == run_b.params.family == family
         _assert_learned(run_a, replace(cfg, family=family))
         np.testing.assert_array_equal(run_a.returns, run_b.returns)
         np.testing.assert_array_equal(run_a.params.weights, run_b.params.weights)
@@ -583,3 +584,48 @@ def test_workers_need_no_pool_modules():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def _state(pid):
+    """``pid``'s state letter in /proc ("Z" for a zombie), or None once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0]
+    except FileNotFoundError:
+        return None
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="the parent-death signal is Linux's")
+def test_forked_workers_die_with_their_caller(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    pids = tmp_path / "pids"
+    # each job records its pid and sleeps; the caller takes one, the forked worker the other
+    code = (
+        "import os, sys, time\n"
+        "import htnav.training as tr\n"
+        "def job(path):\n"
+        "    with open(path, 'a') as fh:\n"
+        "        fh.write(f'{os.getpid()}\\n')\n"
+        "    time.sleep(30)\n"
+        "tr.usable_cpus = lambda: 2\n"
+        "tr.map_jobs(job, [(sys.argv[1],)] * 2)\n"
+    )
+    proc = subprocess.Popen([sys.executable, "-c", code, str(pids)], env={**os.environ, "PYTHONPATH": str(src)})
+    worker = None
+    try:
+        deadline = time.monotonic() + 30
+        while not (pids.exists() and pids.read_text().count("\n") == 2):
+            assert proc.poll() is None and time.monotonic() < deadline, "the jobs did not start"
+            time.sleep(0.05)
+        [worker] = {int(pid) for pid in pids.read_text().split()} - {proc.pid}
+        proc.kill()
+        proc.wait()
+        deadline = time.monotonic() + 5
+        while _state(worker) not in (None, "Z") and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _state(worker) in (None, "Z"), "the forked worker outlived its caller"
+    finally:
+        proc.kill()
+        proc.wait()
+        if worker is not None and _state(worker) not in (None, "Z"):
+            os.kill(worker, signal.SIGKILL)
