@@ -4,9 +4,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import training
 from .config import TrainConfig
 from .policy import PolicyParameters, action_noise
-from .training import EVAL_SALT, map_jobs, rollout
+from .training import EVAL_SALT, map_jobs
 from .world import generate_world
 
 EVAL_MODES = ("deterministic", "stochastic")
@@ -47,7 +48,9 @@ def eval_episode(
     if mode == "stochastic":
         rng = np.random.default_rng(np.random.SeedSequence((seed, EVAL_SALT, i, 1)))
         noise = action_noise(params, rng, cfg.max_steps)
-    traj = rollout(world, params, cfg, cfg.max_steps, noise)
+    # looked up on the module at each call, as training's episodes are, so a
+    # wrapper put on ``training.rollout`` times evaluation's episodes too
+    traj = training.rollout(world, params, cfg, cfg.max_steps, noise)
     # summed step by step, left to right, unlike the training return
     total = 0.0
     for r in traj.rewards.tolist():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from htnav.terrain import Heightmap, pose_from_terrain, terrain_slope
+from htnav.terrain import TILE, Heightmap, pose_from_terrain, terrain_slope
 
 from conftest import elevation_at, flat_heightmap, oracle_settings
 
@@ -159,6 +159,35 @@ def test_elevation_at_matches_oracle_on_generated_hills():
     rng = np.random.default_rng(0)
     for x, y in rng.uniform(-5.0, 105.0, size=(2000, 2)).tolist():
         assert _same_bits(elevation_at(hm, x, y), _oracle_elevation_at(hm, x, y))
+
+
+def test_lazy_heightmap_computes_each_tile_once_on_first_read():
+    z = np.random.default_rng(4).uniform(-1.0, 1.0, size=(40, 35))
+    filled = []
+
+    def fill(rows, cols):
+        filled.append((rows.start // TILE, cols.start // TILE))
+        return z[rows, cols]
+
+    hm = Heightmap.lazy(0.5, z.shape, (1.0, 2.0), fill)
+    eager = Heightmap(cell_size=0.5, elevations=z, origin=(1.0, 2.0))
+    assert _same_bits(elevation_at(hm, 2.7, 4.1), elevation_at(eager, 2.7, 4.1))
+    assert filled == [(0, 0)]
+    # the cell between nodes 15 and 16 on both axes spans four tiles
+    assert pose_from_terrain(hm, 8.75, 9.75, 0.3) == pose_from_terrain(eager, 8.75, 9.75, 0.3)
+    assert filled == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    # the whole grid: the five tiles still missing, then nothing more
+    assert hm.elevations.tobytes() == z.tobytes()
+    assert hm.elevations.tobytes() == z.tobytes()
+    assert sorted(filled) == [(ty, tx) for ty in range(3) for tx in range(3)]
+
+
+def test_lazy_heightmap_checks_each_tile_finite():
+    hm = Heightmap.lazy(1.0, (20, 3), (0.0, 0.0), lambda rows, cols: np.full((20, 3), np.inf)[rows, cols])
+    with pytest.raises(ValueError, match="elevations must all be finite"):
+        elevation_at(hm, 0.5, 0.5)
+    with pytest.raises(ValueError, match="elevations must all be finite"):
+        hm.elevations
 
 
 def test_elevation_at_keeps_negative_zero():

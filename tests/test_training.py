@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, reject
 from hypothesis import strategies as st
 
 import htnav.env
@@ -20,6 +20,7 @@ from htnav.config import ConfigError, TrainConfig, apply_overrides
 from htnav.env import observation_dim
 from htnav.estimator import sample_horizon
 from htnav.policy import FAMILIES, action_noise, forward_mean
+from htnav.terrain import TILE
 from htnav.training import (
     TrainingAbort,
     episode_rng,
@@ -121,7 +122,9 @@ def test_rollout_poses_start_at_reset(scenario):
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_only_uneven_terrain_reads_terrain(monkeypatch, scenario):
     # flat worlds build no hill field, flat steps ground no pose, and their
-    # heights are all 0.0; only the scanning scenario builds walls
+    # heights are all 0.0; only the scanning scenario builds walls.  An
+    # uneven world runs the hill field once on its extremes' candidates,
+    # then once per tile of the grid that the spawn and the episode read
     calls = {"_hill_field": 0, "pose_from_terrain": 0, "bounds_walls": 0}
     owners = ((htnav.world, "_hill_field"), (htnav.env, "pose_from_terrain"), (htnav.env, "bounds_walls"))
     for owner, name in owners:
@@ -137,8 +140,15 @@ def test_only_uneven_terrain_reads_terrain(monkeypatch, scenario):
     traj = rollout(world, params, cfg, 13, action_noise(params, episode_rng(0, 1), 13))
     assert calls.pop("bounds_walls") == (scenario == "obstacle_avoidance")
     if scenario == "uneven_terrain":
-        assert calls == {"_hill_field": 1, "pose_from_terrain": len(traj) + 1}
+        grid = world.heightmap._grid
+        read = {(iy // TILE, ix // TILE) for iy, ix in np.argwhere(~np.isnan(grid)).tolist()}
+        assert calls == {"_hill_field": 1 + len(read), "pose_from_terrain": len(traj) + 1}
         assert traj.z.any()
+        # a few of the grid's 169 tiles; reading the whole grid computes the rest
+        tiles = -(-grid.shape[0] // TILE) * -(-grid.shape[1] // TILE)
+        assert tiles == 169 and len(read) <= 9
+        assert not np.isnan(world.heightmap.elevations).any()
+        assert calls["_hill_field"] == 1 + tiles
     else:
         assert calls == {"_hill_field": 0, "pose_from_terrain": 0}
         np.testing.assert_array_equal(traj.z, 0.0)
@@ -242,7 +252,12 @@ def test_rollout_matches_reference(
     cfg = apply_overrides(
         TrainConfig(scenario=scenario, hidden_layers=hidden, max_steps=max_steps), overrides
     )
-    world = generate_world(scenario, np.random.SeedSequence(seed), cfg.worldgen)
+    try:
+        world = generate_world(scenario, np.random.SeedSequence(seed), cfg.worldgen)
+    except GenerationError:
+        # the 6 m arena cannot place start and goal on gentle slopes for
+        # about 2% of its hilly worlds; there is then no episode to compare
+        reject()
     params = make_params(observation_dim(scenario), hidden, family=family, seed=seed, scale=scale)
     noise = action_noise(params, np.random.default_rng(seed), steps) if noisy else None
     got = rollout(world, params, cfg, steps, noise)

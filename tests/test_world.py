@@ -7,10 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import htnav.world
 from htnav.geometry import point_obstacle_clearance, wrap_angle
-from htnav.world import SCENARIOS, GenerationError, WorldGenConfig, _hill_field, generate_world
+from htnav.terrain import Heightmap, pose_from_terrain
+from htnav.world import (
+    CERTIFY_TOL,
+    SCENARIOS,
+    GenerationError,
+    WorldGenConfig,
+    _grid_nodes,
+    _hill_field,
+    _place_start_goal,
+    _separable_field,
+    generate_world,
+)
 
-from conftest import elevation_at, world_fields
+from conftest import elevation_at, oracle_settings, world_fields
 
 # sha256 over repr((start_pose, goal, obstacles)) for seeds 0-19, recorded
 # while flat worlds still built a 6-hill ripple heightmap.  Its 24 draws
@@ -189,3 +201,104 @@ def test_hill_field_matches_oracle_on_world_sized_grids():
             )
             want = _oracle_hill_field(xs, ys, *hills)
             assert _hill_field(xs, ys, *hills).tobytes() == want.tobytes()
+
+
+def _drawn_hills(seed, cfg):
+    """The hill field ``generate_world`` draws for ``seed`` on ``cfg``'s grid,
+    ``(xs, ys, centers, sigmas, amps)``, and the world's stream after it."""
+    rng = np.random.default_rng(seed)
+    x0, y0, x1, y1 = cfg.bounds
+    nx, ny = map(int, _grid_nodes(cfg))
+    n = htnav.world.N_HILLS
+    centers = np.column_stack([rng.uniform(x0, x1, n), rng.uniform(y0, y1, n)])
+    sigmas = rng.uniform(*htnav.world.HILL_SIGMA, n)
+    amps = rng.uniform(*htnav.world.HILL_AMPLITUDE, n)
+    return (x0 + np.arange(nx) * cfg.cell_size, y0 + np.arange(ny) * cfg.cell_size, centers, sigmas, amps), rng
+
+
+def _eager_terrain(seed, cfg):
+    """``(heightmap, start_pose, goal)`` of the uneven world of ``seed``, every
+    node computed up front by the oracle field: the bit-exact reference."""
+    hills, rng = _drawn_hills(seed, cfg)
+    z = _oracle_hill_field(*hills)
+    target = rng.uniform(*cfg.elevation_gain)
+    gain = float(z.max() - z.min())
+    if gain > 0.0:
+        z = z * (target / gain)
+    hm = Heightmap(cell_size=cfg.cell_size, elevations=z, origin=cfg.bounds[:2])
+    start, goal = _place_start_goal("uneven_terrain", hm, [], cfg, rng)
+    return hm, start, goal
+
+
+def _assert_matches_eager(seed, cfg, lookups=0):
+    """The lazily built world of ``seed`` holds the eager reference's bytes:
+    its spawn, ``lookups`` poses read first, tile by tile, then the whole grid."""
+    try:
+        want, start, goal = _eager_terrain(seed, cfg)
+    except GenerationError:
+        with pytest.raises(GenerationError):
+            generate_world("uneven_terrain", seed, cfg)
+        return
+    world = generate_world("uneven_terrain", seed, cfg)
+    assert (world.start_pose, world.goal) == (start, goal)
+    hm = world.heightmap
+    x0, y0, x1, y1 = cfg.bounds
+    rng = np.random.default_rng(seed)
+    points = rng.uniform((x0 - 2.0, y0 - 2.0, -math.pi), (x1 + 2.0, y1 + 2.0, math.pi), (lookups, 3)).tolist()
+    for x, y, psi in points:
+        got = pose_from_terrain(hm, x, y, psi)
+        assert [float.hex(v) for v in got] == [float.hex(v) for v in pose_from_terrain(want, x, y, psi)]
+    grid = hm.elevations
+    assert not np.isnan(grid).any()
+    assert grid.tobytes() == want.elevations.tobytes()
+
+
+TERRAIN_CONFIGS = [
+    WorldGenConfig(),
+    WorldGenConfig(cell_size=0.7),
+    WorldGenConfig(cell_size=100.0 / 11.0),
+    WorldGenConfig(bounds=(-30.0, 10.0, -8.0, 27.0), separation=(2.0, 8.0), cell_size=0.3),
+    WorldGenConfig(bounds=(0.0, 0.0, 6.0, 6.0), separation=(2.0, 4.0), margin=0.5, elevation_gain=(0.5, 1.0)),
+    WorldGenConfig(elevation_gain=(0.1, 9.0), min_start_misalignment=0.0),
+]
+
+
+@oracle_settings(30)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(TERRAIN_CONFIGS), st.integers(0, 300))
+def test_lazy_terrain_matches_eager_bits(seed, cfg, lookups):
+    # heights computed tile by tile, as lookups first read them, hold the
+    # bits of the whole field computed up front, and so do the spawn and
+    # every lookup
+    _assert_matches_eager(seed, cfg, lookups)
+
+
+def test_separable_field_certifies_far_under_its_tolerance():
+    # the approximation that locates the extremes stays close to the exact
+    # field on every node of 200 generated worlds
+    worst = 0.0
+    for seed in range(200):
+        hills, _ = _drawn_hills(seed, WorldGenConfig())
+        exact = _hill_field(*hills)
+        worst = max(worst, float((np.abs(_separable_field(*hills) - exact) / exact).max()))
+    assert worst <= CERTIFY_TOL / 100
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("MAX_CANDIDATES", 0),  # more candidates than allowed
+        ("MIN_CERTIFIED", math.inf),  # a field too low to certify
+        ("HILL_SIGMA", (0.05, 0.2)),  # hills so narrow that most nodes underflow
+        ("HILL_AMPLITUDE", (-1.0, 3.5)),  # terms that may be negative
+    ],
+)
+def test_uncertified_fields_fall_back_to_every_node(monkeypatch, name, value):
+    monkeypatch.setattr(htnav.world, name, value)
+    verdicts = []
+    certify = htnav.world._certified_extremes
+    monkeypatch.setattr(
+        htnav.world, "_certified_extremes", lambda *hills: verdicts.append(certify(*hills)) or verdicts[-1]
+    )
+    for seed in range(4):
+        _assert_matches_eager(seed, WorldGenConfig(), lookups=50)
+    assert verdicts == [None] * 4
