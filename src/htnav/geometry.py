@@ -1,7 +1,10 @@
 """Planar geometry: obstacle primitives, raycasting, and the range scanner.
 
 All raycasts are vectorized over the rays they test.  Ray directions are
-unit vectors, so the parametric hit value is the metric distance.
+unit vectors, so the parametric hit value is the metric distance.  Each
+obstacle cuts the constants of its ray tests once, when it is made, and a
+capsule's two sides and two caps are each tested in one 2-row pass whose
+rows round as separate tests would.
 
 The scanner's result is bit for bit that of ray-testing every obstacle on
 every ray of the fan.  It skips three kinds of work that cannot change a
@@ -12,7 +15,7 @@ bit:
   (obstacles_in_range), and the scan still applies the exact cull;
 - the fan itself when no obstacle is left: the scan is then max_range on
   every ray, as the clamp of "no hit" gives;
-- the rays outside an obstacle's angular window (_window_rays): they
+- the rays outside an obstacle's angular window (_window): they
   report no hit on it, and a no-hit leaves the fold as it is.  Each
   ray's direction and ray test are computed for that ray alone, so a ray
   gets the same bits in a window as in the whole fan.
@@ -53,9 +56,18 @@ def wrap_angle(a: float) -> float:
     return float(-((math.pi - a) % (2.0 * math.pi) - math.pi))
 
 
+def _cut(obstacle, **constants) -> None:
+    """Set the constants an obstacle cuts once as non-field attributes of the frozen instance."""
+    for name, value in constants.items():
+        object.__setattr__(obstacle, name, value)
+
+
 @dataclass(frozen=True)
 class Circle:
-    """Disc obstacle (tree trunk, boulder, scan-visible sharp hill)."""
+    """Disc obstacle (tree trunk, boulder, scan-visible sharp hill).
+
+    Cut once, here, for the ray test: ``_center`` as an array.
+    """
 
     center: tuple[float, float]
     radius: float
@@ -63,16 +75,18 @@ class Circle:
     def __post_init__(self):
         if not self.radius > 0:
             raise ValueError(f"circle radius must be positive, got {self.radius}")
+        _cut(self, _center=np.asarray(self.center, dtype=float))
 
 
 @dataclass(frozen=True)
 class Wall:
     """Segment obstacle with an optional thickness (a capsule footprint).
 
-    The primitives a ray is tested on are cut once, here, as non-field
-    attributes: ``_sides``, the segment itself or a capsule's two offset
-    sides, and for a capsule ``_caps``, the centres of its end caps of
-    radius ``_radius``.
+    Cut once, here, for the ray tests: ``_sides``, the start and edge
+    coordinates of the segment itself (floats) or of a capsule's two
+    offset sides ((2, 1) columns, a row per side); and for a capsule
+    ``_caps``, the centres of its two end caps of radius ``_radius``
+    stacked, and ``_rr``.
     """
 
     p1: tuple[float, float]
@@ -87,68 +101,90 @@ class Wall:
         a = np.asarray(self.p1, dtype=float)
         b = np.asarray(self.p2, dtype=float)
         r = self.thickness / 2.0
-        sides, caps = ((a, b),), ()
+        sides, caps = (*a.tolist(), *(b - a).tolist()), None
         if r != 0.0:
             # capsule = two offset sides plus end caps
             e = b - a
             n = np.array([-e[1], e[0]]) / np.hypot(e[0], e[1])
-            sides, caps = ((a + n * r, b + n * r), (a - n * r, b - n * r)), (a, b)
-        object.__setattr__(self, "_sides", sides)
-        object.__setattr__(self, "_caps", caps)
-        object.__setattr__(self, "_radius", r)
+            starts = np.stack((a + n * r, a - n * r))
+            edges = np.stack((b + n * r, b - n * r)) - starts
+            sides, caps = (starts[:, :1], starts[:, 1:], edges[:, :1], edges[:, 1:]), np.stack((a, b))
+        _cut(self, _sides=sides, _caps=caps, _radius=r, _rr=r * r)
 
 
 Obstacle = Circle | Wall
 
 
-def ray_circle_distances(
-    origin: np.ndarray, dirs: np.ndarray, center, radius: float
-) -> np.ndarray:
+def _circle_hits(b, c) -> np.ndarray:
+    """The distances of ray_circle_distances from b = 2 * (dirs @ f) and c = f @ f - r * r.
+
+    One circle's c is a float; k circles' is a (k, 1) column, with a row
+    of b and of the result each.
+    """
+    disc = b * b - 4.0 * c
+    hit = disc >= 0.0
+    sq = np.sqrt(np.where(hit, disc, 0.0))
+    b = -b
+    t_near = (b - sq) / 2.0
+    t_far = (b + sq) / 2.0
+    t = np.where(t_near >= 0.0, t_near, t_far)
+    return np.where(hit & (t >= 0.0), t, np.inf)
+
+
+def ray_circle_distances(origin: np.ndarray, dirs: np.ndarray, center, radius: float) -> np.ndarray:
     """Distance along each unit ray to the circle; inf where there is no hit.
 
     Rays starting inside the disc hit on the way out.
     """
     f = origin - np.asarray(center, dtype=float)
-    b = 2.0 * (dirs @ f)
-    c = f @ f - radius * radius
-    disc = b * b - 4.0 * c
-    hit = disc >= 0.0
-    sq = np.sqrt(np.where(hit, disc, 0.0))
-    t_near = (-b - sq) / 2.0
-    t_far = (-b + sq) / 2.0
-    t = np.where(t_near >= 0.0, t_near, t_far)
-    return np.where(hit & (t >= 0.0), t, np.inf)
+    return _circle_hits(2.0 * (dirs @ f), f @ f - radius * radius)
 
 
-def ray_segment_distances(origin: np.ndarray, dirs: np.ndarray, p1, p2) -> np.ndarray:
-    """Distance along each unit ray to a zero-thickness segment; inf if missed."""
-    a = np.asarray(p1, dtype=float)
-    e = np.asarray(p2, dtype=float) - a
-    ap = a - origin
+def _segment_hits(ox, oy, dirs: np.ndarray, ax, ay, ex, ey) -> np.ndarray:
+    """Distance along each unit ray from (ox, oy) to the zero-thickness
+    segment from (ax, ay) along (ex, ey); inf if missed.
+
+    The segment's coordinates are floats for one segment, or (k, 1)
+    columns for k segments, with a row of the result each.
+    """
+    apx, apy = ax - ox, ay - oy
+    dx, dy = dirs[:, 0], dirs[:, 1]
     # 2-D cross products: solve origin + t*d = a + s*e
-    denom = dirs[:, 0] * e[1] - dirs[:, 1] * e[0]
+    denom = dx * ey - dy * ex
     ok = np.abs(denom) > _PARALLEL_EPS
     safe = np.where(ok, denom, 1.0)
-    t = (ap[0] * e[1] - ap[1] * e[0]) / safe
-    s = (ap[0] * dirs[:, 1] - ap[1] * dirs[:, 0]) / safe
+    t = (apx * ey - apy * ex) / safe
+    s = (apx * dy - apy * dx) / safe
     valid = ok & (t >= 0.0) & (s >= 0.0) & (s <= 1.0)
     return np.where(valid, t, np.inf)
 
 
 def ray_obstacle_distances(origin: np.ndarray, dirs: np.ndarray, obstacle: Obstacle) -> np.ndarray:
-    """Distance along each unit ray to the obstacle outline; inf if missed."""
+    """Distance along each unit ray to the obstacle outline; inf if missed.
+
+    A capsule's two sides are tested in one 2-row pass and its two caps in
+    another, folded as min(min(min(side 1, side 2), cap a), cap b).  Each
+    cap keeps its own ``dirs @ f`` and ``f @ f``: as one stacked matmul,
+    or as plain products, they round differently.
+    """
     if isinstance(obstacle, Circle):
-        return ray_circle_distances(origin, dirs, obstacle.center, obstacle.radius)
-    if not obstacle._caps:
-        return ray_segment_distances(origin, dirs, *obstacle._sides[0])
-    (a1, b1), (a2, b2) = obstacle._sides
-    a, b = obstacle._caps
-    r = obstacle._radius
-    d = np.minimum(
-        ray_segment_distances(origin, dirs, a1, b1), ray_segment_distances(origin, dirs, a2, b2)
-    )
-    d = np.minimum(d, ray_circle_distances(origin, dirs, a, r))
-    return np.minimum(d, ray_circle_distances(origin, dirs, b, r))
+        return ray_circle_distances(origin, dirs, obstacle._center, obstacle.radius)
+    ox, oy = origin.tolist()
+    sides = _segment_hits(ox, oy, dirs, *obstacle._sides)
+    if obstacle._caps is None:
+        return sides
+    f = origin - obstacle._caps
+    b = np.empty((2, len(dirs)))
+    c = np.empty((2, 1))
+    for fi, bi, ci in zip(f, b, c):
+        np.matmul(dirs, fi, out=bi)
+        ci[0] = fi @ fi
+    b *= 2.0
+    c -= obstacle._rr
+    caps = _circle_hits(b, c)
+    d = np.minimum(sides[0], sides[1])
+    np.minimum(d, caps[0], out=d)
+    return np.minimum(d, caps[1], out=d)
 
 
 def _margin(ox: float, oy: float, obstacle: Obstacle, max_range: float, slack: float) -> float:
@@ -165,7 +201,7 @@ def _margin(ox: float, oy: float, obstacle: Obstacle, max_range: float, slack: f
         (cx, cy), r = obstacle.center, obstacle.radius
         return _CULL_REL_MARGIN * (size + abs(cx) + abs(cy) + r)
     (ax, ay), (bx, by) = obstacle.p1, obstacle.p2
-    r = obstacle.thickness / 2.0
+    r = obstacle._radius
     return _CULL_REL_MARGIN * (size + abs(ax) + abs(ay) + abs(bx) + abs(by) + r)
 
 
@@ -194,15 +230,15 @@ def _beyond_range(ox: float, oy: float, obstacle: Obstacle, max_range: float, sl
     than the rounding of those distances (see _margin) while slack is
     above about 1e-8 of the coordinates, so an obstacle this culls is
     culled by the slack-0 test from every such origin.  With slack 0 it is
-    that test.  A NaN coordinate or range makes the comparisons false, so
-    the obstacle is kept.
+    that test, which _window repeats.  A NaN coordinate or range makes the
+    comparisons false, so the obstacle is kept.
     """
     margin = _margin(ox, oy, obstacle, max_range, slack)
     if isinstance(obstacle, Circle):
         (cx, cy), r = obstacle.center, obstacle.radius
         return math.hypot(ox - cx, oy - cy) - r > max_range + slack + margin
     nearest, line = _segment_reach(ox, oy, obstacle)
-    r = obstacle.thickness / 2.0
+    r = obstacle._radius
     return nearest - r > max_range + slack + margin and abs(line - r) > slack + margin
 
 
@@ -211,50 +247,56 @@ def obstacles_in_range(ox: float, oy: float, obstacles, max_range: float, slack:
     return [ob for ob in obstacles if not _beyond_range(ox, oy, ob, max_range, slack)]
 
 
-def _window_rays(
+def _window(
     ox: float, oy: float, heading: float, obstacle: Obstacle, n_rays: int, max_range: float
-) -> np.ndarray | None:
-    """Indices of the rays that can report a hit on ``obstacle``; None for every ray.
+) -> tuple[int, int] | None:
+    """The first and last ray that can report a hit on ``obstacle``; None for none.
 
-    A ray whose bearing is more than asin((r + margin) / dist) off the
-    bearings of a circle, or off the arc between a wall's endpoint
-    bearings, passes every point of the outline by more than margin, so
-    its ray test reports no hit (see _CULL_REL_MARGIN).  The window is
-    padded by _WINDOW_PAD_RAYS ray spacings.  All rays are tested when the
-    origin is within margin of the outline (or inside it), when the window
-    would cover the fan, when a bound is not finite (a NaN origin or
-    heading), and when the heading is outside [-2pi, 2pi], where the ray
-    angles round by more than the pad allows for.
+    None is the exact cull, _beyond_range with slack 0.  Otherwise the
+    window runs past either end of the fan when it wraps past ray 0, and
+    is (0, n_rays - 1) for every ray.  A ray whose bearing is more than
+    asin((r + margin) / dist) off the bearings of a circle, or off the arc
+    between a wall's endpoint bearings, passes every point of the outline
+    by more than margin, so its ray test reports no hit (see
+    _CULL_REL_MARGIN).  The window is padded by _WINDOW_PAD_RAYS ray
+    spacings.  All rays are tested when the origin is within margin of the
+    outline (or inside it), when the window would cover the fan, when a
+    bound is not finite (a NaN origin or heading), and when the heading is
+    outside [-2pi, 2pi], where the ray angles round by more than the pad
+    allows for.
     """
-    if not abs(heading) <= 2.0 * math.pi:
-        return None
     margin = _margin(ox, oy, obstacle, max_range, 0.0)
     if isinstance(obstacle, Circle):
         (cx, cy), r = obstacle.center, obstacle.radius
         dist = math.hypot(cx - ox, cy - oy)
+        if dist - r > max_range + margin:
+            return None
         lo = hi = math.atan2(cy - oy, cx - ox)
     else:
         (ax, ay), (bx, by) = obstacle.p1, obstacle.p2
-        r = obstacle.thickness / 2.0
-        dist = _segment_reach(ox, oy, obstacle)[0]
+        r = obstacle._radius
+        dist, line = _segment_reach(ox, oy, obstacle)
+        if dist - r > max_range + margin and abs(line - r) > margin:
+            return None
         # the origin is off the segment, which it sees under less than pi
         lo = math.atan2(ay - oy, ax - ox)
         span = wrap_angle(math.atan2(by - oy, bx - ox) - lo)
         hi = lo + span
         if span < 0.0:
             lo, hi = hi, lo
-    if not dist > r + margin:
-        return None
+    every = 0, n_rays - 1
+    if not (abs(heading) <= 2.0 * math.pi and dist > r + margin):
+        return every
     widen = math.asin((r + margin) / dist)
     step = 2.0 * math.pi / n_rays
     first = (lo - widen - heading) / step - _WINDOW_PAD_RAYS
     last = (hi + widen - heading) / step + _WINDOW_PAD_RAYS
     if not last - first < n_rays:
-        return None
+        return every
     first, last = math.floor(first), math.ceil(last)
     if last - first + 1 >= n_rays:
-        return None
-    return np.arange(first, last + 1) % n_rays
+        return every
+    return first, last
 
 
 def _fan(heading: float, rays: np.ndarray, n_rays: int) -> np.ndarray:
@@ -282,16 +324,15 @@ def scan_ranges(
     """
     origin = np.asarray(origin, dtype=float)
     ox, oy = origin.tolist()
-    kept = obstacles_in_range(ox, oy, obstacles, max_range)
-    if not kept:
-        return np.full(n_rays, max_range, dtype=float)
     best = np.full(n_rays, np.inf)
-    for obstacle in kept:
-        rays = _window_rays(ox, oy, heading, obstacle, n_rays, max_range)
-        if rays is None:
-            rays = np.arange(n_rays)
-        dirs = _fan(heading, rays, n_rays)
-        best[rays] = np.minimum(best[rays], ray_obstacle_distances(origin, dirs, obstacle))
+    for obstacle in obstacles:
+        window = _window(ox, oy, heading, obstacle, n_rays, max_range)
+        if window is None:
+            continue
+        first, last = window
+        rays = np.arange(first, last + 1) % n_rays
+        d = ray_obstacle_distances(origin, _fan(heading, rays, n_rays), obstacle)
+        best[rays] = np.minimum(best[rays], d)
     return np.clip(best, 0.0, max_range)
 
 
@@ -299,7 +340,7 @@ def point_obstacle_clearance(p, obstacle: Obstacle) -> float:
     """Distance from a point to the obstacle outline (negative inside)."""
     if isinstance(obstacle, Circle):
         return float(math.dist(p, obstacle.center) - obstacle.radius)
-    return _segment_reach(*p, obstacle)[0] - obstacle.thickness / 2.0
+    return _segment_reach(*p, obstacle)[0] - obstacle._radius
 
 
 def bounds_walls(bounds: tuple[float, float, float, float]) -> list[Wall]:

@@ -66,18 +66,19 @@ def forward_mean(params: PolicyParameters, obs: np.ndarray) -> list[float]:
     """Location parameter mu(s) per action dimension, as Python floats; deterministic.
 
     ``obs`` is a 1-d float64 array, such as the feature row ``rollout``
-    has just written.  Each layer is ``forward_batch``'s arithmetic on the
-    one ``(1, d)`` row.
+    has just written.  Each layer is one matvec, which the tests check
+    rounds as ``forward_batch``'s ``(1, d)`` row times the transposed
+    weights does.
     """
-    h = obs[None]
+    h = obs
     layers = params.layers
     for hw, hb in layers[:-1]:
-        h = np.tanh(h @ hw.T + hb)
+        h = np.tanh(hw @ h + hb)
     w, b = layers[-1]
-    mu = h @ w.T
+    mu = w @ h
     if b is not None:
-        mu = mu + b
-    return mu.tolist()[0]
+        mu += b
+    return mu.tolist()
 
 
 def project_action(raw, delta: float) -> tuple[float, float]:

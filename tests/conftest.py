@@ -18,9 +18,10 @@ from htnav.trajectory import Trajectory
 
 # `pytest --hypothesis-profile=scan-oracle` runs the oracle tests (the
 # scans of tests/test_geometry.py, the terrain lookups of
-# tests/test_terrain.py, the lazily built terrain of tests/test_world.py and
-# the rollout of tests/test_training.py) on ten times their usual number of
-# examples (a CI step).
+# tests/test_terrain.py, the lazily built terrain of tests/test_world.py, the
+# rollout of tests/test_training.py and the policy mean of
+# tests/test_policy.py) on ten times their usual number of examples (a CI
+# step).
 settings.register_profile("scan-oracle", max_examples=1000)
 
 

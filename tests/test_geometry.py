@@ -20,9 +20,11 @@ from htnav.geometry import (
     scan_ranges,
     wrap_angle,
 )
-from htnav.world import generate_world
+from htnav.net import ApproximatorSpec
+from htnav.policy import PolicyParameters
+from htnav.world import World, generate_world
 
-from conftest import oracle_settings, scripted_rollout
+from conftest import kinematic_step, oracle_settings, reference_rollout, scripted_rollout
 
 
 def test_wrap_angle_range_and_fixed_points():
@@ -154,18 +156,76 @@ def test_wall_clearance_matches_projection_onto_segment(px, py, ax, ay, bx, by, 
 #
 # scan_ranges skips obstacles wholly beyond max_range, builds no fan when
 # none is left, and ray-tests each obstacle only on the rays of its
-# window.  The oracle below ray-tests every obstacle on every ray, and the
+# window.  The oracle below ray-tests every obstacle on every ray, one
+# primitive at a time with the plain arithmetic that follows (a capsule
+# folded as side 1, side 2, cap a, cap b), and clamps with np.clip; the
 # scan must match it byte for byte.
 
 
-def _oracle_scan_ranges(origin, heading, obstacles, n_rays=720, max_range=10.0):
-    origin = np.asarray(origin, dtype=float)
+def _oracle_circle(origin, dirs, center, radius):
+    f = origin - np.asarray(center, dtype=float)
+    b = 2.0 * (dirs @ f)
+    c = f @ f - radius * radius
+    disc = b * b - 4.0 * c
+    hit = disc >= 0.0
+    sq = np.sqrt(np.where(hit, disc, 0.0))
+    t_near = (-b - sq) / 2.0
+    t_far = (-b + sq) / 2.0
+    t = np.where(t_near >= 0.0, t_near, t_far)
+    return np.where(hit & (t >= 0.0), t, np.inf)
+
+
+def _oracle_segment(origin, dirs, p1, p2):
+    a = np.asarray(p1, dtype=float)
+    e = np.asarray(p2, dtype=float) - a
+    ap = a - origin
+    denom = dirs[:, 0] * e[1] - dirs[:, 1] * e[0]
+    ok = np.abs(denom) > 1e-12
+    safe = np.where(ok, denom, 1.0)
+    t = (ap[0] * e[1] - ap[1] * e[0]) / safe
+    s = (ap[0] * dirs[:, 1] - ap[1] * dirs[:, 0]) / safe
+    valid = ok & (t >= 0.0) & (s >= 0.0) & (s <= 1.0)
+    return np.where(valid, t, np.inf)
+
+
+def _capsule_parts(wall):
+    """A capsule's offset sides and cap centres: ((a1, b1), (a2, b2)), (a, b)."""
+    a, b = np.asarray(wall.p1, dtype=float), np.asarray(wall.p2, dtype=float)
+    r = wall.thickness / 2.0
+    e = b - a
+    n = np.array([-e[1], e[0]]) / np.hypot(e[0], e[1])
+    return ((a + n * r, b + n * r), (a - n * r, b - n * r)), (a, b)
+
+
+def _oracle_obstacle(origin, dirs, obstacle):
+    if isinstance(obstacle, Circle):
+        return _oracle_circle(origin, dirs, obstacle.center, obstacle.radius)
+    r = obstacle.thickness / 2.0
+    if r == 0.0:
+        return _oracle_segment(origin, dirs, obstacle.p1, obstacle.p2)
+    (side1, side2), (a, b) = _capsule_parts(obstacle)
+    d = np.minimum(_oracle_segment(origin, dirs, *side1), _oracle_segment(origin, dirs, *side2))
+    d = np.minimum(d, _oracle_circle(origin, dirs, a, r))
+    return np.minimum(d, _oracle_circle(origin, dirs, b, r))
+
+
+def _oracle_fan(heading, n_rays):
     angles = heading + np.arange(n_rays) * (2.0 * math.pi / n_rays)
-    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    return np.stack([np.cos(angles), np.sin(angles)], axis=1)
+
+
+def _oracle_fold(origin, heading, obstacles, n_rays):
+    """Each ray's nearest hit, unclamped."""
+    origin = np.asarray(origin, dtype=float)
+    dirs = _oracle_fan(heading, n_rays)
     best = np.full(n_rays, np.inf)
     for obstacle in obstacles:
-        best = np.minimum(best, ray_obstacle_distances(origin, dirs, obstacle))
-    return np.clip(best, 0.0, max_range)
+        best = np.minimum(best, _oracle_obstacle(origin, dirs, obstacle))
+    return best
+
+
+def _oracle_scan_ranges(origin, heading, obstacles, n_rays=720, max_range=10.0):
+    return np.clip(_oracle_fold(origin, heading, obstacles, n_rays), 0.0, max_range)
 
 
 def _assert_scan_matches_oracle(origin, heading, obstacles, n_rays, max_range):
@@ -176,6 +236,81 @@ def _assert_scan_matches_oracle(origin, heading, obstacles, n_rays, max_range):
 
 ANGLES = st.floats(-math.pi, math.pi)
 N_RAYS = st.sampled_from([1, 2, 7, 360, 720])
+HEADINGS = [math.pi, -math.pi, 0.0, math.pi / 2, -3.0]
+
+
+@st.composite
+def _ray_test_scenes(draw):
+    """An origin, the directions of a run of fan rays, and an obstacle.
+
+    Besides obstacles anywhere, axis-aligned walls and capsules on a grid
+    of quarters put the origin exactly on a wall or on a capsule side's
+    line, at the side's ends too, where a cap's circle passes through it:
+    there the ray tests report +0.0 or -0.0 by the ray's side of the line.
+    """
+    kind = draw(st.sampled_from(["circle", "wall", "capsule", "on_wall", "on_side"]))
+    if kind in ("on_wall", "on_side"):
+        quarter = st.integers(-200, 200).map(lambda k: k / 4.0)
+        x0, x1, y = draw(quarter), draw(quarter), draw(quarter)
+        assume(x0 != x1)
+        r = 0.0 if kind == "on_wall" else draw(st.sampled_from([0.25, 0.5, 1.0, 2.0]))
+        along = draw(st.one_of(st.sampled_from([x0, x1, (x0 + x1) / 2.0]), quarter))
+        p1, p2, origin = (x0, y), (x1, y), (along, y + draw(st.sampled_from([r, -r])))
+        if draw(st.booleans()):
+            p1, p2, origin = p1[::-1], p2[::-1], origin[::-1]
+        obstacle = Wall(p1, p2, thickness=2.0 * r)
+    else:
+        coord = st.floats(-50.0, 50.0)
+        origin = (draw(coord), draw(coord))
+        if kind == "circle":
+            obstacle = Circle((draw(coord), draw(coord)), draw(st.floats(1e-3, 20.0)))
+        else:
+            p1, p2 = (draw(coord), draw(coord)), (draw(coord), draw(coord))
+            assume(p1 != p2)
+            obstacle = Wall(p1, p2, thickness=0.0 if kind == "wall" else draw(st.floats(1e-6, 4.0)))
+    n_rays = draw(st.sampled_from([7, 720]))
+    first = draw(st.integers(0, n_rays - 1))
+    dirs = _oracle_fan(draw(ANGLES), n_rays)[first : first + draw(st.integers(1, n_rays - first))].copy()
+    return np.array(origin), dirs, obstacle
+
+
+@oracle_settings(300)
+@given(_ray_test_scenes())
+def test_ray_tests_match_one_primitive_at_a_time(scene):
+    """A capsule's 2-row side and cap passes equal
+    min(min(min(side 1, side 2), cap a), cap b) of the single-primitive
+    tests, and a circle's and a wall's test equals its primitive's."""
+    origin, dirs, obstacle = scene
+    got = ray_obstacle_distances(origin, dirs, obstacle)
+    assert got.tobytes() == _oracle_obstacle(origin, dirs, obstacle).tobytes()
+    if isinstance(obstacle, Circle):
+        want = _oracle_circle(origin, dirs, obstacle.center, obstacle.radius)
+        assert ray_circle_distances(origin, dirs, obstacle.center, obstacle.radius).tobytes() == want.tobytes()
+
+
+ZERO_HIT_SCENES = [
+    # on a capsule side's line, at its ends (on a cap's circle too) and between
+    ((-3.0, 0.4), [Wall((-3.0, 0.0), (3.0, 0.0), thickness=0.8)]),
+    ((0.0, 0.4), [Wall((-3.0, 0.0), (3.0, 0.0), thickness=0.8), Circle((5.0, 0.5), 0.5)]),
+    ((3.0, -0.4), [Wall((-3.0, 0.0), (3.0, 0.0), thickness=0.8)]),
+    # on a boundary wall and in a corner, where two walls report 0
+    ((0.0, 50.0), bounds_walls((0.0, 0.0, 100.0, 100.0))),
+    ((0.0, 0.0), bounds_walls((0.0, 0.0, 100.0, 100.0))),
+    ((100.0, 37.5), bounds_walls((0.0, 0.0, 100.0, 100.0))),
+]
+
+
+@pytest.mark.parametrize("n_rays", [7, 720])
+@pytest.mark.parametrize("origin, obstacles", ZERO_HIT_SCENES)
+def test_zero_ranges_keep_their_sign(origin, obstacles, n_rays):
+    """From on an outline some rays hit at -0.0 and others at +0.0; the scan
+    keeps each sign as the oracle's fold and np.clip do."""
+    signs = set()
+    for heading in HEADINGS:
+        hits = _oracle_fold(origin, heading, obstacles, n_rays)
+        signs |= set(np.signbit(hits[hits == 0.0]).tolist())
+        _assert_scan_matches_oracle(origin, heading, obstacles, n_rays, 10.0)
+    assert signs == {False, True}
 
 
 @st.composite
@@ -331,18 +466,18 @@ def test_obstacles_are_ray_tested_only_inside_their_window(monkeypatch):
 
     monkeypatch.setattr(geometry, "ray_obstacle_distances", counting)
     # a 0.5 m circle 5 m away subtends about 11.5 degrees: 23 rays of 720,
-    # plus the rounding allowance and 2 rays of pad on each side
-    scan_ranges((0.0, 0.0), 0.0, [Circle((5.0, 0.0), 0.5)])
-    assert 23 <= tested[0] <= 30
-
-
-HEADINGS = [math.pi, -math.pi, 0.0, math.pi / 2, -3.0]
+    # plus the rounding allowance and 2 rays of pad on each side; so does
+    # a 0.6 m capsule 0.4 m thick, whose sides and caps take the same rows
+    scan_ranges((0.0, 0.0), 0.0, [Circle((5.0, 0.0), 0.5), Wall((-5.0, -0.3), (-5.0, 0.3), thickness=0.4)])
+    assert len(tested) == 2
+    assert all(23 <= rays <= 30 for rays in tested)
 
 
 @pytest.mark.parametrize("n_rays", [1, 2, 3, 7, 720])
 @pytest.mark.parametrize("heading", HEADINGS)
 def test_windows_around_ray_zero_match_oracle(heading, n_rays):
-    """Obstacles straddling ray 0 (their windows wrap past index 0) and around the fan."""
+    """Obstacles straddling ray 0 (their windows wrap past index 0), beside
+    obstacles whose windows do not, and around the fan."""
     origin = np.array([20.0, 30.0])
     shapes = []
     for offset in (0.0, 0.01, -0.01, math.pi, 2.0):
@@ -467,6 +602,9 @@ def test_slack_cull_keeps_what_exact_cull_keeps_nearby(scene):
     near = obstacles_in_range(ax, ay, obstacles, max_range, slack)
     exact = obstacles_in_range(ox, oy, obstacles, max_range)
     assert all(any(ob is kept for kept in near) for ob in exact)
+    # the scan's own cull, in its ray window, is the exact cull
+    windowed = [ob for ob in obstacles if geometry._window(ox, oy, 0.0, ob, 720, max_range) is not None]
+    assert windowed == exact
 
 
 @pytest.mark.parametrize("corner", [50.0, -1e3, 1e6])
@@ -500,10 +638,22 @@ def test_slack_cull_from_the_worst_origin(corner):
                 assert not obstacles_in_range(ox, oy, [obstacle], max_range), (make.__name__, offset)
 
 
+def _driven_poses(world, actions, steps, env):
+    """The poses of a scripted drive on flat ground, from the start through
+    ``steps`` steps, by the reference step's kinematics."""
+    x0, y0, x1, y1 = world.bounds
+    poses = [world.start_pose]
+    for action in actions[:steps]:
+        x, y, psi = kinematic_step(*poses[-1], action, env)
+        poses.append((min(max(x, x0), x1), min(max(y, y0), y1), psi))
+    return poses
+
+
 @pytest.mark.parametrize("seed", [0, 1, 3, 5])
 def test_env_scans_match_oracle_across_reculls(seed, monkeypatch):
     """A robot driving through a generated obstacle world re-culls its scan
-    list many times; every scan still equals the all-obstacle oracle."""
+    list many times; every scan it observes still equals the all-obstacle
+    oracle, whether from scan_ranges or, with nothing near, without it."""
     world = generate_world("obstacle_avoidance", seed)
     everything = list(world.obstacles) + bounds_walls(world.bounds)
     scans, culls = [], []
@@ -525,9 +675,44 @@ def test_env_scans_match_oracle_across_reculls(seed, monkeypatch):
     cfg = TrainConfig(scenario="obstacle_avoidance", max_steps=10_000, env=env)
     actions = [(1.0, 0.6 * math.sin(k / 15.0)) for k in range(400)]
     traj = scripted_rollout(world, actions, cfg)
-    assert len(scans) == len(traj) + 1
-    assert len(scans) >= 315
-    for k, (origin, heading, scan) in enumerate(scans):
-        want = _oracle_scan_ranges(origin, heading, everything)
-        assert scan.tobytes() == want.tobytes(), (seed, k)
+    poses = _driven_poses(world, actions, len(traj), env)
+    assert len(poses) >= 315
+    skipped = 0
+    for k, (x, y, psi) in enumerate(poses):
+        want = _oracle_scan_ranges((x, y), psi, everything)
+        if scans and scans[0][:2] == ((x, y), psi):
+            assert scans.pop(0)[2].tobytes() == want.tobytes(), (seed, k)
+        else:
+            skipped += 1
+            assert want.tobytes() == np.full(720, 10.0).tobytes(), (seed, k)
+        if k < len(traj):
+            assert traj.features[k, 4:].tobytes() == (want / 10.0).tobytes(), (seed, k)
+    assert scans == []
+    assert skipped < len(poses) // 2
     assert len(culls) >= 5
+
+
+def test_rollout_skips_the_scan_with_nothing_near(monkeypatch):
+    """A step whose slack-culled list is empty calls scan_ranges zero times
+    and observes max_range on every ray.  The robot drives 8 m toward a
+    tree 16 m ahead, which the re-cull after 4 m keeps."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return scan_ranges(*args, **kwargs)
+
+    monkeypatch.setattr(htnav.env, "scan_ranges", counting)
+    cfg = TrainConfig(scenario="obstacle_avoidance")
+    actions = [(1.0, 0.0)] * 80
+    params = PolicyParameters(ApproximatorSpec(724), np.zeros(1448), cfg.sigma, cfg.family)
+    for trees, skipped in (([], 81), ([Circle((66.0, 50.0), 0.5)], 40)):
+        world = World(None, trees, (50.0, 50.0, 0.0), (50.0, 80.0), "obstacle_avoidance")
+        calls.clear()
+        traj = scripted_rollout(world, actions, cfg)
+        poses = _driven_poses(world, actions, len(traj), cfg.env)
+        assert calls == [(x, y) for x, y, _ in poses[skipped:]]
+        assert traj.features[:skipped, 4:].tobytes() == np.full((min(skipped, 80), 720), 1.0).tobytes()
+        want = reference_rollout(world, params, cfg, len(actions), np.asarray(actions))
+        for name in ("features", "raw_actions", "rewards", "z"):
+            assert getattr(traj, name).tobytes() == getattr(want, name).tobytes(), name

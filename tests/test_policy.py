@@ -17,7 +17,7 @@ from htnav.policy import (
     weighted_score_sum,
 )
 
-from conftest import log_density, make_params, score
+from conftest import log_density, make_params, oracle_settings, score
 
 
 def test_parameters_validate_shapes_and_sigma():
@@ -46,6 +46,39 @@ def test_init_policy_mean_is_zero_everywhere():
     params = init_policy(spec, 0.25, "cauchy", np.random.default_rng(0))
     for x in np.random.default_rng(1).standard_normal((10, 4)):
         np.testing.assert_array_equal(forward_mean(params, x), 0.0)
+
+
+def _row_forward_mean(layers, obs):
+    """forward_mean as a (1, d) row times each layer's transposed weights."""
+    h = obs[None]
+    for hw, hb in layers[:-1]:
+        h = np.tanh(h @ hw.T + hb)
+    w, b = layers[-1]
+    mu = h @ w.T
+    if b is not None:
+        mu = mu + b
+    return mu.tolist()[0]
+
+
+@oracle_settings(100)
+@given(
+    st.sampled_from([4, 6, 724]),
+    st.sampled_from([(), (3,)]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.05, 0.5, 3.0]),
+)
+def test_forward_mean_matches_row_times_transpose_bits(width, hidden, final_bias, seed, scale):
+    """Each layer's matvec rounds as the (1, d) row times the transposed weights."""
+    params = make_params(width, hidden, seed=seed, scale=scale)
+    rng = np.random.default_rng(seed)
+    w, b = params.layers[-1]
+    # the final layer with and without a bias, whatever the spec gives it
+    params.layers[-1] = (w, scale * rng.standard_normal(len(w)) if final_bias else None)
+    obs = scale * rng.standard_normal(width)
+    got, want = forward_mean(params, obs), _row_forward_mean(params.layers, obs)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert all(type(v) is float for v in got)
 
 
 def test_project_action_clamps():
