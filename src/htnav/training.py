@@ -43,14 +43,24 @@ class TrainingAbort(RuntimeError):
     """A gradient went non-finite; the run stops rather than limping on."""
 
 
-def usable_cpus() -> int:
-    """CPUs this process may run on; ``taskset`` narrows them.
+def usable_cpus() -> list[int]:
+    """The CPUs this process may run on, in ascending order; ``taskset`` narrows them.
 
-    Where the platform cannot say (no ``sched_getaffinity``), 1.
+    Where the platform cannot say (no ``sched_getaffinity``), ``[0]``: one
+    CPU, so ``map_jobs`` forks nothing and places nothing.
     """
     if not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
+        return [0]
+    return sorted(os.sched_getaffinity(0))
+
+
+def _pin(cpus: set[int]) -> None:
+    """Run this process only on ``cpus``; where the kernel refuses, leave
+    placement to the scheduler, which changes no result."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass
 
 
 def map_jobs(fn, jobs: list[tuple]) -> list:
@@ -62,18 +72,23 @@ def map_jobs(fn, jobs: list[tuple]) -> list:
     in this process.  Otherwise this process writes every claim into a
     pipe, forks the other workers, which inherit ``fn`` and ``jobs``, and
     works as one of them; every worker takes one claim at a time, so long
-    and short jobs balance.  An exception raised in a forked worker is
-    raised here with its own type; so is one raised in this process's own
-    job, once the forked workers are killed.  Every forked worker is reaped
-    before this returns; a job that exits the process here ends the caller.
-    On Linux a forked worker is killed when this process dies (see
-    ``_die_with``); elsewhere it runs on until its claims run out.
+    and short jobs balance.  Each process runs on a CPU of its own: forked
+    worker ``k`` on usable CPU ``k``, this process on CPU 0 until it returns
+    or raises, with its own CPU mask restored.  An exception raised in a
+    forked worker is raised here with its own type; so is one raised in
+    this process's own job, once the forked workers are killed.  Every
+    forked worker is reaped before this returns; a job that exits the
+    process here ends the caller.  On Linux a forked worker is killed when
+    this process dies (see ``_die_with``); elsewhere it runs on until its
+    claims run out.
     """
-    workers = min(len(jobs), usable_cpus())
+    cpus = usable_cpus()
+    workers = min(len(jobs), len(cpus))
     if workers < 2 or not hasattr(os, "fork"):
         return [fn(*job) for job in jobs]
     results = [None] * len(jobs)
     size = math.ceil(len(jobs) / MAX_CLAIMS)
+    mask = os.sched_getaffinity(0)  # restored when this returns or raises
     claim_r, claim_w = os.pipe()
     os.write(claim_w, bytes(range(math.ceil(len(jobs) / size))))
     os.close(claim_w)  # the end of the claims
@@ -83,13 +98,14 @@ def map_jobs(fn, jobs: list[tuple]) -> list:
     try:
         # Forking is safe here: nothing has started a thread before it, and
         # OpenBLAS's own thread pool has fork hooks.
-        for _ in range(workers - 1):
+        for k in range(1, workers):
             result_r, result_w = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _work(fn, jobs, size, claim_r, result_w, caller)
+                _work(fn, jobs, size, claim_r, result_w, caller, cpus[k])
             os.close(result_w)
             pipes[pid] = open(result_r, "rb")
+        _pin({cpus[0]})  # else the scheduler may leave a worker time-sharing this CPU
         for i, result in _run_claims(fn, jobs, size, claim_r):
             results[i] = result
         for pid, pipe in list(pipes.items()):
@@ -107,6 +123,7 @@ def map_jobs(fn, jobs: list[tuple]) -> list:
                 results[i] = result
         finished = True
     finally:
+        _pin(mask)
         os.close(claim_r)
         for pid, pipe in pipes.items():
             pipe.close()
@@ -144,9 +161,9 @@ def _die_with(caller: int) -> None:
         os._exit(1)
 
 
-def _work(fn, jobs: list[tuple], size: int, claim_r: int, result_w: int, caller: int) -> None:
-    """A forked worker's whole life: die with ``caller``, run the claimed jobs,
-    send the results, exit.
+def _work(fn, jobs: list[tuple], size: int, claim_r: int, result_w: int, caller: int, cpu: int) -> None:
+    """A forked worker's whole life: move to ``cpu``, die with ``caller``, run
+    the claimed jobs, send the results, exit.
 
     Sends ``(True, [(index, result), ...])``, or ``(False, (exception,
     traceback text))`` for the first job that raised, pickled once down
@@ -156,6 +173,7 @@ def _work(fn, jobs: list[tuple], size: int, claim_r: int, result_w: int, caller:
     """
     code = 1
     try:
+        _pin({cpu})
         _die_with(caller)
         try:
             payload = pickle.dumps((True, _run_claims(fn, jobs, size, claim_r)))

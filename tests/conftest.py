@@ -15,6 +15,7 @@ from htnav.net import ApproximatorSpec, backward_batch, forward_batch
 from htnav.policy import PolicyParameters, dlogp_dmean, forward_mean
 from htnav.terrain import Heightmap, _elevations, pose_from_terrain
 from htnav.trajectory import Trajectory
+from htnav.training import usable_cpus
 
 # `pytest --hypothesis-profile=scan-oracle` runs the oracle tests (the
 # scans of tests/test_geometry.py, the terrain lookups of
@@ -102,10 +103,13 @@ def flat_heightmap(size: float, cell_size: float = 1.0, origin=(0.0, 0.0)) -> He
 def use_workers(monkeypatch, n):
     """Make ``map_jobs`` see ``n`` usable CPUs; with 1, every job runs in this process.
 
-    Tests that record calls in this process pin 1: calls made in a worker
-    process are not seen here.
+    The ``n`` CPUs cycle through the real ones, so where ``n`` is more than
+    the host has, some processes are placed on the same CPU.  Tests that
+    record calls in this process pin 1: calls made in a worker process are
+    not seen here.
     """
-    monkeypatch.setattr("htnav.training.usable_cpus", lambda: n)
+    cpus = usable_cpus()
+    monkeypatch.setattr("htnav.training.usable_cpus", lambda: [cpus[k % len(cpus)] for k in range(n)])
 
 
 @contextlib.contextmanager

@@ -30,6 +30,7 @@ from htnav.training import (
     run_comparison,
     train,
     train_seed,
+    usable_cpus,
     world_for_episode,
 )
 
@@ -498,6 +499,69 @@ def test_exception_in_own_job_keeps_its_type(monkeypatch):
     assert_no_child_left()
 
 
+needs_two_cpus = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(usable_cpus()) < 2,
+    reason="placement needs sched_setaffinity and two usable CPUs",
+)
+
+
+def _placement(k, seconds):
+    time.sleep(seconds)
+    return k, os.getpid(), os.sched_getaffinity(0)
+
+
+@needs_two_cpus
+def test_each_process_runs_on_a_cpu_of_its_own():
+    # whichever process claims the first job sleeps through it, so the
+    # other claims the second: each job reports where one process ran
+    cpus = usable_cpus()
+    before = os.sched_getaffinity(0)
+    placed = {pid: mask for _, pid, mask in map_jobs(_placement, [(0, 0.5), (1, 0)])}
+    assert placed.pop(os.getpid()) == {cpus[0]}
+    assert list(placed.values()) == [{cpus[1]}]
+    assert os.sched_getaffinity(0) == before
+    assert_no_child_left()
+
+
+@needs_two_cpus
+def test_caller_mask_is_restored_when_its_own_job_raises(monkeypatch):
+    use_workers(monkeypatch, 2)
+    before = os.sched_getaffinity(0)
+    with pytest.raises(GenerationError, match="raised in the calling process"):
+        map_jobs(_raise_here_stall_elsewhere, [(os.getpid(),)] * 2)
+    assert os.sched_getaffinity(0) == before
+    assert_no_child_left()
+
+
+@needs_two_cpus
+def test_more_workers_than_cpus_share_them(monkeypatch):
+    # one worker more than the host has CPUs: it is placed on the caller's
+    cpus = usable_cpus()
+    use_workers(monkeypatch, len(cpus) + 1)
+    before = os.sched_getaffinity(0)
+    n = 3 * len(cpus)
+    placed = map_jobs(_placement, [(k, 0.05) for k in range(n)])
+    assert [k for k, _, _ in placed] == list(range(n))
+    assert all(len(mask) == 1 and mask <= set(cpus) for _, _, mask in placed)
+    assert os.sched_getaffinity(0) == before
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU mask to pin")
+def test_refused_pins_change_no_result(monkeypatch):
+    def refuse(pid, cpus):
+        raise OSError("refused")
+
+    use_workers(monkeypatch, 2)
+    before = os.sched_getaffinity(0)
+    monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    assert map_jobs(abs, [(-k,) for k in range(6)]) == list(range(6))
+    pids = [pid for _, pid in map_jobs(_sleep_then_pid, [(0.5,), (0,)])]
+    assert os.getpid() in pids and len(set(pids)) == 2
+    assert os.sched_getaffinity(0) == before
+    assert_no_child_left()
+
+
 def test_run_comparison_lists_jobs_seed_by_seed(monkeypatch):
     import htnav.training as tr
 
@@ -586,7 +650,8 @@ def test_workers_need_no_pool_modules():
     code = (
         "import sys\n"
         "import htnav.training as tr\n"
-        "tr.usable_cpus = lambda: 2\n"
+        "cpus = tr.usable_cpus()\n"
+        "tr.usable_cpus = lambda: [cpus[0], cpus[-1]]\n"
         "assert tr.map_jobs(abs, [(-1,), (2,), (-3,)]) == [1, 2, 3]\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))\n"
     )
@@ -622,7 +687,8 @@ def test_forked_workers_die_with_their_caller(tmp_path):
         "    with open(path, 'a') as fh:\n"
         "        fh.write(f'{os.getpid()}\\n')\n"
         "    time.sleep(30)\n"
-        "tr.usable_cpus = lambda: 2\n"
+        "cpus = tr.usable_cpus()\n"
+        "tr.usable_cpus = lambda: [cpus[0], cpus[-1]]\n"
         "tr.map_jobs(job, [(sys.argv[1],)] * 2)\n"
     )
     proc = subprocess.Popen([sys.executable, "-c", code, str(pids)], env={**os.environ, "PYTHONPATH": str(src)})
