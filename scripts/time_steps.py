@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time one ``rollout`` step, in process, on each scenario.
+"""Time one ``rollout`` step, in process, on each scenario, and one terrain pose.
 
     python3 scripts/time_steps.py
 
@@ -9,6 +9,10 @@ per-world Cauchy noise drawn once, each episode run to its end or to
 ``max_steps``.  A round's time over its steps is one figure; the fastest of
 ``ROUNDS`` rounds is printed, in microseconds per step.  World generation
 and noise draws stay outside the timed rounds, and nothing is written.
+
+The last row times ``pose_from_terrain`` alone, in microseconds per call:
+``POINTS`` fixed points over the bounds of one ``uneven_terrain`` world
+and a little beyond, its terrain computed whole before the rounds.
 """
 
 import sys
@@ -21,12 +25,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from htnav.config import TrainConfig
 from htnav.policy import action_noise, init_policy
+from htnav.terrain import pose_from_terrain
 from htnav.training import policy_spec, rollout
 from htnav.world import SCENARIOS, generate_world
 
 WORLDS = 8  # episodes per round and scenario
 ROUNDS = 5  # timed rounds; the fastest is printed
-SEED = 0  # seed of the worlds, weights and noise
+SEED = 0  # seed of the worlds, weights, noise and points
+POINTS = 20_000  # pose_from_terrain calls per round
 
 
 def episodes(scenario: str) -> tuple[TrainConfig, list]:
@@ -54,11 +60,31 @@ def time_scenario(scenario: str) -> tuple[int, float]:
     return steps, best
 
 
+def time_pose() -> tuple[int, float]:
+    """(calls per round, fastest round's microseconds per ``pose_from_terrain`` call)."""
+    world = generate_world("uneven_terrain", SEED)
+    hm = world.heightmap
+    hm.elevations  # every tile computed, so no round computes terrain
+    x0, y0, x1, y1 = world.bounds
+    pad = 0.05 * (x1 - x0)
+    rng = np.random.default_rng(SEED)
+    points = rng.uniform((x0 - pad, y0 - pad, -np.pi), (x1 + pad, y1 + pad, np.pi), (POINTS, 3)).tolist()
+    best = float("inf")
+    for _ in range(ROUNDS):
+        start = time.perf_counter()
+        for x, y, psi in points:
+            pose_from_terrain(hm, x, y, psi)
+        best = min(best, (time.perf_counter() - start) / POINTS * 1e6)
+    return POINTS, best
+
+
 def main() -> int:
     print(f"{'scenario':<20} {'steps/round':>11} {'us/step':>8}")
     for scenario in SCENARIOS:
         steps, us = time_scenario(scenario)
         print(f"{scenario:<20} {steps:>11} {us:>8.2f}")
+    calls, us = time_pose()
+    print(f"{'pose_from_terrain':<20} {calls:>11} {us:>8.2f}")
     return 0
 
 

@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .typecheck import cut
+
 _PARALLEL_EPS = 1e-12
 
 # The scanner skips an obstacle whose outline lies more than
@@ -56,12 +58,6 @@ def wrap_angle(a: float) -> float:
     return float(-((math.pi - a) % (2.0 * math.pi) - math.pi))
 
 
-def _cut(obstacle, **constants) -> None:
-    """Set the constants an obstacle cuts once as non-field attributes of the frozen instance."""
-    for name, value in constants.items():
-        object.__setattr__(obstacle, name, value)
-
-
 @dataclass(frozen=True)
 class Circle:
     """Disc obstacle (tree trunk, boulder, scan-visible sharp hill).
@@ -75,7 +71,7 @@ class Circle:
     def __post_init__(self):
         if not self.radius > 0:
             raise ValueError(f"circle radius must be positive, got {self.radius}")
-        _cut(self, _center=np.asarray(self.center, dtype=float))
+        cut(self, _center=np.asarray(self.center, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -109,7 +105,7 @@ class Wall:
             starts = np.stack((a + n * r, a - n * r))
             edges = np.stack((b + n * r, b - n * r)) - starts
             sides, caps = (starts[:, :1], starts[:, 1:], edges[:, :1], edges[:, 1:]), np.stack((a, b))
-        _cut(self, _sides=sides, _caps=caps, _radius=r, _rr=r * r)
+        cut(self, _sides=sides, _caps=caps, _radius=r, _rr=r * r)
 
 
 Obstacle = Circle | Wall

@@ -1,4 +1,5 @@
-"""Heightmap terrain: bilinear elevation queries and terrain-derived pose."""
+"""Heightmap terrain: bilinear elevation and slope from five lookups that
+share three rows and three columns, and the pose they ground."""
 
 import itertools
 import math
@@ -6,14 +7,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .typecheck import check_fields
+from .typecheck import check_fields, cut
 
 
 # nodes on a side of the square tiles a lazy grid computes one at a time
 TILE = 16
 
 
-@dataclass(init=False, eq=False)
+@dataclass(frozen=True, init=False, eq=False)
 class Heightmap:
     """Regular grid of node elevations, at least 2x2 nodes.
 
@@ -28,7 +29,7 @@ class Heightmap:
     origin: tuple[float, float]
 
     def __init__(self, cell_size: float, elevations, origin=(0.0, 0.0)):
-        self._setup(cell_size, np.asarray(elevations, dtype=float), origin)
+        self._setup(cell_size, np.asarray(elevations, dtype=float), origin, None)
         _check_finite(self._grid)
 
     @classmethod
@@ -36,20 +37,20 @@ class Heightmap:
         """A ``shape`` grid whose tiles ``fill(rows, cols)`` computes, given
         the tile's two slices, when a lookup or ``elevations`` first reads it."""
         hm = cls.__new__(cls)
-        hm._setup(cell_size, np.full(shape, np.nan), origin)
-        hm._fill = fill
-        hm._missing = set(itertools.product(range(-(-shape[0] // TILE)), range(-(-shape[1] // TILE))))
+        hm._setup(cell_size, np.full(shape, np.nan), origin, fill)
         return hm
 
-    def _setup(self, cell_size: float, grid: np.ndarray, origin) -> None:
-        self.cell_size = cell_size
-        self.origin = origin
+    def _setup(self, cell_size: float, grid: np.ndarray, origin, fill) -> None:
+        cut(self, cell_size=cell_size, origin=origin)
         check_fields(self, [(("cell_size",), lambda v: v > 0, "positive")])
         if grid.ndim != 2 or min(grid.shape) < 2:
             raise ValueError("elevations must be a 2-D grid of at least 2x2 nodes")
-        self._grid = grid
-        self._fill = None
-        self._missing: set[tuple[int, int]] = set()  # the tiles not yet computed
+        grid = np.ascontiguousarray(grid)  # a strided grid is copied once
+        height, width = grid.shape
+        missing = set(itertools.product(range(-(-height // TILE)), range(-(-width // TILE)))) if fill else set()
+        # each lookup reads the flat grid, its width, the top cell and the clamp of each axis, and the origin
+        lookup = (memoryview(grid.reshape(-1)), width, width - 2, width - 1.0, height - 2, height - 1.0, *origin)
+        cut(self, _grid=grid, _fill=fill, _missing=missing, _lookup=lookup)  # _missing: tiles not yet computed
 
     @property
     def elevations(self) -> np.ndarray:
@@ -80,52 +81,49 @@ def _check_finite(heights: np.ndarray) -> None:
         raise ValueError("elevations must all be finite")
 
 
-def _elevations(hm: Heightmap, points) -> list[float]:
-    """Bilinear elevation at each ``(x, y)`` of ``points``, border-clamped.
-
-    Each lookup interpolates the four surrounding nodes of the grid (at
-    least 2x2, so there always are four).  The comparisons are those of
-    ``min(max(g, 0.0), n - 1.0)``: a NaN coordinate passes the clamp and
-    fails at ``int``, and -0.0 survives it.  A node not yet computed is
-    NaN, which the blend propagates: a NaN result computes the cell's
-    missing tiles and is read again.
-    """
-    grid = hm._grid
-    height, width = grid.shape
-    x_top = width - 1.0
-    y_top = height - 1.0
-    ox, oy = hm.origin
-    cell = hm.cell_size
-    nodes = memoryview(grid.reshape(-1))  # flat view, read as Python floats
-    out = []
-    for x, y in points:
-        gx = (x - ox) / cell
-        gy = (y - oy) / cell
-        gx = 0.0 if 0.0 > gx else x_top if x_top < gx else gx
-        gy = 0.0 if 0.0 > gy else y_top if y_top < gy else gy
-        ix = width - 2 if gx >= x_top else int(gx)
-        iy = height - 2 if gy >= y_top else int(gy)
-        fx = gx - ix
-        fy = gy - iy
-        k = iy * width + ix
-        while True:
-            top = nodes[k] * (1 - fx) + nodes[k + 1] * fx
-            bot = nodes[k + width] * (1 - fx) + nodes[k + width + 1] * fx
-            z = top * (1 - fy) + bot * fy
-            if z == z or not hm._fill_cell(iy, ix):
-                break
-        out.append(z)
-    return out
-
-
 def terrain_slope(hm: Heightmap, x: float, y: float) -> tuple[float, float, float]:
     """``(z, dz/dx, dz/dy)`` at ``(x, y)``: the bilinear elevation and central
-    differences over one cell, all five lookups made in one pass."""
+    differences over one cell, border-clamped.
+
+    The five lookups, at ``(x, y)``, ``x +- h`` and ``y +- h``, share three
+    columns and three rows, each transformed once.  The clamp compares as
+    ``min(max(g, 0.0), n - 1.0)`` does: a NaN coordinate passes it and
+    fails at ``int``, and -0.0 survives it.  A node not yet computed is NaN,
+    which a blend propagates; if any blend is NaN, the missing tiles under
+    all five cells are computed in lookup order (z, east, west, north,
+    south), and only then are the lookups made again.
+    """
+    nodes, width, ix_top, x_top, iy_top, y_top, ox, oy = hm._lookup
     h = hm.cell_size
-    z, east, west, north, south = _elevations(
-        hm, ((x, y), (x + h, y), (x - h, y), (x, y + h), (x, y - h))
-    )
-    return z, (east - west) / (2.0 * h), (north - south) / (2.0 * h)
+    gx = 0.0 if 0.0 > (gx := (x - ox) / h) else x_top if x_top < gx else gx
+    ix = ix_top if gx >= x_top else int(gx)
+    ge = 0.0 if 0.0 > (ge := (x + h - ox) / h) else x_top if x_top < ge else ge
+    ie = ix_top if ge >= x_top else int(ge)
+    gw = 0.0 if 0.0 > (gw := (x - h - ox) / h) else x_top if x_top < gw else gw
+    iw = ix_top if gw >= x_top else int(gw)
+    gy = 0.0 if 0.0 > (gy := (y - oy) / h) else y_top if y_top < gy else gy
+    iy = iy_top if gy >= y_top else int(gy)
+    gn = 0.0 if 0.0 > (gn := (y + h - oy) / h) else y_top if y_top < gn else gn
+    in_ = iy_top if gn >= y_top else int(gn)
+    gs = 0.0 if 0.0 > (gs := (y - h - oy) / h) else y_top if y_top < gs else gs
+    is_ = iy_top if gs >= y_top else int(gs)
+    fx, fe, fw, fy, fn, fs = gx - ix, ge - ie, gw - iw, gy - iy, gn - in_, gs - is_
+    ux, ue, uw, uy, un, us = 1 - fx, 1 - fe, 1 - fw, 1 - fy, 1 - fn, 1 - fs
+    row, north, south = iy * width, in_ * width, is_ * width
+    k = row + ix
+    z = (nodes[k] * ux + nodes[k + 1] * fx) * uy + (nodes[k + width] * ux + nodes[k + width + 1] * fx) * fy
+    k = row + ie
+    e = (nodes[k] * ue + nodes[k + 1] * fe) * uy + (nodes[k + width] * ue + nodes[k + width + 1] * fe) * fy
+    k = row + iw
+    w = (nodes[k] * uw + nodes[k + 1] * fw) * uy + (nodes[k + width] * uw + nodes[k + width + 1] * fw) * fy
+    k = north + ix
+    n = (nodes[k] * ux + nodes[k + 1] * fx) * un + (nodes[k + width] * ux + nodes[k + width + 1] * fx) * fn
+    k = south + ix
+    s = (nodes[k] * ux + nodes[k + 1] * fx) * us + (nodes[k + width] * ux + nodes[k + width + 1] * fx) * fs
+    if z != z or e != e or w != w or n != n or s != s:
+        if any([hm._fill_cell(cy, cx) for cy, cx in ((iy, ix), (iy, ie), (iy, iw), (in_, ix), (is_, ix))]):
+            return terrain_slope(hm, x, y)
+    return z, (e - w) / (2.0 * h), (n - s) / (2.0 * h)
 
 
 def pose_from_terrain(

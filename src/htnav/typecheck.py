@@ -14,6 +14,12 @@ import typing
 _NAMES = {int: ("an integer", "integers"), float: ("a finite number", "finite numbers")}
 
 
+def cut(obj, **attrs) -> None:
+    """Set ``attrs`` on a frozen dataclass instance: the constants it cuts once where it is built."""
+    for name, value in attrs.items():
+        object.__setattr__(obj, name, value)
+
+
 def fits(value, kind) -> bool:
     """Whether ``value`` is an integer (``kind`` int) or a finite real number (``kind`` float).
 

@@ -13,7 +13,7 @@ from htnav.env import D_GOAL_SCALE, TILT_SCALE, observation_dim, rollout
 from htnav.geometry import bounds_walls, scan_ranges, wrap_angle
 from htnav.net import ApproximatorSpec, backward_batch, forward_batch
 from htnav.policy import PolicyParameters, dlogp_dmean, forward_mean
-from htnav.terrain import Heightmap, _elevations, pose_from_terrain
+from htnav.terrain import Heightmap, pose_from_terrain, terrain_slope
 from htnav.trajectory import Trajectory
 from htnav.training import usable_cpus
 
@@ -91,7 +91,7 @@ def score(params, obs, action) -> np.ndarray:
 
 def elevation_at(hm: Heightmap, x: float, y: float) -> float:
     """Bilinear elevation at one point, border-clamped: the ``z`` lookup of ``pose_from_terrain``."""
-    return _elevations(hm, ((x, y),))[0]
+    return terrain_slope(hm, x, y)[0]
 
 
 def flat_heightmap(size: float, cell_size: float = 1.0, origin=(0.0, 0.0)) -> Heightmap:

@@ -176,11 +176,16 @@ def test_time_steps_prints_one_row_per_scenario(tmp_path):
     assert proc.returncode == 0, proc.stderr
     header, *rows = proc.stdout.splitlines()
     assert header.split() == ["scenario", "steps/round", "us/step"]
-    assert [row.split()[0] for row in rows] == ["goal_reaching", "obstacle_avoidance", "uneven_terrain"]
-    for row in rows:
+    *steps_rows, pose_row = rows
+    assert [row.split()[0] for row in steps_rows] == ["goal_reaching", "obstacle_avoidance", "uneven_terrain"]
+    for row in steps_rows:
         _, steps, us = row.split()
         assert 1 <= int(steps) <= 8 * 300  # 8 worlds, at most max_steps each
         assert float(us) > 0.0
+    # then microseconds per terrain pose, over a fixed set of points
+    name, calls, us = pose_row.split()
+    assert (name, int(calls)) == ("pose_from_terrain", 20_000)
+    assert float(us) > 0.0
     assert list(tmp_path.iterdir()) == []  # it writes nothing
 
 

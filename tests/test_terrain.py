@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -20,6 +21,17 @@ def test_heightmap_validates():
     for shape in [(1, 3), (3, 1), (1, 1)]:
         with pytest.raises(ValueError, match="at least 2x2 nodes"):
             Heightmap(cell_size=1.0, elevations=np.zeros(shape))
+
+
+def test_heightmap_fields_are_frozen():
+    # every lookup reads constants cut from them once, which must not go stale
+    z = np.arange(9.0).reshape(3, 3)
+    for hm in (Heightmap(1.0, z), Heightmap.lazy(1.0, z.shape, (0.0, 0.0), lambda rows, cols: z[rows, cols])):
+        for name, value in [("cell_size", 2.0), ("origin", (1.0, 1.0))]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(hm, name, value)
+        assert (hm.cell_size, hm.origin) == (1.0, (0.0, 0.0))
+        assert terrain_slope(hm, 1.0, 1.0) == (4.0, 1.0, 3.0)
 
 
 def test_constant_field_everywhere_zero():
@@ -284,3 +296,56 @@ def test_pose_and_gradient_match_oracle_on_generated_hills():
         want = _outcome(_oracle_pose_from_terrain, hm, x, y, psi)
         assert _outcome(pose_from_terrain, hm, x, y, psi) == want
         assert _outcome(_gradient, hm, x, y) == _outcome(_oracle_terrain_gradient, hm, x, y)
+
+
+def _oracle_cell(shape, origin, cell, x, y):
+    """The low corner ``(iy, ix)`` of the cell one lookup reads, as ``_oracle_elevation_at`` finds it."""
+    height, width = shape
+    gx = min(max((x - origin[0]) / cell, 0.0), width - 1.0)
+    gy = min(max((y - origin[1]) / cell, 0.0), height - 1.0)
+    return min(int(gy), height - 2), min(int(gx), width - 2)
+
+
+@st.composite
+def _lazy_maps_and_points(draw):
+    """A grid of up to 3x3 tiles, and points: inside, on nodes and borders,
+    near tile corners, around the grid, or anywhere at all."""
+    h = draw(st.integers(2, 3 * TILE + 2))
+    w = draw(st.integers(2, 3 * TILE + 2))
+    z = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-1e3, 1e3, size=(h, w))
+    cell = draw(st.floats(1e-3, 1e3))
+    origin = (draw(st.floats(-1e3, 1e3)), draw(st.floats(-1e3, 1e3)))
+    units = st.floats(-3.0, max(h, w) + 3.0) | st.integers(-1, max(h, w)).map(float)
+    # within two cells of a tile corner, where lookups a cell away read tiles the centre does not
+    border = st.builds(lambda k, d: k * TILE + d, st.integers(1, 2), st.sampled_from([-1.75, -1.5, -0.5, 0.0, 0.5, 1.5]))
+    grid_units = st.tuples(units, units) | st.tuples(border, border)
+    near = grid_units.map(lambda u: (origin[0] + u[0] * cell, origin[1] + u[1] * cell))
+    points = st.lists(st.tuples(near | st.tuples(_anywhere, _anywhere), st.floats(-4.0, 4.0)), min_size=1, max_size=6)
+    return z, cell, origin, draw(points)
+
+
+@oracle_settings(200)
+@given(_lazy_maps_and_points())
+def test_lazy_pose_fills_tiles_like_five_lookups(case):
+    z, cell, origin, points = case
+    filled = []
+
+    def fill(rows, cols):
+        filled.append((rows.start // TILE, cols.start // TILE))
+        return z[rows, cols]
+
+    hm = Heightmap.lazy(cell, z.shape, origin, fill)
+    eager = Heightmap(cell_size=cell, elevations=z, origin=origin)
+    missing = set(itertools.product(range(-(-z.shape[0] // TILE)), range(-(-z.shape[1] // TILE))))
+    for (x, y), psi in points:
+        start = len(filled)
+        assert _outcome(pose_from_terrain, hm, x, y, psi) == _outcome(_oracle_pose_from_terrain, eager, x, y, psi)
+        # five separate lookups, each computing its own cell's missing tiles when it reads NaN
+        for px, py in [(x, y), (x + cell, y), (x - cell, y), (x, y + cell), (x, y - cell)]:
+            iy, ix = _oracle_cell(z.shape, origin, cell, px, py)
+            tiles = {(ty // TILE, tx // TILE) for ty in (iy, iy + 1) for tx in (ix, ix + 1)} & missing
+            assert set(filled[start : start + len(tiles)]) == tiles
+            start += len(tiles)
+            missing -= tiles
+        assert len(filled) == start
+    assert len(filled) == len(set(filled))
