@@ -7,7 +7,8 @@ on ``uneven_terrain`` from the pinned cauchy checkpoint, as do a
 stochastic ``uneven_terrain`` eval and two ``obstacle_avoidance`` evals
 (one sampled on an eval seed where an episode ends in a collision).
 ``compare`` runs the same seeds and episodes on ``goal_reaching`` and
-``obstacle_avoidance``.  A pin may only be re-recorded by a change that
+``obstacle_avoidance``, and ``surface`` writes both reward surfaces on
+a small grid.  A pin may only be re-recorded by a change that
 means to alter trajectories, and that change says why in CHANGES.md.
 """
 
@@ -213,3 +214,19 @@ def test_setting_outputs_pinned(tmp_path, setting):
     assert main(["eval", checkpoint, *args]) == 0
     eval_files = ("eval_rows.csv", "eval_summary.json")
     assert {**_digests(train_out, TRAIN_FILES), **_digests(eval_out, eval_files)} == pins
+
+
+# the reward surface, latched config turned literal: the halfway bump peaks
+# at 8.5 m, a node of the 0.25 m distance axis, and the goal bump at 0
+SURFACE_ARGS = ["--n-d", "81", "--n-other", "9", "--d-max", "20", "--initial-distance", "17"]
+SURFACE_PINS = {
+    "dist_angle": "2adf3002a26a28fd1bf3c65ec95d6eb03f9d2989fa6766f861926652e3ce8a8f",
+    "dist_scan": "7b89ae5bf874c4e90f87ccbfa2b8d1afedf5a87273c9e0b32fc3a22c177fe350",
+}
+
+
+@pytest.mark.parametrize("axes", sorted(SURFACE_PINS))
+def test_surface_outputs_pinned(tmp_path, axes):
+    out = tmp_path / "surface"
+    assert main(["surface", "--axes", axes, *SURFACE_ARGS, "--out", str(out)]) == 0
+    assert _digests(out, ("surface.csv",)) == {"surface.csv": SURFACE_PINS[axes]}
