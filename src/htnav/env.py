@@ -150,13 +150,13 @@ def rollout(
         heights[t] = z
 
         if t == 0:  # the start: milestones count from this distance
-            state = rw.EpisodeRewardState(initial_distance=d)
+            d0, half_paid = d, False
         else:
             # a scenario's missing terms are left out: heading (+0.0 or 1.0)
             # comes first, so the sum is never -0.0 and adding +0.0 for them
             # would change no bits
             heading = r_heading(alpha, rcfg)
-            dist, state = r_dist(d, state, rcfg, goal_radius)
+            dist, half_paid = r_dist(d, d0, half_paid, rcfg, goal_radius)
             reward = heading + dist
             if scanning:
                 reward += rw.r_obs(closest, d_collision, rcfg)

@@ -7,13 +7,14 @@ semantics are inclusive everywhere: the heading indicator fires at
 exactly the threshold angle, the collision penalty at exactly the
 clearance distance, the tilt penalty at exactly the tilt threshold.
 
-The distance term defaults to "latched" milestones (each bonus awarded
-at most once per episode).  The "literal" mode keeps the raw Gaussian
-bump form at every step, which is what the exported reward surfaces use.
+The distance term defaults to "latched" milestones: a latch the caller
+keeps pays the halfway bonus once, and the goal bonus ends the episode.
+The "literal" mode keeps the raw Gaussian bump form at every step, which
+is what the exported reward surfaces use.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,18 +41,6 @@ class RewardConfig:
         check_fields(self, rules)
 
 
-@dataclass(frozen=True)
-class EpisodeRewardState:
-    """Per-episode milestone accounting; flags only ever flip to True."""
-
-    initial_distance: float
-    half_awarded: bool = False
-    goal_awarded: bool = False
-
-    def __post_init__(self):
-        check_fields(self)
-
-
 def r_heading(alpha_goal: float, cfg: RewardConfig) -> float:
     return 1.0 if abs(alpha_goal) <= cfg.angle_threshold else 0.0
 
@@ -61,34 +50,33 @@ def _normal_pdf(x: float, mean: float, sd: float) -> float:
     return math.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi))
 
 
-def r_dist(
-    d_goal: float,
-    state: EpisodeRewardState,
-    cfg: RewardConfig,
-    goal_radius: float = 1.0,
-) -> tuple[float, EpisodeRewardState]:
-    """Distance milestone reward and the updated episode state.
+def _bumps(d_goal: float, initial_distance: float, cfg: RewardConfig) -> float:
+    """The printed form's Gaussian bumps at half the initial distance and at the goal."""
+    value = cfg.beta_g / 2.0 * _normal_pdf(d_goal, initial_distance / 2.0, cfg.sigma_g)
+    value += cfg.beta_g * _normal_pdf(d_goal, 0.0, cfg.sigma_g)
+    return value
 
-    Latched mode pays beta_g/2 once when the distance first drops to half
-    its initial value and beta_g once on reaching the goal radius (both
-    may fire in the same step).  Literal mode returns the two Gaussian
-    bumps of the printed form at every step, unlatched.
+
+def r_dist(
+    d_goal: float, initial_distance: float, half_paid: bool, cfg: RewardConfig, goal_radius: float
+) -> tuple[float, bool]:
+    """Distance milestone reward and the updated halfway latch.
+
+    Latched mode pays beta_g/2 once, when the distance first drops to half
+    its initial value, and beta_g whenever it is within ``goal_radius``,
+    with no latch, since that test ends the episode; both may fire in one
+    step.  Literal mode pays the printed form's two Gaussian bumps at every
+    step and returns the latch unchanged.
     """
     if cfg.dist_mode == "literal":
-        value = cfg.beta_g / 2.0 * _normal_pdf(d_goal, state.initial_distance / 2.0, cfg.sigma_g)
-        value += cfg.beta_g * _normal_pdf(d_goal, 0.0, cfg.sigma_g)
-        return value, state
+        return _bumps(d_goal, initial_distance, cfg), half_paid
     reward = 0.0
-    half, goal = state.half_awarded, state.goal_awarded
-    if not half and d_goal <= state.initial_distance / 2.0:
+    if not half_paid and d_goal <= initial_distance / 2.0:
         reward += cfg.beta_g / 2.0
-        half = True
-    if not goal and d_goal <= goal_radius:
+        half_paid = True
+    if d_goal <= goal_radius:
         reward += cfg.beta_g
-        goal = True
-    if half != state.half_awarded or goal != state.goal_awarded:
-        state = replace(state, half_awarded=half, goal_awarded=goal)
-    return reward, state
+    return reward, half_paid
 
 
 def r_obs(closest: float, d_collision: float, cfg: RewardConfig) -> float:
@@ -115,7 +103,8 @@ def reward_surface(
     d_collision: float = 0.5,
     scan_max: float = 10.0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Total reward over a 2-D state grid (literal distance mode, stateless).
+    """Total reward over a 2-D state grid; the distance term is the literal
+    mode's bumps whatever ``cfg.dist_mode`` says.
 
     ``dist_angle`` varies (d_goal, alpha_goal) and sums the heading and
     distance terms; ``dist_scan`` varies (d_goal, min scan range) and
@@ -130,17 +119,16 @@ def reward_surface(
         raise ValueError(f"axes must be 'dist_angle' or 'dist_scan', got {axes!r}")
     if n_d < 2 or n_other < 2:
         raise ValueError("grid must be at least 2x2")
+    for name, d in (("d_max", d_max), ("initial_distance", initial_distance)):
+        if d is not None and not 0 < d < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {d}")
     d0 = d_max if initial_distance is None else initial_distance
     d_axis = np.linspace(0.0, d_max, n_d)
-    lit = replace(cfg, dist_mode="literal")
-    state = EpisodeRewardState(initial_distance=d0)
-    dist_vals = np.array([r_dist(d, state, lit)[0] for d in d_axis])
+    dist_vals = np.array([_bumps(d, d0, cfg) for d in d_axis])
     if axes == "dist_angle":
         other_axis = np.linspace(-math.pi, math.pi, n_other)
-        head_vals = np.array([r_heading(a, cfg) for a in other_axis])
-        values = dist_vals[:, None] + head_vals[None, :]
+        other_vals = np.array([r_heading(a, cfg) for a in other_axis])
     else:
         other_axis = np.linspace(0.0, scan_max, n_other)
-        obs_vals = np.array([r_obs(s, d_collision, cfg) for s in other_axis])
-        values = dist_vals[:, None] + obs_vals[None, :]
-    return d_axis, other_axis, values
+        other_vals = np.array([r_obs(s, d_collision, cfg) for s in other_axis])
+    return d_axis, other_axis, dist_vals[:, None] + other_vals[None, :]

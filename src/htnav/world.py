@@ -193,7 +193,6 @@ def _make_heightmap(scenario: str, cfg: WorldGenConfig, rng: np.random.Generator
     def hills(rows, cols):
         return _hill_field(xs[cols], ys[rows], centers, sigmas, amps)
 
-    raw = None
     extremes = _certified_extremes(xs, ys, centers, sigmas, amps)
     if extremes is None:
         # from every node, tile by tile so the (hill, y, x) terms stay small
@@ -202,8 +201,6 @@ def _make_heightmap(scenario: str, cfg: WorldGenConfig, rng: np.random.Generator
     low, high = extremes
     gain = float(high - low)
     scale = target / gain if gain > 0.0 else 1.0  # times 1.0 keeps every bit
-    if raw is not None:
-        return Heightmap(cfg.cell_size, raw * scale, (x0, y0))
     return Heightmap.lazy(cfg.cell_size, (ny, nx), (x0, y0), lambda rows, cols: hills(rows, cols) * scale)
 
 

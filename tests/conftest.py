@@ -20,9 +20,9 @@ from htnav.training import usable_cpus
 # `pytest --hypothesis-profile=scan-oracle` runs the oracle tests (the
 # scans of tests/test_geometry.py, the terrain lookups of
 # tests/test_terrain.py, the lazily built terrain of tests/test_world.py, the
-# rollout of tests/test_training.py and the policy mean of
-# tests/test_policy.py) on ten times their usual number of examples (a CI
-# step).
+# halfway latch of tests/test_rewards.py, the rollout of
+# tests/test_training.py and the policy mean of tests/test_policy.py) on ten
+# times their usual number of examples (a CI step).
 settings.register_profile("scan-oracle", max_examples=1000)
 
 
@@ -234,7 +234,7 @@ def reference_rollout(world, params, cfg, steps, noise=None) -> Trajectory:
     env, rcfg = cfg.env, cfg.rewards
     pose = _reference_pose(world, *world.start_pose)
     x, d, alpha, scan = _reference_observe(world, cfg, pose, (0.0, 0.0))
-    state = rw.EpisodeRewardState(initial_distance=d)
+    d0, half_paid = d, False
     zs = [pose[3]]
     feats, raws, rewards = [], [], []
     cause = "running"
@@ -253,7 +253,7 @@ def reference_rollout(world, params, cfg, steps, noise=None) -> Trajectory:
         roll, pitch = pose[4:]
         x, d, alpha, scan = _reference_observe(world, cfg, pose, action)
         heading = rw.r_heading(alpha, rcfg)
-        dist, state = rw.r_dist(d, state, rcfg, env.goal_radius)
+        dist, half_paid = rw.r_dist(d, d0, half_paid, rcfg, env.goal_radius)
         obs_pen = stable_pen = 0.0
         closest = math.inf
         if world.scenario == "obstacle_avoidance":

@@ -175,6 +175,8 @@ def test_distance_milestones_latch_once():
     # facing the goal, every step pays the heading's 1.0
     paid = [reward - 1.0 for reward in traj.rewards.tolist() if reward != 1.0]
     assert paid == [50.0, 100.0]
+    # the goal bonus falls on the last step: reaching the goal ends the episode
+    assert traj.rewards[-1] == 101.0
     assert traj.final_cause == "goal"
 
 

@@ -2,25 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from htnav.cli import write_surface_csv
 from htnav.config import TrainConfig
 from htnav.geometry import Circle
-from htnav.rewards import (
-    EpisodeRewardState,
-    RewardConfig,
-    r_dist,
-    r_heading,
-    r_obs,
-    r_stable,
-    reward_surface,
-)
+from htnav.rewards import RewardConfig, r_dist, r_heading, r_obs, r_stable, reward_surface
 from htnav.terrain import Heightmap
 from htnav.world import SCENARIOS, World
 
-from conftest import scripted_rollout
+from conftest import oracle_settings, scripted_rollout
 
 CFG = RewardConfig()
 
@@ -61,40 +53,44 @@ def test_tilt_penalty_boundaries(roll, pitch, expected):
 
 
 def test_distance_milestones_pay_once():
-    state = EpisodeRewardState(initial_distance=20.0)
-    r, state = r_dist(12.0, state, CFG)
-    assert r == 0.0
-    r, state = r_dist(10.0, state, CFG)
-    assert r == 50.0
-    r, state = r_dist(9.0, state, CFG)
-    assert r == 0.0
-    r, state = r_dist(1.0, state, CFG)
-    assert r == 100.0
-    r, state = r_dist(0.2, state, CFG)
-    assert r == 0.0
-    assert state.half_awarded and state.goal_awarded
+    # the halfway bonus latches; the goal bonus needs no latch, since the
+    # episode ends where it pays (tests/test_env.py checks that)
+    r, half = r_dist(12.0, 20.0, False, CFG, 1.0)
+    assert (r, half) == (0.0, False)
+    r, half = r_dist(10.0, 20.0, half, CFG, 1.0)
+    assert (r, half) == (50.0, True)
+    r, half = r_dist(9.0, 20.0, half, CFG, 1.0)
+    assert (r, half) == (0.0, True)
+    r, half = r_dist(1.0, 20.0, half, CFG, 1.0)
+    assert (r, half) == (100.0, True)
+    r, half = r_dist(0.2, 20.0, half, CFG, 1.0)
+    assert (r, half) == (100.0, True)
 
 
 def test_distance_milestones_can_fire_together():
     # a large jump past both thresholds pays 1.5 * beta_g in one step
-    state = EpisodeRewardState(initial_distance=20.0)
-    r, state = r_dist(0.5, state, CFG)
-    assert r == 150.0
-    r, _ = r_dist(0.5, state, CFG)
-    assert r == 0.0
+    r, half = r_dist(0.5, 20.0, False, CFG, 1.0)
+    assert (r, half) == (150.0, True)
+    # a second call inside the goal radius pays the goal alone
+    r, half = r_dist(0.5, 20.0, half, CFG, 1.0)
+    assert (r, half) == (100.0, True)
 
 
 def test_distance_milestones_do_not_unlatch_on_retreat():
-    state = EpisodeRewardState(initial_distance=20.0)
-    _, state = r_dist(10.0, state, CFG)
-    _, state = r_dist(15.0, state, CFG)
-    r, _ = r_dist(9.0, state, CFG)
-    assert r == 0.0
+    _, half = r_dist(10.0, 20.0, False, CFG, 1.0)
+    _, half = r_dist(15.0, 20.0, half, CFG, 1.0)
+    assert half
+    r, half = r_dist(9.0, 20.0, half, CFG, 1.0)
+    assert (r, half) == (0.0, True)
+
+
+def test_goal_radius_sets_where_the_goal_pays():
+    assert r_dist(1.5, 20.0, True, CFG, 2.0)[0] == 100.0
+    assert r_dist(1.5, 20.0, True, CFG, 1.0)[0] == 0.0
 
 
 def test_literal_mode_matches_gaussian_bumps():
     cfg = RewardConfig(dist_mode="literal")
-    state = EpisodeRewardState(initial_distance=20.0)
 
     def bump(d):
         sd = cfg.sigma_g
@@ -103,16 +99,10 @@ def test_literal_mode_matches_gaussian_bumps():
         return 50.0 * peak_half + 100.0 * peak_goal
 
     for d in (0.0, 0.05, 10.0, 10.1, 17.0):
-        got, new_state = r_dist(d, state, cfg)
-        assert got == pytest.approx(bump(d), rel=1e-12)
-        assert new_state is state
-
-
-def test_r_dist_requires_episode_state():
-    # the state is checked once, when it is made, not on every r_dist call
-    for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="initial_distance"):
-            r_dist(5.0, EpisodeRewardState(initial_distance=bad), CFG)
+        for half in (False, True):
+            got, latch = r_dist(d, 20.0, half, cfg, 1.0)
+            assert got == pytest.approx(bump(d), rel=1e-12)
+            assert latch is half
 
 
 def test_total_reward_per_scenario():
@@ -139,19 +129,16 @@ def test_total_reward_per_scenario():
     assert paid == {"goal_reaching": 0.0, "obstacle_avoidance": -100.0, "uneven_terrain": -25.0}
 
 
-@settings(max_examples=50, deadline=None)
+@oracle_settings(50)
 @given(
     st.floats(0.0, 40.0),
     st.floats(5.0, 40.0),
     st.booleans(),
-    st.booleans(),
 )
-def test_latched_reward_is_nonnegative_and_monotone_state(d, d0, half, goal):
-    state = EpisodeRewardState(initial_distance=d0, half_awarded=half, goal_awarded=goal)
-    r, new_state = r_dist(d, state, CFG)
+def test_latched_reward_is_nonnegative_and_monotone_state(d, d0, half):
+    r, latch = r_dist(d, d0, half, CFG, 1.0)
     assert r >= 0.0
-    assert new_state.half_awarded >= state.half_awarded
-    assert new_state.goal_awarded >= state.goal_awarded
+    assert latch >= half
 
 
 def test_surface_shapes_and_axes():
@@ -192,6 +179,11 @@ def test_surface_rejects_bad_arguments():
         reward_surface("dist_speed")
     with pytest.raises(ValueError):
         reward_surface("dist_angle", n_d=1)
+    # refused before np.linspace, which would warn on an infinite end
+    for name in ("d_max", "initial_distance"):
+        for bad in (math.nan, math.inf, 0.0, -1.0):
+            with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+                reward_surface("dist_angle", n_d=3, n_other=3, **{name: bad})
 
 
 def test_surface_csv_layout(tmp_path):
