@@ -65,6 +65,9 @@ def test_distance_milestones_pay_once():
     assert (r, half) == (100.0, True)
     r, half = r_dist(0.2, 20.0, half, CFG, 1.0)
     assert (r, half) == (100.0, True)
+    # the goal pays inside the radius it is given
+    assert r_dist(1.5, 20.0, half, CFG, 2.0) == (100.0, True)
+    assert r_dist(1.5, 20.0, half, CFG, 1.0) == (0.0, True)
 
 
 def test_distance_milestones_can_fire_together():
@@ -82,11 +85,6 @@ def test_distance_milestones_do_not_unlatch_on_retreat():
     assert half
     r, half = r_dist(9.0, 20.0, half, CFG, 1.0)
     assert (r, half) == (0.0, True)
-
-
-def test_goal_radius_sets_where_the_goal_pays():
-    assert r_dist(1.5, 20.0, True, CFG, 2.0)[0] == 100.0
-    assert r_dist(1.5, 20.0, True, CFG, 1.0)[0] == 0.0
 
 
 def test_literal_mode_matches_gaussian_bumps():
