@@ -103,6 +103,14 @@ def test_literal_mode_matches_gaussian_bumps():
             assert latch is half
 
 
+def test_r_dist_requires_episode_state():
+    # the start distance r_dist halves comes from the rollout, which never
+    # makes a non-finite one; one given from outside is refused by name
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="initial_distance"):
+            reward_surface("dist_angle", n_d=3, n_other=3, initial_distance=bad)
+
+
 def test_total_reward_per_scenario():
     # a tree beside the start in every scenario and a 1.5 slope on uneven
     # terrain: the collision term would fire everywhere, but each scenario
